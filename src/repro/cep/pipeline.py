@@ -26,6 +26,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.core.policies import DropPolicy, RandomDropPolicy
+from repro.core.triage_core import TriageCore
 from repro.core.triage_queue import QueueStats, TriageQueue
 from repro.engine.catalog import Catalog
 from repro.engine.types import Column, ColumnType, Schema, StreamTuple
@@ -147,26 +148,25 @@ class PatternPipeline:
             policy.bind_engine(engine)
             policy.stream_tag = 0
         queue = self.build_queue()
+        # One merged queue, untimed core: the engine's pace is the tuple
+        # budget below, and polled tuples are handed back for the engine.
+        core = TriageCore([queue], fold=False)
         matches: list[StreamTuple] = []
 
-        def drain_batch(limit: int) -> int:
+        def drain_batch(limit: int | None) -> int:
             """Poll up to ``limit`` tuples and absorb them as one batch."""
-            polled = []
-            for _ in range(limit):
-                tagged = queue.poll()
-                if tagged is None:
-                    break
-                polled.append(tagged)
-            if polled:
+            polled: list = []
+            n = core.drain(budget=limit, polled=polled)
+            if n:
                 matches.extend(
                     engine.advance_batch(
                         [
                             (t.row[0], StreamTuple(t.timestamp, t.row[1:]))
-                            for t in polled
+                            for _, t, _ in polled
                         ]
                     )
                 )
-            return len(polled)
+            return n
 
         budget = 0.0
         last_ts = events[0][1].timestamp if events else 0.0
@@ -182,8 +182,8 @@ class PatternPipeline:
                 if drain_batch(whole) < whole:
                     budget = 0.0  # idle engine cannot bank work
             queue.offer(StreamTuple(ts, (stream,) + tup.row))
-        while drain_batch(64) == 64:  # end of input: catch up fully
-            pass
+            core.sync(0)
+        drain_batch(None)  # end of input: catch up fully
 
         return PatternRunResult(
             pattern=self.pattern,

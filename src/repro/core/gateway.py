@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from repro.algebra.multiset import Multiset
 from repro.core.pipeline import DataTriagePipeline, RunResult
 from repro.core.policies import DropPolicy, RandomDropPolicy, TailDropPolicy
-from repro.core.strategies import PipelineConfig, ShedStrategy
+from repro.core.strategies import ShedStrategy
+from repro.core.triage_core import TriageCore, arrivals_per_window, merge_arrivals
 from repro.core.triage_queue import TriageQueue, WindowSynopsis
 from repro.engine.types import StreamTuple
 from repro.engine.window import WindowSpec
@@ -56,6 +57,10 @@ class GatewayOutput:
     offered: int
     dropped: int
     max_delivery_lag: float
+    #: Engine-side window state the delivered tuples fold into: kept bags,
+    #: and (summarizing gateways) kept synopses, per window id.
+    kept_rows: dict[int, Multiset] = field(default_factory=dict)
+    kept_synopses: dict[int, Synopsis] = field(default_factory=dict)
 
     @property
     def drop_fraction(self) -> float:
@@ -101,36 +106,22 @@ class TriageGateway:
 
     # ------------------------------------------------------------------
     def run(self, tuples: list[StreamTuple]) -> GatewayOutput:
-        """Push a full stream through queue + link on the virtual clock."""
-        delivered: list[DeliveredTuple] = []
-        link_free = 0.0
+        """Push a full stream through queue + link on the virtual clock.
+
+        The link is the consumer: the core drains the queue at
+        ``link.transmission_time`` per tuple, and shipping a window's
+        synopsis occupies the same link (``core.busy_until``).
+        """
         service = self.link.transmission_time
+        latency = self.link.latency
+        core = TriageCore([self.queue], [service], synopses=self.queue.summarize)
+        sent: list = []
         window_closed: set[int] = set()
         synopsis_delivery: dict[int, float] = {}
         synopses: dict[int, WindowSynopsis] = {}
 
-        def drain(until: float) -> None:
-            nonlocal link_free
-            while True:
-                head_ts = self.queue.peek_timestamp()
-                if head_ts is None:
-                    return
-                start = max(link_free, head_ts)
-                if start >= until:
-                    return
-                tup = self.queue.poll()
-                link_free = start + service
-                delivered.append(
-                    DeliveredTuple(
-                        source_time=tup.timestamp,
-                        delivery_time=link_free + self.link.latency,
-                        row=tup.row,
-                    )
-                )
-
         def close_windows(now: float) -> None:
             """Ship synopses of windows that ended before ``now``."""
-            nonlocal link_free
             for wid in list(self.queue.windows_with_drops()):
                 _, end = self.window.bounds(wid)
                 if end <= now and wid not in window_closed:
@@ -143,17 +134,25 @@ class TriageGateway:
                             * self.synopsis_cell_cost
                             * service
                         )
-                        start = max(link_free, end)
-                        link_free = start + cost
-                        synopsis_delivery[wid] = link_free + self.link.latency
+                        core.busy_until = max(core.busy_until, end) + cost
+                        synopsis_delivery[wid] = core.busy_until + latency
 
         for tup in tuples:
-            drain(until=tup.timestamp)
+            core.drain(tup.timestamp, polled=sent)
             close_windows(tup.timestamp)
             self.queue.offer(tup)
-        drain(until=math.inf)
+            core.sync(0)
+        core.drain(polled=sent)
         close_windows(math.inf)
 
+        delivered = [
+            DeliveredTuple(
+                source_time=tup.timestamp,
+                delivery_time=finish + latency,
+                row=tup.row,
+            )
+            for _, tup, finish in sent
+        ]
         max_lag = max(
             (d.delivery_time - d.source_time for d in delivered), default=0.0
         )
@@ -164,6 +163,10 @@ class TriageGateway:
             offered=self.queue.stats.offered,
             dropped=self.queue.stats.dropped,
             max_delivery_lag=max_lag,
+            kept_rows=core.kept_rows[self.name],
+            kept_synopses=(
+                core.kept_synopses[self.name] if core.kept_synopses else {}
+            ),
         )
 
 
@@ -200,13 +203,14 @@ def run_gateway_experiment(
     the paper's remote-wrapper scenario.
     """
     cfg = pipeline.config
-    sources = [link.source_name for link in pipeline.plan.chain]
+    sources = pipeline.sources
     outputs: dict[str, GatewayOutput] = {}
     for i, s in enumerate(sources):
+        dims, positions = pipeline.source_dimensions(s)
         gw = TriageGateway(
             name=s,
-            dimensions=pipeline._dims[s],
-            dim_positions=pipeline._dim_positions[s],
+            dimensions=dims,
+            dim_positions=positions,
             link=links[s],
             queue_capacity=queue_capacity,
             synopsis_factory=cfg.synopsis_factory,
@@ -219,47 +223,27 @@ def run_gateway_experiment(
         outputs[s] = gw.run(streams[s])
 
     # Assemble per-window structures for the shared evaluator.
-    window = cfg.window
-    kept_rows: dict[str, dict[int, Multiset]] = {s: {} for s in sources}
-    kept_syn: dict[str, dict[int, Synopsis]] = {s: {} for s in sources}
+    events = merge_arrivals(streams, sources)
+    window_ids, arrived = arrivals_per_window(events, sources, cfg.window)
     dropped_syn: dict[str, dict[int, Synopsis | None]] = {s: {} for s in sources}
     dropped_counts: dict[str, dict[int, int]] = {s: {} for s in sources}
-    arrived: dict[str, dict[int, int]] = {s: {} for s in sources}
-    window_ids: set[int] = set()
     for s in sources:
-        for t in streams[s]:
-            for wid in window.ids(t.timestamp):
-                arrived[s][wid] = arrived[s].get(wid, 0) + 1
-                window_ids.add(wid)
-        for d in outputs[s].delivered:
-            for wid in window.ids(d.source_time):
-                kept_rows[s].setdefault(wid, Multiset()).add(d.row)
-                if summarize:
-                    syn = kept_syn[s].get(wid)
-                    if syn is None:
-                        syn = kept_syn[s][wid] = cfg.synopsis_factory.create(
-                            pipeline._dims[s]
-                        )
-                    syn.insert(
-                        [d.row[p] for p in pipeline._dim_positions[s]]
-                    )
         for wid, ws in outputs[s].synopses.items():
             dropped_syn[s][wid] = ws.synopsis
             dropped_counts[s][wid] = ws.dropped_count
 
-    ideal_inputs = None
-    if cfg.compute_ideal:
-        events = DataTriagePipeline._merge_events(streams, sources)
-        ideal_inputs = pipeline._ideal_inputs(events, sources)
-
     windows = pipeline.evaluate_windows(
-        window_ids=sorted(window_ids),
-        kept_rows=kept_rows,
-        kept_synopses=kept_syn if summarize else None,
+        window_ids=window_ids,
+        kept_rows={s: outputs[s].kept_rows for s in sources},
+        kept_synopses=(
+            {s: outputs[s].kept_synopses for s in sources} if summarize else None
+        ),
         dropped_synopses=dropped_syn if summarize else None,
         dropped_counts=dropped_counts,
         arrived=arrived,
-        ideal_inputs=ideal_inputs,
+        ideal_inputs=(
+            pipeline._ideal_inputs(events, sources) if cfg.compute_ideal else None
+        ),
     )
     total = sum(o.offered for o in outputs.values())
     total_dropped = sum(o.dropped for o in outputs.values())

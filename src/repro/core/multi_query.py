@@ -19,12 +19,11 @@ per-query alternative.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.algebra.multiset import Multiset
 from repro.core.pipeline import DataTriagePipeline, RunResult
 from repro.core.strategies import PipelineConfig, ShedStrategy
+from repro.core.triage_core import TriageCore, arrivals_per_window, merge_arrivals
 from repro.core.triage_queue import TriageQueue
 from repro.engine.catalog import Catalog
 from repro.engine.types import StreamTuple
@@ -84,10 +83,7 @@ class SharedTriageRuntime:
                 stream = link.stream_name
                 dims = self._dims.setdefault(stream, [])
                 positions = self._dim_positions.setdefault(stream, [])
-                for dim, pos in zip(
-                    pipe._dims[link.source_name],
-                    pipe._dim_positions[link.source_name],
-                ):
+                for dim, pos in zip(*pipe.source_dimensions(link.source_name)):
                     if pos not in positions:
                         positions.append(pos)
                         dims.append(dim)
@@ -126,55 +122,25 @@ class SharedTriageRuntime:
                 seed=cfg.seed * 7919 + i,
             )
 
-        events = DataTriagePipeline._merge_events(streams, self.streams_used)
-        wid_set: set[int] = set()
-        arrived: dict[str, dict[int, int]] = {s: {} for s in self.streams_used}
-        for ts, _, stream, _ in events:
-            wids = cfg.window.ids(ts)
-            wid_set.update(wids)
-            for wid in wids:
-                arrived[stream][wid] = arrived[stream].get(wid, 0) + 1
-        window_ids = sorted(wid_set)
+        events = merge_arrivals(streams, self.streams_used)
+        window_ids, arrived = arrivals_per_window(
+            events, self.streams_used, cfg.window
+        )
 
-        kept_rows: dict[str, dict[int, Multiset]] = {
-            s: {} for s in self.streams_used
-        }
-        kept_syn: dict[str, dict[int, Synopsis]] = {s: {} for s in self.streams_used}
-        engine_free = 0.0
-
-        def drain(until: float) -> float:
-            t = engine_free
-            while True:
-                best, best_ts = None, math.inf
-                for stream in self.streams_used:
-                    ts = queues[stream].peek_timestamp()
-                    if ts is not None and ts < best_ts:
-                        best, best_ts = stream, ts
-                if best is None:
-                    return max(t, until) if math.isfinite(until) else t
-                start = max(t, best_ts)
-                if start >= until:
-                    return t
-                tup = queues[best].poll()
-                t = start + cfg.service_time * self._queries_on(best)
-                for wid in cfg.window.ids(tup.timestamp):
-                    bag = kept_rows[best].get(wid)
-                    if bag is None:
-                        bag = kept_rows[best][wid] = Multiset()
-                    bag.add(tup.row)
-                    syn = kept_syn[best].get(wid)
-                    if syn is None:
-                        syn = kept_syn[best][wid] = cfg.synopsis_factory.create(
-                            self._dims[best]
-                        )
-                    syn.insert(
-                        [tup.row[p] for p in self._dim_positions[best]]
-                    )
-
+        # One engine, one pass: a polled tuple occupies it once per query
+        # that consumes its stream.
+        core = TriageCore(
+            [queues[s] for s in self.streams_used],
+            [cfg.service_time * self._queries_on(s) for s in self.streams_used],
+            synopses=True,
+        )
+        stream_index = {s: i for i, s in enumerate(self.streams_used)}
         for ts, _, stream, tup in events:
-            engine_free = drain(until=ts)
+            core.drain(ts)
             queues[stream].offer(tup)
-        engine_free = drain(until=math.inf)
+            core.sync(stream_index[stream])
+        core.drain()
+        kept_rows, kept_syn = core.kept_rows, core.kept_synopses
 
         dropped_syn: dict[str, dict[int, Synopsis | None]] = {
             s: {} for s in self.streams_used

@@ -28,7 +28,6 @@ Event model (discrete-event simulation):
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -44,6 +43,7 @@ from repro.core.merge import (
     merge_groups,
 )
 from repro.core.strategies import PipelineConfig, ShedStrategy
+from repro.core.triage_core import TriageCore, arrivals_per_window, merge_arrivals
 from repro.core.triage_queue import TriageQueue
 from repro.engine.catalog import Catalog
 from repro.engine.executor import QueryExecutor
@@ -159,7 +159,6 @@ class DataTriagePipeline:
             MergeSpec.from_plan(self.plan) if query.is_aggregate else None
         )
         self.executor = QueryExecutor(catalog, compiled=config.compiled_plans)
-        self._parallel = None  # lazy ParallelWindowEvaluator
         self._domains = {k.lower(): v for k, v in (domains or {}).items()}
         self._dims: dict[str, list[Dimension]] = {}
         self._dim_positions: dict[str, list[int]] = {}
@@ -268,9 +267,9 @@ class DataTriagePipeline:
     def add_window_hook(self, hook) -> None:
         """Register ``hook(outcome)``, called once per evaluated window.
 
-        Hooks run after :meth:`evaluate_windows` produces its outcomes (on
-        the serial *and* the parallel path), in registration order.  They
-        are best-effort observers: an exception is swallowed and counted as
+        Hooks run after :meth:`evaluate_windows` produces its outcomes, in
+        registration order.  They are best-effort observers: an exception
+        is swallowed and counted as
         ``obs_hook_errors_total{site="window_hook"}``, never aborting a run.
         """
         self.window_hooks.append(hook)
@@ -330,14 +329,6 @@ class DataTriagePipeline:
 
         return observe
 
-    def make_kept_synopsis(self, source: str) -> Synopsis:
-        """A fresh kept-tuple synopsis for one (source, window) cell."""
-        return self.config.synopsis_factory.create(self._dims[source])
-
-    def insert_into_synopsis(self, source: str, syn: Synopsis, row: tuple) -> None:
-        """Fold ``row``'s referenced columns into ``syn``."""
-        syn.insert([row[p] for p in self._dim_positions[source]])
-
     def evaluate_window(
         self,
         window_id: int,
@@ -387,35 +378,16 @@ class DataTriagePipeline:
             self.prof = SamplingProfiler(cfg.profile_hz)
         if self.prof is not None and not self.prof.running:
             self.prof.start()
-        sources = [link.source_name for link in self.plan.chain]
+        sources = self.sources
         missing = [s for s in sources if s not in streams]
         if missing:
             raise ValueError(f"no arrivals supplied for sources {missing}")
 
-        events = self._merge_events(streams, sources)
-        ids = cfg.window.ids
-        wid_set: set[int] = set()
-        arrived = _nested_counter(sources)
-        for ts, _, source, _ in events:
-            wids = ids(ts)
-            wid_set.update(wids)
-            per_window = arrived[source]
-            for wid in wids:
-                per_window[wid] = per_window.get(wid, 0) + 1
-        window_ids = sorted(wid_set)
-
+        events = merge_arrivals(streams, sources)
+        window_ids, arrived = arrivals_per_window(events, sources, cfg.window)
         if cfg.strategy is ShedStrategy.SUMMARIZE_ONLY:
             return self._run_summarize_only(events, window_ids, arrived, sources)
         return self._run_queued(events, window_ids, arrived, sources)
-
-    @staticmethod
-    def _merge_events(streams, sources):
-        events = []
-        for source in sources:
-            for seq, tup in enumerate(streams[source]):
-                events.append((tup.timestamp, seq, source, tup))
-        events.sort(key=lambda e: (e[0], e[2], e[1]))
-        return events
 
     # ------------------------------------------------------------------
     def _run_summarize_only(self, events, window_ids, arrived, sources) -> RunResult:
@@ -464,6 +436,13 @@ class DataTriagePipeline:
 
     # ------------------------------------------------------------------
     def _run_queued(self, events, window_ids, arrived, sources) -> RunResult:
+        """Replay ``events`` through the triage core on the virtual clock.
+
+        The loop itself (oldest-first drain, kept-state fold) is
+        :class:`~repro.core.triage_core.TriageCore`; this driver owns the
+        arrival replay, the load controllers and the observability around
+        each core call.
+        """
         cfg = self.config
         # Observability: `obs is None` is THE fast path — every
         # instrumentation site below is behind that check (or the cheaper
@@ -474,96 +453,16 @@ class DataTriagePipeline:
         trace_on = tracer is not None and tracer.enabled
         tuple_on = trace_on and tracer.tuple_events
         observer = self._queue_metrics_observer() if obs is not None else None
-        queues: dict[str, TriageQueue] = {}
-        for i, source in enumerate(sources):
-            queues[source] = TriageQueue(
-                name=source,
-                dimensions=self._dims[source],
-                dim_positions=self._dim_positions[source],
-                capacity=cfg.queue_capacity,
-                policy=cfg.policy,
-                synopsis_factory=cfg.synopsis_factory,
-                window=cfg.window,
-                summarize=cfg.strategy.summarizes_drops,
-                seed=cfg.seed * 7919 + i,
-                observer=observer,
-                audit=self.audit,
-            )
-
-        kept_rows: dict[str, dict[int, Multiset]] = {s: {} for s in sources}
-        kept_syn: dict[str, dict[int, Synopsis]] = {s: {} for s in sources}
-        build_kept_syn = cfg.strategy is ShedStrategy.DATA_TRIAGE
-        completion: dict[int, float] = {}  # window -> last kept-tuple finish
-
-        engine_free = 0.0
-        ids = cfg.window.ids
-        service_time = cfg.service_time
-
-        # The engine always consumes the globally-oldest queued tuple.  A
-        # linear peek over every source per tuple is O(#sources) on the
-        # hottest loop in the simulator; instead keep a heap of queue heads.
-        # Entries are (head timestamp, source index) — the index tie-break
-        # reproduces the linear scan's first-source-wins order.  A drop
-        # policy may evict a queue's *head* during offer(), so entries are
-        # validated lazily against ``heads`` (the current head per source)
-        # rather than removed eagerly.
-        qlist = [queues[s] for s in sources]
-        heads: list[float | None] = [None] * len(sources)
-        heap: list[tuple[float, int]] = []
-
-        def sync_head(idx: int) -> None:
-            """Re-register source ``idx`` after its head may have changed."""
-            ts = qlist[idx].peek_timestamp()
-            if ts != heads[idx]:
-                heads[idx] = ts
-                if ts is not None:
-                    heapq.heappush(heap, (ts, idx))
-
-        def drain(until: float) -> float:
-            t = engine_free
-            while True:
-                while heap and heads[heap[0][1]] != heap[0][0]:
-                    heapq.heappop(heap)  # stale: head evicted or consumed
-                if not heap:
-                    return max(t, until) if math.isfinite(until) else t
-                best_ts, idx = heap[0]
-                start = max(t, best_ts)
-                if start >= until:
-                    return t
-                heapq.heappop(heap)
-                source = sources[idx]
-                tup = qlist[idx].poll()
-                if tuple_on:
-                    tracer.tuple_event("poll", source, tup.timestamp)
-                # Unconditional re-push: the next head may carry the *same*
-                # timestamp, which sync_head's change test would miss.
-                nts = qlist[idx].peek_timestamp()
-                heads[idx] = nts
-                if nts is not None:
-                    heapq.heappush(heap, (nts, idx))
-                t = start + service_time
-                for wid in ids(tup.timestamp):
-                    # Engine time only moves forward, so t is already the
-                    # max completion seen for this window.
-                    completion[wid] = t
-                    bag = kept_rows[source].get(wid)
-                    if bag is None:
-                        bag = kept_rows[source][wid] = Multiset()
-                    bag.add(tup.row)
-                    if build_kept_syn:
-                        syn = kept_syn[source].get(wid)
-                        if syn is None:
-                            syn = kept_syn[source][wid] = (
-                                cfg.synopsis_factory.create(
-                                    self._dims[source]
-                                )
-                            )
-                        syn.insert(
-                            [
-                                tup.row[p]
-                                for p in self._dim_positions[source]
-                            ]
-                        )
+        queues = {
+            s: self.build_queue(s, observer=observer, audit=self.audit)
+            for s in sources
+        }
+        use_shadow = cfg.strategy is ShedStrategy.DATA_TRIAGE
+        core = TriageCore(
+            [queues[s] for s in sources],
+            [cfg.service_time] * len(sources),
+            synopses=use_shadow,
+        )
 
         controllers: dict[str, LoadController] | None = None
         control_dt = 0.0
@@ -600,6 +499,22 @@ class DataTriagePipeline:
                 g_capacity.set(queues[s].capacity, stream=s)
         drain_seconds = 0.0
 
+        def observed_drain(until: float = math.inf) -> None:
+            """``core.drain`` plus its span and tuple-level ``poll`` events."""
+            nonlocal drain_seconds
+            batch: list | None = [] if tuple_on else None
+            t0 = tracer.now()
+            n = core.drain(until, polled=batch)
+            t1 = tracer.now()
+            drain_seconds += t1 - t0
+            if n and trace_on:
+                for source, tup, _ in batch or ():
+                    tracer.tuple_event("poll", source, tup.timestamp)
+                tags = {"final": True} if until == math.inf else {"until": until}
+                tracer.complete("drain", t0, t1, polled=n, **tags)
+
+        drain = core.drain if obs is None else observed_drain
+
         # Ambient phase tags join sampled stacks to the identically-named
         # trace spans; two global stores per arrival, and only when a
         # profiler is attached.
@@ -617,19 +532,7 @@ class DataTriagePipeline:
         for ts, _, source, tup in events:
             if prof_on:
                 _phase["_current_phase"] = "drain"
-            if obs is None:
-                engine_free = drain(until=ts)
-            else:
-                t0 = tracer.now()
-                polled_before = (
-                    sum(q.stats.polled for q in qlist) if trace_on else 0
-                )
-                engine_free = drain(until=ts)
-                drain_seconds += tracer.now() - t0
-                if trace_on:
-                    n = sum(q.stats.polled for q in qlist) - polled_before
-                    if n:
-                        tracer.complete("drain", t0, polled=n, until=ts)
+            drain(ts)
             if prof_on:
                 _phase["_current_phase"] = "ingest"
             if controllers is not None and ts >= next_control:
@@ -662,27 +565,17 @@ class DataTriagePipeline:
                         ts,
                     )
                 h_depth.observe(len(q), stream=source)
-            sync_head(source_index[source])
+            core.sync(source_index[source])
         if prof_on:
             _phase["_current_phase"] = "drain"
-        if obs is None:
-            engine_free = drain(until=math.inf)
-        else:
-            t0 = tracer.now()
-            polled_before = sum(q.stats.polled for q in qlist) if trace_on else 0
-            engine_free = drain(until=math.inf)
-            drain_seconds += tracer.now() - t0
-            if trace_on:
-                n = sum(q.stats.polled for q in qlist) - polled_before
-                if n:
-                    tracer.complete("drain", t0, polled=n, final=True)
+        drain()
+        if obs is not None:
             obs.record_run_phase("drain", drain_seconds)
         if prof_on:
             _phase["_current_phase"] = None
 
         dropped_syn: dict[str, dict[int, Synopsis | None]] = {s: {} for s in sources}
         dropped_counts: dict[str, dict[int, int]] = {s: {} for s in sources}
-        use_shadow = cfg.strategy is ShedStrategy.DATA_TRIAGE
         for s in sources:
             for wid in window_ids:
                 ws = queues[s].release_window(wid)
@@ -692,8 +585,8 @@ class DataTriagePipeline:
 
         windows = self.evaluate_windows(
             window_ids=window_ids,
-            kept_rows=kept_rows,
-            kept_synopses=kept_syn if use_shadow else None,
+            kept_rows=core.kept_rows,
+            kept_synopses=core.kept_synopses,
             dropped_synopses=dropped_syn if use_shadow else None,
             dropped_counts=dropped_counts,
             arrived=arrived,
@@ -703,7 +596,7 @@ class DataTriagePipeline:
         )
         for w in windows:
             _, end = cfg.window.bounds(w.window_id)
-            finished = completion.get(w.window_id)
+            finished = core.completion.get(w.window_id)
             w.result_latency = max(0.0, finished - end) if finished else 0.0
         # Count tuples, not per-window memberships (overlapping windows
         # hold the same tuple several times).
@@ -745,63 +638,8 @@ class DataTriagePipeline:
         ``emit`` events are tagged with them (plus flow steps), which is
         what lets a merged client+server trace connect one publish to the
         window that answered it.  Like all tracing it is decoration only —
-        recorded on the serial path, never on outcomes.
-
-        Windows are independent, so with ``config.parallel_windows = N``
-        the batch is chunked across a process pool; outcomes come back in
-        ``window_ids`` order either way, and any pool failure falls back to
-        the serial path, so the knob never changes the result.
+        never recorded on outcomes.
         """
-        outcomes: list[WindowOutcome] | None = None
-        workers = self.config.parallel_windows
-        if workers is not None and workers > 1 and len(window_ids) > 1:
-            try:
-                if self._parallel is None:
-                    from repro.perf.parallel import ParallelWindowEvaluator
-
-                    self._parallel = ParallelWindowEvaluator(self, workers)
-                outcomes = self._parallel.evaluate(
-                    window_ids=window_ids,
-                    kept_rows=kept_rows,
-                    kept_synopses=kept_synopses,
-                    dropped_synopses=dropped_synopses,
-                    dropped_counts=dropped_counts,
-                    arrived=arrived,
-                    ideal_inputs=ideal_inputs,
-                )
-            except Exception:
-                self.close()  # a broken pool would fail every later call
-        if outcomes is None:
-            outcomes = self._evaluate_windows_serial(
-                window_ids,
-                kept_rows,
-                kept_synopses,
-                dropped_synopses,
-                dropped_counts,
-                arrived,
-                ideal_inputs,
-                trace_ids,
-            )
-        self._dispatch_window_hooks(outcomes)
-        return outcomes
-
-    def close(self) -> None:
-        """Release the parallel-evaluation pool, if one was started."""
-        if self._parallel is not None:
-            self._parallel.shutdown()
-            self._parallel = None
-
-    def _evaluate_windows_serial(
-        self,
-        window_ids: list[int],
-        kept_rows: dict[str, dict[int, Multiset]],
-        kept_synopses: dict[str, dict[int, Synopsis]] | None,
-        dropped_synopses: dict[str, dict[int, "Synopsis | None"]] | None,
-        dropped_counts: dict[str, dict[int, int]],
-        arrived: dict[str, dict[int, int]],
-        ideal_inputs=None,
-        trace_ids: dict[int, list[str]] | None = None,
-    ) -> list[WindowOutcome]:
         sources = [link.source_name for link in self.plan.chain]
         stream_of = {
             s: self.bound.source(s).stream_name.lower() for s in sources
@@ -811,9 +649,7 @@ class DataTriagePipeline:
         # throwaway Counter per (source, window).
         empty = Multiset()
         # Per-window phase accounting (exact/shadow/merge) lands in
-        # ``obs.phase_seconds`` and the tracer; the parallel path rebuilds
-        # pipelines without obs in its workers, so phases are recorded on
-        # this serial path only.
+        # ``obs.phase_seconds`` and the tracer.
         obs = self.obs
         tracer = obs.tracer if obs is not None else None
         trace_on = tracer is not None and tracer.enabled
@@ -919,6 +755,7 @@ class DataTriagePipeline:
                     lost_synopsis=result_syn,
                 )
             )
+        self._dispatch_window_hooks(windows)
         return windows
 
     # ------------------------------------------------------------------
@@ -946,7 +783,3 @@ class DataTriagePipeline:
         }
         result = self.executor.execute(self.bound, inputs)
         return exact_groups(result.rows, result.schema, self.merge_spec)
-
-
-def _nested_counter(sources):
-    return {s: {} for s in sources}

@@ -67,12 +67,6 @@ class PipelineConfig:
     #: window evaluation; queries the compiler cannot express fall back to
     #: the interpreted executor automatically.
     compiled_plans: bool = True
-    #: Evaluate closed windows on a process pool of this many workers
-    #: (windows are independent, so evaluation is embarrassingly parallel).
-    #: None (default) evaluates serially; results are ordered by window id
-    #: either way, so the knob never changes a RunResult.
-    parallel_windows: int | None = None
-
     #: Background sampling-profiler rate in Hz (None disables profiling).
     #: Sampling runs on a daemon thread and is byte-transparent to results
     #: and drop decisions; the pipeline exposes the profiler as ``.prof``.
@@ -86,10 +80,6 @@ class PipelineConfig:
         if self.adaptive_staleness is not None and self.adaptive_staleness <= 0:
             raise ValueError(
                 f"adaptive_staleness must be positive: {self.adaptive_staleness}"
-            )
-        if self.parallel_windows is not None and self.parallel_windows < 1:
-            raise ValueError(
-                f"parallel_windows must be >= 1: {self.parallel_windows}"
             )
         if self.profile_hz is not None and not self.profile_hz > 0:
             raise ValueError(f"profile_hz must be > 0: {self.profile_hz}")

@@ -1,44 +1,21 @@
-"""Process-pool evaluation of independent query windows.
+"""Process-spawning helpers for the shard workers.
 
-Window evaluation — exact query over kept bags, shadow plan over synopses,
-merge — touches no shared state between windows, so a batch of closed
-windows is embarrassingly parallel.  :class:`ParallelWindowEvaluator` chunks
-the batch contiguously across a ``ProcessPoolExecutor`` and concatenates the
-per-chunk outcomes, so results come back in exactly the caller's window-id
-order: ``config.parallel_windows = N`` must never change a
-:class:`~repro.core.pipeline.RunResult`, only its wall-clock cost.
-
-Workers are primed once (pool initializer) with a pickled
-(catalog, bound query, config, domains) tuple from which each rebuilds its
-own :class:`~repro.core.pipeline.DataTriagePipeline`; per-batch traffic is
-then only the window slices and their outcomes.  The pool uses the ``fork``
-start method where available so workers inherit loaded modules instead of
-re-importing the world.
-
-Callers must treat any exception as "evaluate serially instead" — pool
-breakage (a killed worker, an unpicklable synopsis) is a performance event,
-not a correctness event.  :meth:`DataTriagePipeline.evaluate_windows` does
-exactly that.
+:mod:`repro.service.shard` runs one data plane per worker process.  Workers
+are primed once with a pickled (catalog, bound query, config, domains)
+tuple from which each rebuilds its own
+:class:`~repro.core.pipeline.DataTriagePipeline`, and are forked where the
+platform allows so they inherit loaded modules instead of re-importing the
+world.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import pickle
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
-
-# Worker-side pipeline, rebuilt once per worker by _init_worker.
-_WORKER_PIPELINE = None
 
 
 def fork_context():
-    """The ``fork`` multiprocessing context, or the platform default.
-
-    Forked workers inherit loaded modules instead of re-importing the
-    world; shared by the window-evaluation pool here and the shard workers
-    of :mod:`repro.service.shard`.
-    """
+    """The ``fork`` multiprocessing context, or the platform default."""
     try:
         return multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX platforms
@@ -48,14 +25,12 @@ def fork_context():
 def pipeline_payload(pipeline) -> bytes:
     """Pickle the recipe a worker needs to rebuild ``pipeline``.
 
-    The payload is (catalog, bound query, config, domains) — config with
-    ``parallel_windows`` stripped, because a worker that fans out again
-    forks uncontrollably.  Observability never crosses the process
-    boundary: workers run uninstrumented and ship results back.
+    The payload is (catalog, bound query, config, domains).  Observability
+    never crosses the process boundary: workers run uninstrumented and ship
+    results back.
     """
-    config = replace(pipeline.config, parallel_windows=None)
     return pickle.dumps(
-        (pipeline.catalog, pipeline.bound, config, pipeline._domains)
+        (pipeline.catalog, pipeline.bound, pipeline.config, pipeline._domains)
     )
 
 
@@ -65,89 +40,3 @@ def build_pipeline_from_payload(payload: bytes):
 
     catalog, bound, config, domains = pickle.loads(payload)
     return DataTriagePipeline(catalog, bound, config, domains)
-
-
-def _init_worker(payload: bytes) -> None:
-    global _WORKER_PIPELINE
-    _WORKER_PIPELINE = build_pipeline_from_payload(payload)
-
-
-def _eval_chunk(kwargs: dict):
-    return _WORKER_PIPELINE._evaluate_windows_serial(**kwargs)
-
-
-def _slice(nested, wids):
-    """Restrict a {source: {window_id: value}} map to ``wids``."""
-    if nested is None:
-        return None
-    return {
-        s: {w: per_window[w] for w in wids if w in per_window}
-        for s, per_window in nested.items()
-    }
-
-
-class ParallelWindowEvaluator:
-    """Chunked, order-preserving fan-out of window evaluation.
-
-    One instance is held (lazily) by a pipeline; the pool spins up on first
-    use and is reused across batches until :meth:`shutdown`.
-    """
-
-    def __init__(self, pipeline, workers: int) -> None:
-        if workers < 2:
-            raise ValueError(f"parallel evaluation needs >= 2 workers: {workers}")
-        self.workers = workers
-        self._payload = pipeline_payload(pipeline)
-        self._pool: ProcessPoolExecutor | None = None
-
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            ctx = fork_context()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=ctx,
-                initializer=_init_worker,
-                initargs=(self._payload,),
-            )
-        return self._pool
-
-    def shutdown(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-
-    def evaluate(
-        self,
-        window_ids,
-        kept_rows,
-        kept_synopses,
-        dropped_synopses,
-        dropped_counts,
-        arrived,
-        ideal_inputs=None,
-    ):
-        """Evaluate ``window_ids`` across the pool, preserving their order."""
-        pool = self._ensure_pool()
-        n = len(window_ids)
-        chunk_size = -(-n // self.workers)  # ceil division
-        tasks = []
-        for lo in range(0, n, chunk_size):
-            wids = list(window_ids[lo : lo + chunk_size])
-            tasks.append(
-                {
-                    "window_ids": wids,
-                    "kept_rows": _slice(kept_rows, wids),
-                    "kept_synopses": _slice(kept_synopses, wids),
-                    "dropped_synopses": _slice(dropped_synopses, wids),
-                    "dropped_counts": _slice(dropped_counts, wids),
-                    "arrived": _slice(arrived, wids),
-                    "ideal_inputs": _slice(ideal_inputs, wids),
-                }
-            )
-        out = []
-        # map() yields chunk results in submission order: chunks are
-        # contiguous slices of window_ids, so concatenation preserves the
-        # caller's ordering exactly.
-        for chunk_outcomes in pool.map(_eval_chunk, tasks):
-            out.extend(chunk_outcomes)
-        return out

@@ -2,8 +2,9 @@
 
 This is the state a :class:`~repro.service.server.TriageServer` used to hold
 inline — per-stream :class:`~repro.core.triage_queue.TriageQueue` instances,
-per-(source, window) kept bags and synopses, arrival counts, the
-budgeted heap drain that emulates the engine, and the window-close
+arrival counts, the tuple-budgeted engine emulation (a
+:class:`~repro.core.triage_core.TriageCore`, which also holds the
+per-(source, window) kept bags and synopses), and the window-close
 bookkeeping — factored out so it can run either in the server process
 (``shards=1``, the serial fallback) or once per shard worker process
 (:mod:`repro.service.shard`), each worker owning a disjoint subset of the
@@ -29,13 +30,11 @@ determinism tests pin down.
 
 from __future__ import annotations
 
-import heapq
-
 from repro.algebra.multiset import Multiset
 from repro.core.merge import WindowPartials
+from repro.core.triage_core import TriageCore
 from repro.core.triage_queue import TriageQueue
 from repro.engine.types import SchemaError, StreamTuple
-from repro.synopses.base import Synopsis
 
 __all__ = ["StreamDataPlane"]
 
@@ -98,15 +97,12 @@ class StreamDataPlane:
                 for s in self.sources
             }
         )
-        self._kept_rows: dict[str, dict[int, Multiset]] = {
-            s: {} for s in self.sources
-        }
-        self._kept_syn: dict[str, dict[int, Synopsis]] = {
-            s: {} for s in self.sources
-        }
+        # Untimed core: the engine is emulated by a tuple budget per tick.
+        self._core = TriageCore(
+            list(self.queues.values()), synopses=self.build_kept_syn
+        )
         self.arrived: dict[str, dict[int, int]] = {s: {} for s in self.sources}
         self.known_windows: set[int] = set()
-        self.last_closed_wid: int | None = None
         self._budget_carry = 0.0
         if self._pattern_args is not None:
             self._build_pattern_engine()
@@ -384,67 +380,24 @@ class StreamDataPlane:
     def drain(self, budget: int | None) -> None:
         """Poll up to ``budget`` tuples (None = everything), oldest first.
 
-        Queue heads are tracked in a heap instead of a linear peek over
-        every source per tuple.  Heads can shift underneath us (a racing
-        publisher thread may trigger a head eviction), so entries are
-        revalidated against the live head on pop; rows offered to a queue
-        *after* its heap entry was consumed are picked up next tick.
+        Publishers offer to the queues without telling the core, so every
+        head is re-registered first; rows offered to a queue *after* its
+        heap entry was consumed are picked up next tick.  Drained tuples
+        of a hosted pattern's sources hit its engine as one
+        ``advance_batch`` at the end of the drain (byte-identical to
+        per-tuple consume; the engine vectorizes its utility updates and
+        local-predicate pre-filter over the batch).
         """
-        polled = 0
-        queues = self.queues
-        names = list(queues)
-        # Pattern feed: drained tuples of pattern sources accumulate here
-        # and hit the engine as one advance_batch at the end of the drain
-        # (byte-identical to per-tuple consume; the engine vectorizes its
-        # utility updates and local-predicate pre-filter over the batch).
-        pattern_feed: list[tuple[str, StreamTuple]] | None = (
-            [] if self._pattern_engine is not None else None
-        )
-        heap = []
-        for idx, s in enumerate(names):
-            ts = queues[s].peek_timestamp()
-            if ts is not None:
-                heap.append((ts, idx))
-        heapq.heapify(heap)
-        window_ids = self.config.window.ids
-        last_closed = self.last_closed_wid
-        while (budget is None or polled < budget) and heap:
-            ts, idx = heapq.heappop(heap)
-            source = names[idx]
-            q = queues[source]
-            cur = q.peek_timestamp()
-            if cur != ts:
-                if cur is not None:  # pragma: no cover - racing publisher
-                    heapq.heappush(heap, (cur, idx))
-                continue
-            tup = q.poll()
-            if tup is None:  # pragma: no cover - racing publisher thread
-                continue
-            nts = q.peek_timestamp()
-            if nts is not None:
-                heapq.heappush(heap, (nts, idx))
-            polled += 1
-            if pattern_feed is not None and source in self._pattern_sources:
-                pattern_feed.append((source, tup))
-            kept_rows = self._kept_rows[source]
-            for wid in window_ids(tup.timestamp):
-                if last_closed is not None and wid <= last_closed:
-                    # Out-of-order backlog for a window already reported:
-                    # too late to contribute; don't leak per-window state.
-                    continue
-                bag = kept_rows.setdefault(wid, Multiset())
-                bag.add(tup.row)
-                if self.build_kept_syn:
-                    syn = self._kept_syn[source].get(wid)
-                    if syn is None:
-                        syn = self._kept_syn[source][wid] = (
-                            self.pipeline.make_kept_synopsis(source)
-                        )
-                    self.pipeline.insert_into_synopsis(source, syn, tup.row)
-        if pattern_feed:
-            self._pattern_matches.extend(
-                self._pattern_engine.advance_batch(pattern_feed)
-            )
+        polled: list | None = None if self._pattern_engine is None else []
+        self._core.sync_all()
+        self._core.drain(budget=budget, polled=polled)
+        if polled:
+            pattern_sources = self._pattern_sources
+            feed = [(s, tup) for s, tup, _ in polled if s in pattern_sources]
+            if feed:
+                self._pattern_matches.extend(
+                    self._pattern_engine.advance_batch(feed)
+                )
 
     # ------------------------------------------------------------------
     # Window closing
@@ -457,11 +410,7 @@ class StreamDataPlane:
         are ordered, so the scan stops at the first not-due window.
         """
         due: list[int] = []
-        heads = [
-            q.peek_timestamp()
-            for q in self.queues.values()
-            if q.peek_timestamp() is not None
-        ]
+        heads = [h for h in self.heads().values() if h is not None]
         for wid in sorted(self.known_windows):
             _, end = self.config.window.bounds(wid)
             if end + grace > now:
@@ -475,6 +424,8 @@ class StreamDataPlane:
         """Pop the evaluation inputs for a batch of closing windows."""
         use_shadow = self.build_kept_syn
         sources = self.sources
+        kept_rows = self._core.kept_rows
+        kept_syn = self._core.kept_synopses
         released = {
             s: {w: self.queues[s].release_window(w) for w in wids}
             for s in sources
@@ -482,12 +433,12 @@ class StreamDataPlane:
         return WindowPartials(
             window_ids=list(wids),
             kept_rows={
-                s: {w: self._kept_rows[s].pop(w, Multiset()) for w in wids}
+                s: {w: kept_rows[s].pop(w, None) or Multiset() for w in wids}
                 for s in sources
             },
             kept_synopses=(
                 {
-                    s: {w: self._kept_syn[s].pop(w, None) for w in wids}
+                    s: {w: kept_syn[s].pop(w, None) for w in wids}
                     for s in sources
                 }
                 if use_shadow
@@ -513,13 +464,13 @@ class StreamDataPlane:
 
     def mark_closed(self, wids: list[int]) -> None:
         """Advance the closed-window watermark; later rows for it are late."""
-        for wid in wids:
-            self.known_windows.discard(wid)
-            self.last_closed_wid = (
-                wid
-                if self.last_closed_wid is None
-                else max(self.last_closed_wid, wid)
-            )
+        self.known_windows.difference_update(wids)
+        self._core.close(wids)
+
+    @property
+    def last_closed_wid(self) -> int | None:
+        """Highest window id reported so far (the core's closed floor)."""
+        return self._core.closed_floor
 
     # ------------------------------------------------------------------
     # Introspection (metrics, summaries, coordinator snapshots)

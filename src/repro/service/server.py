@@ -1167,7 +1167,7 @@ class TriageServer:
 
         Due windows are collected first and evaluated as one batch through
         :meth:`DataTriagePipeline.evaluate_windows`, so a backlog of closes
-        (e.g. after a stall) benefits from parallel window evaluation.
+        (e.g. after a stall) is one evaluation call and one broadcast pass.
         """
         if force:
             due = sorted(self.plane.known_windows)

@@ -1,0 +1,238 @@
+"""Tests for the shared triage engine loop (:mod:`repro.core.triage_core`)."""
+
+import math
+
+from repro.core import HeadDropPolicy, TailDropPolicy, TriageQueue
+from repro.core.triage_core import TriageCore, arrivals_per_window, merge_arrivals
+from repro.engine import StreamTuple, WindowSpec
+from repro.synopses import Dimension, SparseHistogramFactory
+
+
+def make_queue(name, capacity=10, policy=None, window=None):
+    return TriageQueue(
+        name=name,
+        dimensions=[Dimension(f"{name}.a", 1, 100)],
+        dim_positions=[0],
+        capacity=capacity,
+        policy=policy or TailDropPolicy(),
+        synopsis_factory=SparseHistogramFactory(bucket_width=1),
+        window=window or WindowSpec(width=1.0),
+        seed=1,
+    )
+
+
+def t(ts, v):
+    return StreamTuple(ts, (v,))
+
+
+def feed(core, idx, *tuples):
+    for tup in tuples:
+        core.queues[idx].offer(tup)
+        core.sync(idx)
+
+
+def order(polled):
+    return [(source, tup.row[0]) for source, tup, _ in polled]
+
+
+class TestOrder:
+    def test_oldest_head_first_across_sources(self):
+        core = TriageCore([make_queue("R"), make_queue("S")])
+        feed(core, 0, t(0.2, 1), t(0.5, 2))
+        feed(core, 1, t(0.1, 3), t(0.4, 4))
+        polled = []
+        assert core.drain(polled=polled) == 4
+        assert order(polled) == [("S", 3), ("R", 1), ("S", 4), ("R", 2)]
+
+    def test_equal_timestamps_go_to_the_first_source(self):
+        core = TriageCore([make_queue("R"), make_queue("S")])
+        feed(core, 1, t(0.3, 9))
+        feed(core, 0, t(0.3, 1))
+        polled = []
+        core.drain(polled=polled)
+        assert order(polled) == [("R", 1), ("S", 9)]
+
+    def test_same_timestamp_successor_is_re_registered(self):
+        # sync()'s change test cannot see a successor with the head's own
+        # timestamp; the drain must re-push it itself.
+        core = TriageCore([make_queue("R"), make_queue("S")])
+        feed(core, 0, t(0.3, 1), t(0.3, 2), t(0.3, 3))
+        feed(core, 1, t(0.4, 9))
+        polled = []
+        assert core.drain(polled=polled) == 4
+        assert order(polled) == [("R", 1), ("R", 2), ("R", 3), ("S", 9)]
+
+    def test_handback_carries_finish_times_in_drain_order(self):
+        core = TriageCore([make_queue("R"), make_queue("S")], [0.5, 0.25])
+        feed(core, 0, t(0.0, 1), t(2.0, 2))
+        feed(core, 1, t(0.1, 3))
+        polled = []
+        core.drain(polled=polled)
+        assert [(s, tup.row[0], finish) for s, tup, finish in polled] == [
+            ("R", 1, 0.5),  # starts at its own timestamp
+            ("S", 3, 0.75),  # waits for the consumer
+            ("R", 2, 2.5),  # idle gap: starts at its timestamp again
+        ]
+
+
+class TestStaleEntries:
+    def test_head_eviction_is_skipped_not_consumed(self):
+        r = make_queue("R", capacity=2, policy=HeadDropPolicy())
+        core = TriageCore([r, make_queue("S")])
+        feed(core, 0, t(0.1, 1), t(0.3, 2))
+        feed(core, 1, t(0.2, 9))
+        # Overflow evicts R's head (0.1): its heap entry is now stale and
+        # R's live head (0.3) sorts *after* S's.
+        feed(core, 0, t(0.5, 3))
+        assert r.stats.dropped == 1
+        polled = []
+        assert core.drain(polled=polled) == 3
+        assert order(polled) == [("S", 9), ("R", 2), ("R", 3)]
+
+    def test_eviction_without_sync_is_caught_on_pop(self):
+        # A publisher that offers behind the core's back (the service data
+        # plane, a racing thread): the live-head check still skips it.
+        r = make_queue("R", capacity=2, policy=HeadDropPolicy())
+        core = TriageCore([r, make_queue("S")])
+        feed(core, 0, t(0.1, 1), t(0.3, 2))
+        feed(core, 1, t(0.2, 9))
+        r.offer(t(0.5, 3))  # evicts 0.1; no sync
+        polled = []
+        core.drain(polled=polled)
+        assert order(polled) == [("S", 9), ("R", 2), ("R", 3)]
+
+    def test_offer_that_changes_no_head_adds_no_entry(self):
+        core = TriageCore([make_queue("R")])
+        feed(core, 0, t(0.1, 1))
+        entries = len(core._heap)
+        feed(core, 0, t(0.2, 2), t(0.3, 3))
+        assert len(core._heap) == entries
+        assert core.drain() == 3
+
+    def test_sync_all_picks_up_unannounced_offers(self):
+        core = TriageCore([make_queue("R"), make_queue("S")])
+        core.queues[1].offer(t(0.4, 9))
+        assert core.drain() == 0  # nobody told the core
+        core.sync_all()
+        assert core.drain() == 1
+
+
+class TestStopConditions:
+    def test_until_stops_before_a_tuple_that_cannot_start(self):
+        core = TriageCore([make_queue("R")], [1.0])
+        feed(core, 0, t(0.0, 1), t(0.0, 2), t(0.0, 3))
+        # Tuple 1 runs [0, 1), tuple 2 [1, 2); tuple 3 would start at 2.0.
+        assert core.drain(until=2.0) == 2
+        assert core.busy_until == 2.0
+        assert len(core.queues[0]) == 1
+
+    def test_busy_until_carries_across_calls(self):
+        core = TriageCore([make_queue("R")], [1.0])
+        feed(core, 0, t(0.0, 1), t(0.0, 2))
+        assert core.drain(until=0.5) == 1  # started at 0.0, busy until 1.0
+        assert core.drain(until=0.9) == 0  # still busy
+        assert core.busy_until == 1.0
+        assert core.drain(until=1.5) == 1
+        assert core.busy_until == 2.0
+
+    def test_idle_consumer_banks_no_time(self):
+        core = TriageCore([make_queue("R")], [0.1])
+        assert core.drain(until=5.0) == 0
+        assert core.busy_until == 0.0
+        feed(core, 0, t(5.0, 1))
+        core.drain()
+        assert math.isclose(core.busy_until, 5.1)
+
+    def test_budget_counts_tuples_and_needs_no_costs(self):
+        core = TriageCore([make_queue("R"), make_queue("S")])
+        feed(core, 0, t(0.1, 1), t(0.3, 2))
+        feed(core, 1, t(0.2, 9))
+        polled = []
+        assert core.drain(budget=2, polled=polled) == 2
+        assert order(polled) == [("R", 1), ("S", 9)]
+        assert core.drain(budget=0) == 0
+        assert core.drain(budget=5) == 1
+        assert core.completion == {}  # untimed cores stamp no finish times
+
+    def test_whichever_stop_comes_first_wins(self):
+        core = TriageCore([make_queue("R")], [1.0])
+        feed(core, 0, *(t(0.0, v) for v in range(1, 6)))
+        assert core.drain(until=10.0, budget=2) == 2
+        assert core.drain(until=3.5, budget=10) == 2
+
+
+class TestKeptStateFold:
+    def test_bags_synopses_and_completion_per_window(self):
+        core = TriageCore([make_queue("R")], [0.25], synopses=True)
+        feed(core, 0, t(0.1, 7), t(0.2, 7), t(1.1, 8))
+        core.drain()
+        bags = core.kept_rows["R"]
+        assert sorted(bags) == [0, 1]
+        assert bags[0].multiplicity((7,)) == 2 and len(bags[1]) == 1
+        assert core.kept_synopses["R"][0].group_counts("R.a") == {7: 2.0}
+        assert core.completion == {0: 0.6, 1: 1.35}
+
+    def test_hopping_windows_fold_into_every_containing_window(self):
+        hopping = WindowSpec(width=2.0, slide=1.0)
+        core = TriageCore([make_queue("R", window=hopping)], [0.1])
+        feed(core, 0, t(1.5, 4))
+        core.drain()
+        assert sorted(core.kept_rows["R"]) == [0, 1]
+
+    def test_fold_can_be_switched_off(self):
+        core = TriageCore([make_queue("R")], fold=False)
+        feed(core, 0, t(0.1, 1))
+        assert core.drain() == 1
+        assert core.kept_rows is None and core.kept_synopses is None
+
+    def test_closed_floor_drops_late_backlog_without_leaking_state(self):
+        core = TriageCore([make_queue("R")], synopses=True)
+        feed(core, 0, t(0.5, 1), t(1.5, 2))
+        core.drain()
+        core.kept_rows["R"].pop(0)
+        core.kept_synopses["R"].pop(0)
+        core.close([0])
+        assert core.closed_floor == 0
+        feed(core, 0, t(0.7, 3), t(1.6, 4))  # 0.7 is late for window 0
+        polled = []
+        assert core.drain(polled=polled) == 2  # consumed all the same...
+        assert order(polled) == [("R", 3), ("R", 4)]
+        assert sorted(core.kept_rows["R"]) == [1]  # ...but folded nowhere
+        assert sorted(core.kept_synopses["R"]) == [1]
+        assert len(core.kept_rows["R"][1]) == 2
+
+    def test_floor_only_rises(self):
+        core = TriageCore([make_queue("R")])
+        core.close([3, 1])
+        core.close([2])
+        assert core.closed_floor == 3
+
+    def test_a_core_without_queues_never_drains(self):
+        core = TriageCore([])  # a shard worker that owns no source
+        assert core.drain() == 0
+        core.sync_all()
+        core.close([0])
+
+
+class TestArrivalReplay:
+    def test_merge_orders_by_time_then_source_then_sequence(self):
+        streams = {
+            "S": [t(0.1, 1), t(0.2, 2)],
+            "R": [t(0.2, 3), t(0.2, 4)],
+        }
+        events = merge_arrivals(streams, ["R", "S"])
+        assert [(ts, seq, src) for ts, seq, src, _ in events] == [
+            (0.1, 0, "S"),
+            (0.2, 0, "R"),
+            (0.2, 1, "R"),
+            (0.2, 1, "S"),
+        ]
+
+    def test_arrivals_counted_per_source_and_window(self):
+        streams = {"R": [t(0.1, 1), t(1.2, 2), t(1.3, 3)], "S": [t(2.5, 4)]}
+        events = merge_arrivals(streams, ["R", "S"])
+        window_ids, arrived = arrivals_per_window(
+            events, ["R", "S"], WindowSpec(width=1.0)
+        )
+        assert window_ids == [0, 1, 2]
+        assert arrived == {"R": {0: 1, 1: 2}, "S": {2: 1}}
