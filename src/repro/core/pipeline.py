@@ -48,7 +48,7 @@ from repro.core.triage_queue import TriageQueue
 from repro.engine.catalog import Catalog
 from repro.engine.executor import QueryExecutor
 from repro.engine.types import StreamTuple
-from repro.obs.metrics import record_hook_error
+from repro.obs.metrics import fold_queue_stats, record_hook_error
 from repro.rewrite.plan import RewriteError, SPJPlan
 from repro.rewrite.shadow import ShadowPlan
 from repro.sql.ast import SelectStmt
@@ -237,7 +237,6 @@ class DataTriagePipeline:
         policy=None,
         summarize: bool | None = None,
         seed: int | None = None,
-        observer=None,
         thread_safe: bool = False,
         audit=None,
     ) -> TriageQueue:
@@ -259,7 +258,6 @@ class DataTriagePipeline:
                 cfg.strategy.summarizes_drops if summarize is None else summarize
             ),
             seed=(cfg.seed if seed is None else seed) * 7919 + index,
-            observer=observer,
             thread_safe=thread_safe,
             audit=audit,
         )
@@ -268,9 +266,9 @@ class DataTriagePipeline:
         """Register ``hook(outcome)``, called once per evaluated window.
 
         Hooks run after :meth:`evaluate_windows` produces its outcomes, in
-        registration order.  They are best-effort observers: an exception
-        is swallowed and counted as
-        ``obs_hook_errors_total{site="window_hook"}``, never aborting a run.
+        registration order.  They are best-effort: an exception is swallowed
+        and counted as ``obs_hook_errors_total{site="window_hook"}``, never
+        aborting a run.
         """
         self.window_hooks.append(hook)
 
@@ -284,50 +282,6 @@ class DataTriagePipeline:
                     hook(outcome)
                 except Exception:
                     record_hook_error("window_hook", registry)
-
-    def _queue_metrics_observer(self):
-        """A queue observer writing the triage metric catalog to ``obs``."""
-        reg = self.obs.registry
-        offered = reg.counter(
-            "triage_offered_total", "Tuples offered to triage queues", ("stream",)
-        )
-        polled = reg.counter(
-            "triage_polled_total", "Tuples consumed by the engine", ("stream",)
-        )
-        drops = reg.counter(
-            "triage_drops_total", "Tuples shed by the drop policy", ("stream",)
-        )
-        summarized = reg.counter(
-            "triage_summarized_total",
-            "Shed tuples folded into window synopses",
-            ("stream",),
-        )
-        shed_bytes = reg.counter(
-            "triage_shed_bytes_total",
-            "Approximate in-memory bytes of shed rows",
-            ("stream",),
-        )
-        decisions = reg.counter(
-            "triage_policy_decisions_total",
-            "Drop-policy victim decisions",
-            ("stream", "decision"),
-        )
-
-        def observe(name: str, event: str, value: float) -> None:
-            if event == "offer":
-                offered.inc(value, stream=name)
-            elif event == "poll":
-                polled.inc(value, stream=name)
-            elif event == "drop":
-                drops.inc(value, stream=name)
-            elif event == "summarize":
-                summarized.inc(value, stream=name)
-            elif event == "shed_bytes":
-                shed_bytes.inc(value, stream=name)
-            elif event in ("drop_incoming", "evict_buffered"):
-                decisions.inc(value, stream=name, decision=event)
-
-        return observe
 
     def evaluate_window(
         self,
@@ -447,16 +401,14 @@ class DataTriagePipeline:
         # Observability: `obs is None` is THE fast path — every
         # instrumentation site below is behind that check (or the cheaper
         # booleans derived here), so an unobserved run pays one branch per
-        # arrival and nothing per polled tuple.
+        # arrival and nothing per polled tuple.  An observed run keeps its
+        # per-tuple work to list appends: queue counters are folded from
+        # QueueStats and depths from ``depth_samples`` once the replay ends.
         obs = self.obs
         tracer = obs.tracer if obs is not None else None
         trace_on = tracer is not None and tracer.enabled
         tuple_on = trace_on and tracer.tuple_events
-        observer = self._queue_metrics_observer() if obs is not None else None
-        queues = {
-            s: self.build_queue(s, observer=observer, audit=self.audit)
-            for s in sources
-        }
+        queues = {s: self.build_queue(s, audit=self.audit) for s in sources}
         use_shadow = cfg.strategy is ShedStrategy.DATA_TRIAGE
         core = TriageCore(
             [queues[s] for s in sources],
@@ -497,21 +449,32 @@ class DataTriagePipeline:
                 )
             for s in sources:
                 g_capacity.set(queues[s].capacity, stream=s)
+            depth_samples: dict[str, list[int]] = {s: [] for s in sources}
+            now = tracer.now
+            tuple_event = tracer.tuple_event
         drain_seconds = 0.0
+        # The hand-back list exists only for tuple-level ``poll`` events.
+        polled: list | None = [] if tuple_on else None
 
         def observed_drain(until: float = math.inf) -> None:
             """``core.drain`` plus its span and tuple-level ``poll`` events."""
             nonlocal drain_seconds
-            batch: list | None = [] if tuple_on else None
-            t0 = tracer.now()
-            n = core.drain(until, polled=batch)
-            t1 = tracer.now()
+            t0 = now()
+            n = core.drain(until, polled=polled)
+            if not n:
+                return
+            t1 = now()
             drain_seconds += t1 - t0
-            if n and trace_on:
-                for source, tup, _ in batch or ():
-                    tracer.tuple_event("poll", source, tup.timestamp)
-                tags = {"final": True} if until == math.inf else {"until": until}
-                tracer.complete("drain", t0, t1, polled=n, **tags)
+            if not trace_on:
+                return
+            if polled:
+                for source, tup, _ in polled:
+                    tuple_event("poll", source, tup.timestamp)
+                polled.clear()
+            if until == math.inf:
+                tracer.complete("drain", t0, t1, polled=n, final=True)
+            else:
+                tracer.complete("drain", t0, t1, polled=n, until=until)
 
         drain = core.drain if obs is None else observed_drain
 
@@ -555,22 +518,29 @@ class DataTriagePipeline:
                 q.offer(tup)
             else:
                 if tuple_on:
-                    tracer.tuple_event("ingest", source, ts)
-                dropped_before = q.stats.dropped
-                q.offer(tup)
-                if tuple_on:
-                    tracer.tuple_event(
+                    tuple_event("ingest", source, ts)
+                    dropped_before = q.stats.dropped
+                    q.offer(tup)
+                    tuple_event(
                         "shed" if q.stats.dropped > dropped_before else "enqueue",
                         source,
                         ts,
                     )
-                h_depth.observe(len(q), stream=source)
+                else:
+                    q.offer(tup)
+                depth_samples[source].append(len(q))
             core.sync(source_index[source])
         if prof_on:
             _phase["_current_phase"] = "drain"
         drain()
         if obs is not None:
             obs.record_run_phase("drain", drain_seconds)
+            fold_queue_stats(
+                reg, {s: q.stats.snapshot() for s, q in queues.items()}, {}
+            )
+            for s, samples in depth_samples.items():
+                if samples:
+                    h_depth.observe_many(samples, stream=s)
         if prof_on:
             _phase["_current_phase"] = None
 

@@ -36,26 +36,13 @@ import sys
 import threading
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 from repro.core.policies import DROP_INCOMING, DropPolicy, PolicyContext
 from repro.engine.columns import ColumnBatch
 from repro.engine.types import StreamTuple
 from repro.engine.window import WindowSpec
-from repro.obs.metrics import record_hook_error
 from repro.synopses.base import Dimension, Synopsis, SynopsisFactory
-
-#: Observer callback signature: ``observer(queue_name, event, value)``.
-#: Events emitted: ``"offer"`` (every arrival), ``"drop"`` (a victim was
-#: shed), ``"summarize"`` (the victim was folded into a synopsis),
-#: ``"poll"`` (the engine consumed a tuple), ``"shed_bytes"`` (approximate
-#: in-memory size of a shed row), and the drop-policy's victim decision —
-#: ``"drop_incoming"`` or ``"evict_buffered"``.  Consumers must ignore
-#: events they do not know; an observer that raises is counted
-#: (``obs_hook_errors_total{site="queue_observer"}``) and never aborts the
-#: queue.  ``None`` costs nothing.
-QueueObserver = Callable[[str, str, float], None]
 
 
 @dataclass
@@ -75,17 +62,45 @@ class WindowSynopsis:
 
 @dataclass
 class QueueStats:
-    """Counters the load controller and experiments read."""
+    """Counters the load controller, experiments and metrics export read.
+
+    The queue is the only writer.  Everything the ``triage_*_total`` metric
+    family reports is held here and folded into a registry by delta
+    (:func:`repro.obs.metrics.fold_queue_stats`), never pushed per tuple.
+    """
 
     offered: int = 0
     dropped: int = 0
     polled: int = 0
     overflows: int = 0
     high_watermark: int = 0
+    #: Victims folded into a window synopsis (0 for a drop-only queue).
+    summarized: int = 0
+    #: Victim decisions: the arriving tuple itself / a buffered tuple.
+    drop_incoming: int = 0
+    evict_buffered: int = 0
+    #: Approximate in-memory bytes of shed rows: each offer charges its
+    #: victims at ``sys.getsizeof`` of one of them (rows of a stream are
+    #: tuples of one arity, so this equals the per-victim sum).
+    shed_bytes: int = 0
 
     @property
     def drop_fraction(self) -> float:
         return self.dropped / self.offered if self.offered else 0.0
+
+    def snapshot(self) -> tuple[int, ...]:
+        """The counters as a plain tuple in field order (pipe-friendly)."""
+        return (
+            self.offered,
+            self.dropped,
+            self.polled,
+            self.overflows,
+            self.high_watermark,
+            self.summarized,
+            self.drop_incoming,
+            self.evict_buffered,
+            self.shed_bytes,
+        )
 
 
 class TriageQueue:
@@ -103,17 +118,15 @@ class TriageQueue:
         *,
         summarize: bool = True,
         seed: int = 0,
-        observer: QueueObserver | None = None,
         thread_safe: bool = False,
         audit=None,
     ) -> None:
         """``dimensions[i]`` describes row position ``dim_positions[i]``.
 
         ``summarize=False`` turns the queue into the drop-only baseline:
-        victims are counted but not synopsized.  ``observer`` receives
-        ``(queue_name, event, value)`` callbacks on the enqueue/drop/
-        summarize/poll paths; ``thread_safe=True`` serializes mutations
-        behind an RLock (see the module docstring's concurrency contract).
+        victims are counted but not synopsized.  ``thread_safe=True``
+        serializes mutations behind an RLock (see the module docstring's
+        concurrency contract).
         ``audit`` is an optional :class:`~repro.obs.audit.DropLedger`; when
         set, every shed decision is recorded with its kind, window ids,
         queue depth, and the policy's score (``PolicyContext.last_score``).
@@ -132,7 +145,6 @@ class TriageQueue:
         self.synopsis_factory = synopsis_factory
         self.window = window
         self.summarize = summarize
-        self.observer = observer
         #: Optional DropLedger (assignable post-construction; the service
         #: data plane enables auditing on already-built queues).
         self.audit = audit
@@ -182,7 +194,6 @@ class TriageQueue:
         """A tuple arrives from the source; shed a victim if full."""
         with self._lock:
             self.stats.offered += 1
-            self._notify("offer")
             if len(self._buffer) < self.capacity:
                 self._buffer.append(tup)
                 if self._track_occupancy:
@@ -199,7 +210,7 @@ class TriageQueue:
             victim_idx = self.policy.select_victim(self._buffer, tup, ctx)
             if victim_idx == DROP_INCOMING:
                 victim = tup
-                self._notify("drop_incoming")
+                self.stats.drop_incoming += 1
             else:
                 victim = self._buffer[victim_idx]
                 del self._buffer[victim_idx]
@@ -207,7 +218,7 @@ class TriageQueue:
                 if self._track_occupancy:
                     self._occ_remove(victim)
                     self._occ_add(tup)
-                self._notify("evict_buffered")
+                self.stats.evict_buffered += 1
             if auditing:
                 self.audit.record(
                     "drop_incoming" if victim_idx == DROP_INCOMING
@@ -244,13 +255,10 @@ class TriageQueue:
           per-victim synopsis inserts are deferred and flushed once per
           window via :meth:`Synopsis.insert_bulk`, preserving per-window
           insert order (reservoir samples are order/RNG-sensitive);
-        * **aggregated observer events** — emitted once per *event type*
-          with summed values instead of once per tuple, and skipped
-          entirely (no byte-size accounting either) when no observer is
-          registered.  On the network publish path that aggregation is
-          most of the win: a shed-heavy 500-row batch otherwise costs
-          ~2000 observer dispatches before a single tuple reaches the
-          engine.
+        * **one stats update per batch** — the decision, summarize and
+          shed-byte counters are summed in locals and added to
+          :class:`QueueStats` once after the loop; the batch's victims are
+          priced with a single ``sys.getsizeof``.
         """
         n = len(batch)
         if n == 0:
@@ -262,11 +270,9 @@ class TriageQueue:
             stats = self.stats
             stats.offered += n
             buffer = self._buffer
-            observing = self.observer is not None
             track = self._track_occupancy
             dropped = 0
             drop_incoming = 0
-            shed_bytes = 0.0
             free = self.capacity - len(buffer)
             k = n if free >= n else (free if free > 0 else 0)
             if k:
@@ -328,9 +334,7 @@ class TriageQueue:
                             self._occ_remove(victim)
                             self._occ_add(tup)
                     dropped += 1
-                    if observing:
-                        shed_bytes += float(sys.getsizeof(victim.row))
-                    # Inlined _shed_record: a victim is charged to every
+                    # Inlined _shed: a victim is charged to every
                     # window containing it (one for tumbling specs).
                     vts = victim.timestamp
                     vrow = victim.row
@@ -369,6 +373,11 @@ class TriageQueue:
                                 )
                             syn.insert([vrow[p] for p in dpos])
                 stats.dropped += dropped
+                stats.drop_incoming += drop_incoming
+                stats.evict_buffered += dropped - drop_incoming
+                stats.shed_bytes += dropped * sys.getsizeof(vrow)
+                if summarize:
+                    stats.summarized += dropped
                 if pending:
                     # Flush in first-victim order: synopsis *creation*
                     # order matches the eager path (factories may vary
@@ -385,19 +394,6 @@ class TriageQueue:
             # one max at the end equals the per-append updates of offer().
             if len(buffer) > stats.high_watermark:
                 stats.high_watermark = len(buffer)
-            if observing:
-                self._notify("offer", float(n))
-                if dropped:
-                    self._notify("drop", float(dropped))
-                    self._notify("shed_bytes", shed_bytes)
-                    if self.summarize:
-                        self._notify("summarize", float(dropped))
-                    if drop_incoming:
-                        self._notify("drop_incoming", float(drop_incoming))
-                    if dropped > drop_incoming:
-                        self._notify(
-                            "evict_buffered", float(dropped - drop_incoming)
-                        )
             return dropped
 
     def poll(self) -> StreamTuple | None:
@@ -406,7 +402,6 @@ class TriageQueue:
             if not self._buffer:
                 return None
             self.stats.polled += 1
-            self._notify("poll")
             tup = self._buffer.popleft()
             if self._track_occupancy:
                 self._occ_remove(tup)
@@ -440,25 +435,13 @@ class TriageQueue:
         else:
             self._occupancy[wid] = n
 
-    def _notify(self, event: str, value: float = 1.0) -> None:
-        if self.observer is not None:
-            try:
-                self.observer(self.name, event, value)
-            except Exception:
-                record_hook_error("queue_observer")
-
     # ------------------------------------------------------------------
     def _shed(self, victim: StreamTuple) -> None:
-        self.stats.dropped += 1
-        self._notify("drop")
-        if self.observer is not None:
-            self._notify("shed_bytes", float(sys.getsizeof(victim.row)))
+        stats = self.stats
+        stats.dropped += 1
+        stats.shed_bytes += sys.getsizeof(victim.row)
         if self.summarize:
-            self._notify("summarize")
-        self._shed_record(victim)
-
-    def _shed_record(self, victim: StreamTuple) -> None:
-        """Window accounting + synopsis insert for one victim (no events)."""
+            stats.summarized += 1
         # A victim is charged to every window containing it — one window
         # for tumbling specs, several when windows overlap (hopping).
         for wid in self.window.ids(victim.timestamp):

@@ -56,6 +56,7 @@ __all__ = [
     "DEFAULT_MAX_SERIES",
     "global_registry",
     "record_hook_error",
+    "fold_queue_stats",
     "shard_instruments",
 ]
 
@@ -129,12 +130,16 @@ class _Instrument:
         self._on_drop = on_drop
 
     def _key(self, labels: dict) -> tuple:
-        if set(labels) != set(self.label_names):
-            raise ValueError(
-                f"metric {self.name!r} expects labels {self.label_names}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(labels[n] for n in self.label_names)
+        names = self.label_names
+        try:
+            if len(labels) == len(names):
+                return tuple([labels[n] for n in names])
+        except KeyError:
+            pass
+        raise ValueError(
+            f"metric {self.name!r} expects labels {names}, "
+            f"got {tuple(sorted(labels))}"
+        )
 
     def _series_full(self, store: dict) -> bool:
         """True when minting one more series would exceed the cap."""
@@ -260,22 +265,31 @@ class Histogram(_Instrument):
         self._count: dict[tuple, int] = {}
 
     def observe(self, value: float, **labels) -> None:
+        self.observe_many((value,), **labels)
+
+    def observe_many(self, values, **labels) -> None:
+        """Add every value of ``values`` to one series: one key, one lock.
+
+        Hot loops collect their samples in a list and fold them here once.
+        A series refused by the cardinality cap counts one drop per value,
+        as the same number of :meth:`observe` calls would.
+        """
         key = self._key(labels)
+        bounds = self.bounds
         with self._lock:
             counts = self._counts.get(key)
-            if counts is None:
-                if self._series_full(self._counts):
-                    dropped = True
-                    counts = None
-                else:
-                    counts = self._counts[key] = [0] * (len(self.bounds) + 1)
+            if counts is None and not self._series_full(self._counts):
+                counts = self._counts[key] = [0] * (len(bounds) + 1)
             if counts is not None:
-                dropped = False
-                counts[bisect_left(self.bounds, value)] += 1
-                self._sum[key] = self._sum.get(key, 0.0) + value
-                self._count[key] = self._count.get(key, 0) + 1
-        if dropped:
-            self._dropped_series()
+                total = self._sum.get(key, 0.0)
+                for value in values:
+                    counts[bisect_left(bounds, value)] += 1
+                    total += value
+                self._sum[key] = total
+                self._count[key] = self._count.get(key, 0) + len(values)
+        if counts is None:
+            for _ in values:
+                self._dropped_series()
 
     def count(self, **labels) -> int:
         with self._lock:
@@ -503,9 +517,9 @@ def global_registry() -> MetricsRegistry:
     """The process-wide fallback registry.
 
     Instrumentation sites that have no registry threaded to them (e.g. a
-    :class:`~repro.core.triage_queue.TriageQueue` owned by test code) still
-    need somewhere to count — most importantly swallowed hook exceptions,
-    which must never vanish entirely.
+    pipeline run without an ``obs`` bundle) still need somewhere to count —
+    most importantly swallowed hook exceptions, which must never vanish
+    entirely.
     """
     return _GLOBAL_REGISTRY
 
@@ -522,6 +536,48 @@ def record_hook_error(site: str, registry: MetricsRegistry | None = None) -> Non
         "Exceptions raised by user-supplied observers/hooks (swallowed)",
         ("site",),
     ).inc(site=site)
+
+
+#: The ``triage_*_total`` family: (metric, help, index into
+#: :meth:`repro.core.triage_queue.QueueStats.snapshot`, ``decision`` label).
+_QUEUE_COUNTERS = (
+    ("triage_offered_total", "Tuples offered to triage queues", 0, None),
+    ("triage_drops_total", "Tuples shed by the drop policy", 1, None),
+    ("triage_polled_total", "Tuples consumed by the engine", 2, None),
+    ("triage_summarized_total", "Shed tuples folded into window synopses", 5, None),
+    ("triage_shed_bytes_total", "Approximate in-memory bytes of shed rows", 8, None),
+    ("triage_policy_decisions_total", "Drop-policy victim decisions", 6,
+     "drop_incoming"),
+    ("triage_policy_decisions_total", "Drop-policy victim decisions", 7,
+     "evict_buffered"),
+)
+
+
+def fold_queue_stats(
+    registry: MetricsRegistry, stats: dict[str, tuple], seen: dict[str, tuple]
+) -> None:
+    """Add what the queues counted since the last fold to ``triage_*_total``.
+
+    ``stats`` maps a stream to its ``QueueStats.snapshot()`` tuple (the
+    shape ``stats_snapshot()`` ships from shard workers), ``seen`` holds the
+    snapshots already folded and is updated in place.  The queues keep the
+    numbers; this only moves *deltas* into the registry, at the points
+    where someone can read it (run end, server tick, metric export), so the
+    hot paths pay no per-tuple metric call.  A stream whose snapshot did not
+    change costs one tuple compare.
+    """
+    changed = [(s, snap) for s, snap in stats.items() if seen.get(s) != snap]
+    if not changed:
+        return
+    for name, help, index, decision in _QUEUE_COUNTERS:
+        labels = {} if decision is None else {"decision": decision}
+        counter = registry.counter(name, help, ("stream", *labels))
+        for stream, snap in changed:
+            prev = seen.get(stream)
+            delta = snap[index] - (prev[index] if prev else 0)
+            if delta > 0:
+                counter.inc(float(delta), stream=stream, **labels)
+    seen.update(changed)
 
 
 def shard_instruments(registry: MetricsRegistry) -> dict:

@@ -14,7 +14,10 @@ cost, merge.  :class:`Tracer` records that story as
 
 Events land in a bounded ring buffer (old events are discarded, with a
 dropped-event count kept), so tracing a long run costs O(capacity) memory
-no matter the workload.  Two exports:
+no matter the workload.  Tuple-lifecycle events — the bulk of any trace —
+are stored as compact ``(stage, source, t, clock, context, extra)`` records
+and only become Chrome-trace dicts in :meth:`Tracer.events`, the one place
+the ring is read.  Two exports:
 
 * :meth:`Tracer.to_chrome` — the Chrome trace-event JSON format
   (``{"traceEvents": [...]}``), loadable in Perfetto / ``chrome://tracing``;
@@ -150,7 +153,7 @@ class Tracer:
         self._clock = clock
         self._t0 = clock()
         self.epoch = time.time() if epoch is None else epoch
-        self._events: deque[dict] = deque(maxlen=capacity)
+        self._events: deque[dict | tuple] = deque(maxlen=capacity)
         self.emitted = 0  # total events ever recorded (≥ len(events))
         self._context: dict | None = None
         self._drop_counter = None
@@ -290,19 +293,32 @@ class Tracer:
         """
         if not self.tuple_events:
             return
+        events = self._events
+        if self._drop_counter is not None and len(events) == self.capacity:
+            self._drop_counter.inc()
+        events.append(
+            (stage, source, timestamp, self._clock(), self._context, args or None)
+        )
+        self.emitted += 1
+
+    def _expand(self, record: tuple) -> dict:
+        """The Chrome-trace dict of one compact :meth:`tuple_event` record."""
+        stage, source, timestamp, clock, ctx, args = record
+        args = dict(args) if args else {}
         args["source"] = source
         args["t"] = timestamp
-        self._record(
-            {
-                "name": stage,
-                "cat": "tuple",
-                "ph": _PH_INSTANT,
-                "ts": self._us(self._clock()),
-                "s": "t",
-                "tid": 0,
-            },
-            args,
-        )
+        if ctx is not None:
+            args = {**ctx, **args}
+        return {
+            "name": stage,
+            "cat": "tuple",
+            "ph": _PH_INSTANT,
+            "ts": self._us(clock),
+            "s": "t",
+            "tid": 0,
+            "pid": self.pid,
+            "args": args,
+        }
 
     def counter(self, name: str, value: float, tid: int = 0, **labels) -> None:
         """Record one sample of a numeric series (rendered as a track)."""
@@ -331,7 +347,8 @@ class Tracer:
 
     def events(self) -> list[dict]:
         """The retained events, oldest first (copies the ring buffer)."""
-        return list(self._events)
+        expand = self._expand
+        return [e if type(e) is dict else expand(e) for e in self._events]
 
     def meta_events(self) -> list[dict]:
         """Metadata events naming the process track and anchoring its clock.
@@ -383,7 +400,7 @@ class Tracer:
         this file against another process's export.
         """
         return "".join(
-            json.dumps(e) + "\n" for e in self.meta_events() + list(self._events)
+            json.dumps(e) + "\n" for e in self.meta_events() + self.events()
         )
 
     def write(self, path, fmt: str = "chrome") -> None:

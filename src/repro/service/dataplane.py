@@ -47,16 +47,13 @@ class StreamDataPlane:
         pipeline,
         *,
         sources: list[str] | None = None,
-        observer=None,
         thread_safe: bool = False,
         audit=None,
     ) -> None:
         """``sources=None`` owns every source of the pipeline's query;
-        a shard worker passes its assigned subset.  ``observer`` and
-        ``thread_safe`` are forwarded to the queues (the in-server plane
-        wires its metrics observer and shares queues across publisher
-        threads; shard workers are single-threaded and unobserved — their
-        stats travel back in tick snapshots instead).  ``audit`` is an
+        a shard worker passes its assigned subset.  ``thread_safe`` is
+        forwarded to the queues (the in-server plane shares them across
+        publisher threads; shard workers are single-threaded).  ``audit`` is an
         optional :class:`~repro.obs.audit.DropLedger` shared by every
         owned queue (and the hosted pattern engine); see
         :meth:`enable_audit` for turning it on after construction.
@@ -66,7 +63,6 @@ class StreamDataPlane:
         self.sources: list[str] = (
             list(pipeline.sources) if sources is None else list(sources)
         )
-        self._observer = observer
         self._thread_safe = thread_safe
         self._audit = audit
         self._prof = None
@@ -90,7 +86,6 @@ class StreamDataPlane:
             {
                 s: self.pipeline.build_queue(
                     s,
-                    observer=self._observer,
                     thread_safe=self._thread_safe,
                     audit=self._audit,
                 )
@@ -484,18 +479,9 @@ class StreamDataPlane:
     def capacities(self) -> dict[str, int]:
         return {s: q.capacity for s, q in self.queues.items()}
 
-    def stats_snapshot(self) -> dict[str, tuple[int, int, int, int, int]]:
-        """Monotonic per-queue counters, pipe-friendly (plain tuples)."""
-        return {
-            s: (
-                q.stats.offered,
-                q.stats.dropped,
-                q.stats.polled,
-                q.stats.overflows,
-                q.stats.high_watermark,
-            )
-            for s, q in self.queues.items()
-        }
+    def stats_snapshot(self) -> dict[str, tuple[int, ...]]:
+        """Monotonic per-queue counters (``QueueStats.snapshot()`` tuples)."""
+        return {s: q.stats.snapshot() for s, q in self.queues.items()}
 
     def totals(self) -> tuple[int, int]:
         """(offered, dropped) across all owned queues."""

@@ -51,7 +51,7 @@ from repro.core.triage_queue import TriageQueue
 from repro.engine.catalog import Catalog
 from repro.engine.types import SchemaError
 from repro.obs.audit import DropLedger, attribute_reports
-from repro.obs.metrics import DeltaSnapshotter
+from repro.obs.metrics import DeltaSnapshotter, fold_queue_stats
 from repro.obs.report import WindowReport, summarize_reports
 from repro.obs.slo import SLOEngine, audit_service_slos, default_service_slos
 from repro.service import protocol
@@ -253,13 +253,15 @@ class TriageServer:
         else:
             self.plane = StreamDataPlane(
                 self.pipeline,
-                observer=self._queue_event,
                 thread_safe=True,
                 audit=self.audit,
             )
             self.queues = self.plane.queues
         for s, capacity in self.plane.capacities().items():
             self._g_capacity.set(capacity, stream=s)
+        #: Queue-stat snapshots already folded into ``triage_*_total``.
+        self._folded_stats: dict[str, tuple] = {}
+        self._fold_queue_stats()
 
         self.registry = SessionRegistry(
             max_sessions=self.service.max_sessions,
@@ -305,20 +307,6 @@ class TriageServer:
     # ------------------------------------------------------------------
     def _build_instruments(self) -> None:
         m = self.metrics
-        self._c_offered = m.counter(
-            "triage_offered_total", "Tuples offered to triage queues", ("stream",)
-        )
-        self._c_drops = m.counter(
-            "triage_drops_total", "Tuples shed by triage queues", ("stream",)
-        )
-        self._c_summarized = m.counter(
-            "triage_summarized_total",
-            "Shed tuples folded into window synopses",
-            ("stream",),
-        )
-        self._c_polled = m.counter(
-            "triage_polled_total", "Tuples consumed by the engine", ("stream",)
-        )
         self._g_depth = m.gauge(
             "triage_queue_depth_now", "Current triage queue depth", ("stream",)
         )
@@ -335,16 +323,6 @@ class TriageServer:
             "window_latency_seconds",
             "Window close → result emission delay (window-clock seconds)",
             buckets=LATENCY_BUCKETS,
-        )
-        self._c_shed_bytes = m.counter(
-            "triage_shed_bytes_total",
-            "Approximate in-memory bytes of shed rows",
-            ("stream",),
-        )
-        self._c_decisions = m.counter(
-            "triage_policy_decisions_total",
-            "Drop-policy victim decisions",
-            ("stream", "decision"),
         )
         self._g_sessions = m.gauge("service_sessions", "Live sessions")
         self._c_sessions = m.counter("service_sessions_total", "Sessions admitted")
@@ -394,19 +372,17 @@ class TriageServer:
             for name in ("arrival_rate", "drop_fraction", "recommended_capacity")
         }
 
-    def _queue_event(self, stream: str, event: str, value: float) -> None:
-        if event == "offer":
-            self._c_offered.inc(value, stream=stream)
-        elif event == "drop":
-            self._c_drops.inc(value, stream=stream)
-        elif event == "summarize":
-            self._c_summarized.inc(value, stream=stream)
-        elif event == "poll":
-            self._c_polled.inc(value, stream=stream)
-        elif event == "shed_bytes":
-            self._c_shed_bytes.inc(value, stream=stream)
-        elif event in ("drop_incoming", "evict_buffered"):
-            self._c_decisions.inc(value, stream=stream, decision=event)
+    def _fold_queue_stats(self) -> None:
+        """Bring ``triage_*_total`` up to the plane's queue counters.
+
+        Called wherever the counters can be read: every tick, and right
+        before a STATS reply, a TELEMETRY delta / SLO evaluation and the
+        end of shutdown.  The same fold serves both planes; a sharded
+        plane's snapshot is the one its workers shipped with the last tick.
+        """
+        fold_queue_stats(
+            self.metrics, self.plane.stats_snapshot(), self._folded_stats
+        )
 
     # ------------------------------------------------------------------
     # CEP pattern hosting
@@ -558,6 +534,7 @@ class TriageServer:
             )
         else:
             self.plane.drain(None)
+        self._fold_queue_stats()
         try:
             await self._close_windows(now, force=True)
             if self.audit is not None and self.sharded:
@@ -965,6 +942,7 @@ class TriageServer:
         return accepted, late, depth, dropped_total
 
     async def _handle_stats(self, session: Session, frame: dict) -> bool:
+        self._fold_queue_stats()
         fmt = frame.get("format") or "json"
         if fmt == "prometheus":
             reply = {"type": "STATS", "prometheus": self.metrics.render_prometheus()}
@@ -1060,6 +1038,7 @@ class TriageServer:
             )
         else:
             self.plane.advance(elapsed)
+        self._fold_queue_stats()
 
         for s, depth in self.plane.depths().items():
             self._g_depth.set(depth, stream=s)
@@ -1099,6 +1078,7 @@ class TriageServer:
         ):
             return
         self._last_telemetry = now
+        self._fold_queue_stats()
         alerts = self.slo.evaluate(now)
         subscribers = self.registry.telemetry_subscribers()
         if not subscribers:

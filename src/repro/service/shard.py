@@ -48,6 +48,7 @@ import time
 import zlib
 
 from repro.core.merge import WindowPartials, merge_partials
+from repro.core.triage_queue import QueueStats
 from repro.engine.types import SchemaError
 from repro.perf.parallel import (
     build_pipeline_from_payload,
@@ -290,7 +291,7 @@ class ShardedDataPlane:
         self._depths: dict[str, int] = {s: 0 for s in self.sources}
         self._heads: dict[str, float | None] = {s: None for s in self.sources}
         self._stats: dict[str, tuple] = {
-            s: (0, 0, 0, 0, 0) for s in self.sources
+            s: QueueStats().snapshot() for s in self.sources
         }
         self._instruments = None
         if metrics is not None:
@@ -668,7 +669,7 @@ class ShardedDataPlane:
         self.last_closed_wid = None
         self._depths = {s: 0 for s in self.sources}
         self._heads = {s: None for s in self.sources}
-        self._stats = {s: (0, 0, 0, 0, 0) for s in self.sources}
+        self._stats = {s: QueueStats().snapshot() for s in self.sources}
 
     def close(self) -> None:
         """Stop workers and reap processes; idempotent."""

@@ -1,7 +1,7 @@
 """offer_bulk must equal an offer loop even when DROP_INCOMING fires mid-batch."""
 
 import dataclasses
-import time
+import sys
 
 from repro.core.policies import DROP_INCOMING, DropPolicy
 from repro.core.triage_queue import TriageQueue
@@ -27,7 +27,7 @@ class AlternatingPolicy(DropPolicy):
         return DROP_INCOMING if self.calls % 2 else 0
 
 
-def make_queue(observer=None):
+def make_queue():
     return TriageQueue(
         name="R",
         dimensions=[Dimension("R.a", 0, 100)],
@@ -38,7 +38,6 @@ def make_queue(observer=None):
         window=WindowSpec(width=1.0),
         summarize=True,
         seed=7,
-        observer=observer,
     )
 
 
@@ -49,36 +48,24 @@ def workload():
 
 
 class TestOfferBulkParity:
-    def test_stats_buffer_and_observer_match_offer_loop(self):
-        observed: dict[str, dict[str, float]] = {"loop": {}, "bulk": {}}
-        dispatches: dict[str, int] = {"loop": 0, "bulk": 0}
-
-        def observer_for(tag):
-            def observe(name, event, value):
-                assert name == "R"
-                observed[tag][event] = observed[tag].get(event, 0.0) + value
-                dispatches[tag] += 1
-
-            return observe
-
-        loop_q = make_queue(observer_for("loop"))
-        bulk_q = make_queue(observer_for("bulk"))
+    def test_stats_and_buffer_match_offer_loop(self):
+        loop_q = make_queue()
+        bulk_q = make_queue()
 
         batch = workload()
         for tup in batch:
             loop_q.offer(tup)
         dropped = bulk_q.offer_bulk(batch)
 
-        assert dataclasses.asdict(loop_q.stats) == dataclasses.asdict(
-            bulk_q.stats
-        )
+        # The whole QueueStats, decision / summarize / byte counters included.
+        assert loop_q.stats == bulk_q.stats
         assert dropped == loop_q.stats.dropped > 0
         # Both decision branches actually fired mid-batch.
-        assert observed["loop"]["drop_incoming"] > 0
-        assert observed["loop"]["evict_buffered"] > 0
-        # Same aggregated event totals, via fewer bulk dispatches.
-        assert observed["loop"] == observed["bulk"]
-        assert dispatches["bulk"] < dispatches["loop"]
+        stats = bulk_q.stats
+        assert stats.drop_incoming > 0 and stats.evict_buffered > 0
+        assert stats.drop_incoming + stats.evict_buffered == stats.dropped
+        assert stats.summarized == stats.dropped
+        assert stats.shed_bytes == stats.dropped * sys.getsizeof(batch[0].row)
         assert loop_q.drain() == bulk_q.drain()
 
     def test_window_accounting_matches_offer_loop(self):
@@ -126,18 +113,10 @@ class TestOfferBulkParity:
         assert q.stats.offered == 0
 
 
-class TestZeroObserverFastPath:
-    """Unobserved queues must skip all event/byte accounting entirely."""
+class TestBulkShedPricing:
+    """Shed bytes are ``victims x sizeof(row)``: one sizeof per batch."""
 
-    def _shed_heavy(self, observer, n=4000):
-        q = make_queue(observer)
-        cols = ([i % 20 for i in range(n)], list(range(n)))
-        batch = ColumnBatch(cols, [i * 0.001 for i in range(n)])
-        t0 = time.perf_counter()
-        q.offer_bulk(batch)
-        return time.perf_counter() - t0, q
-
-    def test_no_byte_accounting_without_observer(self, monkeypatch):
+    def test_bulk_prices_shed_rows_once_per_batch(self, monkeypatch):
         import repro.core.triage_queue as tq
 
         calls = {"n": 0}
@@ -148,18 +127,14 @@ class TestZeroObserverFastPath:
             return real(obj)
 
         monkeypatch.setattr(tq.sys, "getsizeof", counting)
-        _, q = self._shed_heavy(observer=None)
+        n = 4000
+        q = make_queue()
+        cols = ([i % 20 for i in range(n)], list(range(n)))
+        q.offer_bulk(ColumnBatch(cols, [i * 0.001 for i in range(n)]))
         assert q.stats.dropped > 0
-        assert calls["n"] == 0  # the fast path never prices shed rows
-        _, q = self._shed_heavy(observer=lambda *a: None)
-        assert calls["n"] == q.stats.dropped > 0
-
-    def test_microbench_unobserved_not_slower(self):
-        # The fast path does strictly less work per shed tuple (no sizeof,
-        # no event aggregation); best-of-5 timings must reflect that.  The
-        # generous margin keeps CI noise from flaking the assertion.
-        unobserved = min(self._shed_heavy(None)[0] for _ in range(5))
-        observed = min(
-            self._shed_heavy(lambda *a: None)[0] for _ in range(5)
-        )
-        assert unobserved < observed * 1.25
+        assert calls["n"] == 1  # never once per victim
+        assert q.stats.shed_bytes == q.stats.dropped * real((0, 0))
+        # A batch that sheds nothing prices nothing.
+        roomy = make_queue()
+        roomy.offer_bulk(workload()[:3])
+        assert calls["n"] == 1 and roomy.stats.shed_bytes == 0

@@ -70,3 +70,42 @@ def test_record_hook_error_falls_back_to_global():
     before = c.value(site="test_site")
     record_hook_error("test_site")
     assert c.value(site="test_site") == before + 1
+
+
+def test_observe_many_equals_repeated_observe():
+    values = [0.1 * i for i in range(40)] + [3, 7, 5000]
+    one, many = MetricsRegistry(), MetricsRegistry()
+    h_one = one.histogram("depth", labels=("stream",))
+    h_many = many.histogram("depth", labels=("stream",))
+    for v in values:
+        h_one.observe(v, stream="R")
+    h_many.observe_many(values, stream="R")
+    h_many.observe_many([], stream="R")
+    # Same buckets and count, and the float sum accumulated in the same order.
+    assert many.to_dict() == one.to_dict()
+    assert h_many.sum(stream="R") == h_one.sum(stream="R")
+
+
+def test_observe_many_counts_a_capped_series_once_per_value():
+    reg = MetricsRegistry(max_series=1)
+    h = reg.histogram("depth", labels=("stream",))
+    h.observe(1, stream="R")
+    h.observe_many([1, 2, 3], stream="S")  # series 2 of 1: refused
+    assert h.count(stream="S") == 0
+    assert reg.get("obs_series_dropped_total").value(metric="depth") == 3
+
+
+def test_label_mismatch_keeps_its_error_text():
+    reg = MetricsRegistry()
+    c = reg.counter("decisions_total", labels=("stream", "decision"))
+    c.inc(stream="R", decision="drop_incoming")
+    expected = (
+        r"metric 'decisions_total' expects labels \('stream', 'decision'\), "
+        r"got \('nope', 'stream'\)"
+    )
+    with pytest.raises(ValueError, match=expected):
+        c.inc(stream="R", nope=1)  # right count, wrong name
+    with pytest.raises(ValueError, match=r"got \('stream',\)"):
+        c.inc(stream="R")  # too few
+    with pytest.raises(ValueError, match=r"got \('a', 'decision', 'stream'\)"):
+        c.inc(stream="R", decision="x", a=1)  # too many

@@ -99,6 +99,41 @@ def test_queue_metrics_match_run_accounting(traced):
     assert reg.get("triage_queue_depth").count(stream=STREAM_NAMES[0]) > 0
 
 
+def test_depth_histogram_samples_every_arrival(traced):
+    obs, _, result = traced
+    hist = obs.registry.get("triage_queue_depth")
+    counts = {s: hist.count(stream=s) for s in STREAM_NAMES}
+    assert counts == {s: stats.offered for s, stats in result.queue_stats.items()}
+    assert sum(counts.values()) == result.total_arrived
+
+
+@pytest.mark.parametrize("obs_kwargs", [{}, {"trace": True, "tuple_events": False}])
+def test_no_hand_back_list_without_tuple_events(monkeypatch, obs_kwargs):
+    # Metrics-only and span-only runs never ask the core to hand tuples
+    # back: the list exists only to emit tuple-level ``poll`` events.
+    from repro.core.triage_core import TriageCore
+
+    asked = []
+    real = TriageCore.drain
+
+    def spy(self, until=float("inf"), budget=None, polled=None):
+        asked.append(polled)
+        return real(self, until, budget, polled)
+
+    monkeypatch.setattr(TriageCore, "drain", spy)
+    obs = Observability(**obs_kwargs)
+    _, result = run_fig9(obs)
+    assert asked and all(p is None for p in asked)
+    reg = obs.registry
+    assert reg.get("triage_polled_total").total() == result.total_kept
+    drains = [e for e in obs.tracer.events() if e["name"] == "drain"]
+    assert bool(drains) == obs.tracer.enabled
+    assert sum(e["args"]["polled"] for e in drains) == (
+        result.total_kept if drains else 0
+    )
+    assert obs.run_phase_seconds["drain"] > 0.0
+
+
 def test_phase_seconds_recorded_per_window(traced):
     obs, _, result = traced
     assert set(obs.phase_seconds) == {w.window_id for w in result.windows}

@@ -87,6 +87,96 @@ def test_tuple_event_stamps_wall_clock_and_stream_time(tracer, clock):
     assert e["args"] == {"source": "R", "t": 17.5}
 
 
+def _golden_tuple_event(stage, ts_us, args):
+    """The dict ``tuple_event`` built before records went compact."""
+    return {
+        "name": stage,
+        "cat": "tuple",
+        "ph": "i",
+        "ts": ts_us,
+        "s": "t",
+        "tid": 0,
+        "pid": 1,
+        "args": args,
+    }
+
+
+def test_tuple_event_dicts_equal_the_pre_compaction_format(tracer, clock):
+    # Key for key, in key order (json.dumps pins the order the exports
+    # write): plain, with extra args, with a context, with both.
+    tracer.tuple_event("ingest", "R", 0.25)
+    clock.advance(0.001)
+    tracer.tuple_event("enqueue", "R", 0.25, depth=3)
+    clock.advance(0.001)
+    tracer.set_context("feedbeef", "span01")
+    tracer.tuple_event("shed", "S", 0.5)
+    clock.advance(0.001)
+    tracer.set_context("cafe0123")  # no parent: the key is absent
+    tracer.tuple_event("poll", "T", 0.75, window=2, final=True)
+    tracer.clear_context()
+    golden = [
+        _golden_tuple_event("ingest", 0.0, {"source": "R", "t": 0.25}),
+        _golden_tuple_event(
+            "enqueue", 1000.0, {"depth": 3, "source": "R", "t": 0.25}
+        ),
+        _golden_tuple_event(
+            "shed",
+            2000.0,
+            {"trace_id": "feedbeef", "parent": "span01", "source": "S", "t": 0.5},
+        ),
+        _golden_tuple_event(
+            "poll",
+            3000.0,
+            {
+                "trace_id": "cafe0123",
+                "window": 2,
+                "final": True,
+                "source": "T",
+                "t": 0.75,
+            },
+        ),
+    ]
+    events = tracer.events()
+    for e, g in zip(events, golden, strict=True):
+        g["ts"] = pytest.approx(g["ts"])
+        assert e == g
+        assert list(e) == list(g) and list(e["args"]) == list(g["args"])
+    # The context a record captured is the one installed when it was made.
+    tracer.set_context("later")
+    assert "trace_id" not in tracer.events()[0]["args"]
+    assert tracer.events()[2]["args"]["trace_id"] == "feedbeef"
+    # Both exports read the ring through events().
+    lines = tracer.to_jsonl().splitlines()[2:]
+    assert [json.loads(line) for line in lines] == tracer.events()
+    assert tracer.to_chrome()["traceEvents"][2:] == tracer.events()
+    validate_chrome_trace(tracer.to_chrome())
+
+
+def test_ring_accounting_is_exact_with_compact_and_dict_records_mixed(clock):
+    class Spy:
+        calls = 0
+
+        def inc(self, amount=1.0, **labels):
+            Spy.calls += 1
+
+    tracer = Tracer(capacity=4, clock=clock)
+    tracer.bind_drop_counter(Spy())
+    for i in range(5):
+        tracer.tuple_event("ingest", "R", float(i))  # compact record
+        tracer.instant(f"e{i}")  # dict record
+    assert len(tracer) == 4
+    assert tracer.emitted == 10
+    assert tracer.dropped == 6 == Spy.calls
+    kept = tracer.events()
+    assert [e["name"] for e in kept] == ["ingest", "e3", "ingest", "e4"]
+    assert [e["args"]["t"] for e in kept if e["cat"] == "tuple"] == [3.0, 4.0]
+    assert tracer.to_chrome()["otherData"] == {
+        "generator": "repro.obs.trace",
+        "emitted": 10,
+        "dropped": 6,
+    }
+
+
 def test_tuple_events_flag_silences_lifecycle_only(clock):
     tracer = Tracer(capacity=16, tuple_events=False, clock=clock)
     tracer.tuple_event("ingest", "R", 0.0)

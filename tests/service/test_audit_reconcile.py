@@ -3,8 +3,9 @@
 Three contracts, each at every shard count:
 
 * **Reconciliation** — the audit ledger's per-kind event counts equal the
-  plane's/queues' own drop accounting exactly: nothing double-counted,
-  nothing lost, including across the shard RPC ship/absorb hop.
+  plane's/queues' own drop accounting *and* the ``triage_*_total`` counters
+  folded from it exactly: nothing double-counted, nothing lost, including
+  across the shard RPC ship/absorb hop.
 * **Invisibility** — results and drop decisions are byte-identical with
   auditing on and off: the ledger has its own RNG and the queues' policy
   RNG chain never sees it.
@@ -29,6 +30,7 @@ from repro.experiments import (
     paper_catalog,
 )
 from repro.obs.audit import DropLedger, attribute_reports
+from repro.obs.metrics import MetricsRegistry, fold_queue_stats
 from repro.service import ServiceConfig, TriageServer
 from repro.service.dataplane import StreamDataPlane
 from repro.service.shard import ShardedDataPlane
@@ -120,42 +122,54 @@ def drive(plane, pipeline, schedule):
     return [outcome_key(o) for o in outcomes], plane.totals()
 
 
+def folded_counters(plane):
+    """``{metric: {label key: value}}`` of the plane's folded queue stats."""
+    registry = MetricsRegistry()
+    fold_queue_stats(registry, plane.stats_snapshot(), {})
+    return {
+        name: inst["values"]
+        for name, inst in registry.to_dict().items()
+        if name.startswith("triage_")
+    }
+
+
 # ---------------------------------------------------------------------------
-# Serial plane: ledger counts == queue observer counts, exactly
+# Serial plane: ledger counts == folded decision counters, exactly
 # ---------------------------------------------------------------------------
 def test_serial_ledger_reconciles_with_observer_counters():
-    decisions = {"drop_incoming": 0, "evict_buffered": 0}
-
-    def observer(stream, event, value):
-        if event in decisions:
-            decisions[event] += int(value)
-
     ledger = DropLedger(seed=0)
     pipeline = make_pipeline()
-    plane = StreamDataPlane(pipeline, observer=observer, audit=ledger)
+    plane = StreamDataPlane(pipeline, audit=ledger)
     _, (offered, dropped) = drive(plane, pipeline, workload())
     assert dropped > 0, "workload must force shedding to be a real test"
 
+    decisions = folded_counters(plane)["triage_policy_decisions_total"]
     counts = ledger.counts
     for kind in DROP_KINDS:
-        assert counts.get(kind, 0) == decisions[kind], kind
+        assert counts.get(kind, 0) == sum(
+            v for key, v in decisions.items() if key.endswith("||" + kind)
+        ), kind
     assert sum(counts.get(k, 0) for k in DROP_KINDS) == dropped
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
 def test_ledger_reconciles_at_every_shard_count(shards):
     """Fixed seed, shards {1, 2, 4}: the coordinator ledger's counts equal
-    the plane's drop total exactly, and are identical across shard counts."""
+    the plane's drop total and the folded counters exactly, and all three
+    are identical across shard counts."""
     schedule = workload(seed=17)
     reference = DropLedger(seed=0)
     ref_pipeline = make_pipeline()
-    ref_outcomes, (_, ref_dropped) = drive(
-        StreamDataPlane(ref_pipeline, audit=reference), ref_pipeline, schedule
+    ref_plane = StreamDataPlane(ref_pipeline, audit=reference)
+    ref_outcomes, (ref_offered, ref_dropped) = drive(
+        ref_plane, ref_pipeline, schedule
     )
+    ref_counters = folded_counters(ref_plane)
     assert ref_dropped > 0
 
     if shards == 1:
         counts, dropped, outcomes = reference.counts, ref_dropped, ref_outcomes
+        counters = ref_counters
     else:
         ledger = DropLedger(seed=0)
         pipeline = make_pipeline()
@@ -163,6 +177,7 @@ def test_ledger_reconciles_at_every_shard_count(shards):
         try:
             outcomes, (_, dropped) = drive(plane, pipeline, schedule)
             plane.audit_sync()
+            counters = folded_counters(plane)
         finally:
             plane.close()
         counts = ledger.counts
@@ -170,6 +185,13 @@ def test_ledger_reconciles_at_every_shard_count(shards):
     assert sum(counts.get(k, 0) for k in DROP_KINDS) == dropped
     assert counts == reference.counts  # same decisions at any layout
     assert outcomes == ref_outcomes
+    # Counters: per stream identical across layouts, totals == plane totals.
+    assert counters == ref_counters
+    assert set(counters["triage_offered_total"]) == set(STREAMS)
+    assert sum(counters["triage_offered_total"].values()) == ref_offered
+    assert sum(counters["triage_drops_total"].values()) == dropped
+    assert sum(counters["triage_policy_decisions_total"].values()) == dropped
+    assert sum(counters["triage_polled_total"].values()) == ref_offered - dropped
 
 
 @pytest.mark.parametrize("shards", [2, 4])
@@ -253,11 +275,11 @@ class ManualClock:
 
 
 @contextlib.asynccontextmanager
-async def serve(**service_kwargs):
+async def serve(queue_capacity=30, **service_kwargs):
     clock = ManualClock()
     config = PipelineConfig(
         window=WindowSpec(width=1.0),
-        queue_capacity=30,
+        queue_capacity=queue_capacity,
         service_time=0.001,
         compute_ideal=False,
     )
@@ -274,6 +296,40 @@ async def serve(**service_kwargs):
         yield server
     finally:
         await server.shutdown()
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+def test_server_counters_match_plane_and_ledger(shards):
+    """40 rows into a capacity-5 queue and one tick: the exported counters
+    are the plane's queue stats and the ledger's counts, at any shard count
+    (sharded servers used to export none — workers cannot call back)."""
+
+    async def main():
+        async with serve(queue_capacity=5, shards=shards, audit=True) as server:
+            rows = [[i % 9 + 1] for i in range(40)]
+            server.ingest_rows("R", rows, [i / 100 for i in range(40)], now=0.5)
+            server.clock.t = 0.9
+            await server.tick()
+            values = {
+                name: inst["values"]
+                for name, inst in server.metrics.to_dict().items()
+                if name.startswith("triage_") and name.endswith("_total")
+            }
+            assert values["triage_offered_total"] == {"R": 40.0}
+            assert values["triage_drops_total"] == {"R": 35.0}
+            assert values["triage_polled_total"] == {"R": 5.0}
+            assert values["triage_summarized_total"] == {"R": 35.0}
+            assert sum(values["triage_policy_decisions_total"].values()) == 35.0
+            assert values["triage_shed_bytes_total"]["R"] > 0
+            assert server.plane.stats_snapshot()["R"][:5] == (40, 35, 5, 35, 5)
+            assert server.plane.totals() == (40, 35)
+            if shards > 1:
+                server.plane.audit_sync()
+            assert sum(
+                server.audit.counts.get(k, 0) for k in DROP_KINDS
+            ) == 35
+
+    asyncio.run(main())
 
 
 def test_server_audit_off_has_no_audit_state():

@@ -129,8 +129,11 @@ class TestConcurrentClients:
                 totals = await asyncio.gather(*(publish_many(w) for w in range(4)))
                 assert totals == [200, 200, 200, 200]
 
-                offered = server.metrics.get("triage_offered_total")
-                assert offered.value(stream="R") == 800
+                # A STATS reply is a fold point: the counters are exact there
+                # (mid-ingest the instrument lags the queue's own stats).
+                stats = await watcher.stats()
+                offered = stats["metrics"]["triage_offered_total"]["values"]
+                assert offered == {"R": 800}
                 assert server.queues["R"].stats.high_watermark <= 30
 
                 clock["t"] = 3.0

@@ -339,6 +339,31 @@ class TestStats:
 
         run(scenario())
 
+    def test_counters_are_current_before_any_tick(self):
+        # The queue counters reach the registry by fold, not per tuple; a
+        # STATS reply and a TELEMETRY delta each fold first, so neither
+        # waits for a tick to show rows a PUBLISH already delivered.
+        async def scenario():
+            async with serve(queue_capacity=5) as server:
+                client = await connect(server)
+                await client.declare("R")
+                await client.subscribe(telemetry=True)
+                await client.publish(
+                    "R", [[1]] * 20, timestamps=[i / 20 for i in range(20)]
+                )
+                metrics = (await client.stats())["metrics"]
+                assert metrics["triage_offered_total"]["values"] == {"R": 20}
+                assert metrics["triage_drops_total"]["values"] == {"R": 15}
+                assert metrics["triage_polled_total"]["values"] == {}
+                await client.publish("R", [[2]] * 5, timestamps=[0.99] * 5)
+                await server._maybe_push_telemetry(0.5)
+                frame = await client.next_telemetry(timeout=2)
+                assert frame["metrics"]['triage_offered_total{stream="R"}'] == 25
+                assert frame["metrics"]['triage_drops_total{stream="R"}'] == 20
+                await client.close()
+
+        run(scenario())
+
     def test_prometheus_stats(self):
         async def scenario():
             async with serve(queue_capacity=5) as server:
@@ -436,6 +461,9 @@ class TestGracefulShutdown:
                 # covers every arrival, queues are empty.
                 assert result["kept"]["R"] + result["dropped"]["R"] == 40
                 assert all(len(q) == 0 for q in server.queues.values())
+                # ...and the exported counters saw the final drain too.
+                polled = server.metrics.get("triage_polled_total")
+                assert polled.value(stream="R") == result["kept"]["R"]
                 # The results iterator then terminates (server said BYE).
                 assert await client.next_result(timeout=2) is None
                 await client.close()
