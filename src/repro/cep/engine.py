@@ -44,9 +44,8 @@ byte-identical match stream of the naive scan-everything engine):
 * **Heap expiry** — runs live in a ``(start, rid)`` min-heap; expiry pops
   only actually-expired entries instead of rebuilding the run list per
   event.  Entries for already-retired runs are skipped lazily.
-* **Batch absorption** — :meth:`advance_batch` (row events) and
-  :meth:`advance_columns` (a ColumnBatch of one stream) absorb whole
-  batches.  Events failing a step's *local* predicates (run-independent
+* **Batch absorption** — :meth:`advance_batch` absorbs a whole batch of
+  row events.  Events failing a step's *local* predicates (run-independent
   conjuncts, vectorized via :func:`~repro.perf.vector.compile_filter_vector`)
   for every step of their stream are provably inert — they cannot start,
   extend, or complete any run — so they are discarded in bulk; only their
@@ -63,7 +62,7 @@ from typing import Callable
 from repro.engine.expressions import BinaryOp, is_equijoin_conjunct
 from repro.engine.types import StreamTuple
 from repro.perf.compile import CompileError, compile_scalar
-from repro.perf.vector import compile_filter_vector, compile_filter_vector_cols
+from repro.perf.vector import compile_filter_vector
 from repro.sql.binder import BoundPattern
 
 #: Engine observer signature: ``observer(event, value)``.  Events:
@@ -97,7 +96,6 @@ class _CompiledStep:
         "predicates",
         "key_link",
         "local_rows",
-        "local_cols",
     )
 
     def __init__(self, bound_step, pattern: "BoundPattern", compiled: bool) -> None:
@@ -111,10 +109,9 @@ class _CompiledStep:
         ]
         self.key_link = _find_key_link(bound_step, pattern)
         # Vectorized run-independent pre-filter over this step's own stream
-        # schema (the batch paths evaluate it against raw candidate rows,
+        # schema (the batch path evaluates it against raw candidate rows,
         # not the env).  None means "cannot pre-filter at this step".
         self.local_rows = None
-        self.local_cols = None
         local = getattr(bound_step, "local_predicates", ())
         if compiled and local:
             expr = local[0]
@@ -122,12 +119,8 @@ class _CompiledStep:
                 expr = BinaryOp("AND", expr, p)
             try:
                 self.local_rows = compile_filter_vector(expr, bound_step.schema)
-                self.local_cols = compile_filter_vector_cols(
-                    expr, bound_step.schema
-                )
             except CompileError:
                 self.local_rows = None
-                self.local_cols = None
 
 
 def _compile_pred(pred, pattern: BoundPattern, compiled: bool) -> Callable:
@@ -246,11 +239,6 @@ class PatternEngine:
             for s, sts in by_stream.items()
             if all(st.local_rows is not None for st in sts)
         }
-        self._kernels_cols = {
-            s: [st.local_cols for st in sts]
-            for s, sts in by_stream.items()
-            if all(st.local_cols is not None for st in sts)
-        }
 
     # ------------------------------------------------------------------
     @property
@@ -322,69 +310,6 @@ class PatternEngine:
             if pend is None or ts > pend:
                 pend = ts
             prev += 1
-        if pend is not None:
-            self._expire(pend)
-        return matches
-
-    def advance_columns(self, stream: str, batch) -> list[StreamTuple]:
-        """Absorb one stream's :class:`~repro.engine.columns.ColumnBatch`.
-
-        The column-native twin of :meth:`advance_batch`: local predicates
-        evaluate zero-copy against the batch's column lists, and only
-        surviving rows are materialized into :class:`StreamTuple`\\ s.
-        """
-        n = len(batch)
-        if n == 0:
-            return []
-        self.stats.events += n
-        if batch.shared_timestamp:
-            stamps = [batch.timestamps] * n
-        elif batch.start == 0 and batch.stop == len(batch.timestamps):
-            stamps = batch.timestamps
-        else:
-            stamps = batch.timestamps[batch.start : batch.stop]
-        if self.utility is not None:
-            self.utility.observe_bulk(stream, stamps)
-        kernels = self._kernels_cols.get(stream)
-        live = None
-        if kernels is not None:
-            cols = batch.columns
-            if batch.start != 0 or (cols and batch.stop != len(cols[0])):
-                cols = tuple(c[batch.start : batch.stop] for c in cols)
-            passing: set[int] = set()
-            for kern in kernels:
-                passing.update(kern(cols))
-                if len(passing) == n:
-                    break
-            if len(passing) < n:
-                live = sorted(passing)
-        matches: list[StreamTuple] = []
-        step = self._step_event
-        if live is None:
-            for i in range(n):
-                m = step(stream, StreamTuple(stamps[i], batch.row(i)))
-                if m:
-                    matches.extend(m)
-            return matches
-        prev = 0
-        pend = None
-        for gi in live:
-            if prev < gi:
-                span = max(stamps[prev:gi])
-                if pend is None or span > pend:
-                    pend = span
-            tup = StreamTuple(stamps[gi], batch.row(gi))
-            if pend is not None and pend > tup.timestamp:
-                self._expire(pend)
-            pend = None
-            m = step(stream, tup)
-            if m:
-                matches.extend(m)
-            prev = gi + 1
-        if prev < n:
-            span = max(stamps[prev:n])
-            if pend is None or span > pend:
-                pend = span
         if pend is not None:
             self._expire(pend)
         return matches

@@ -6,7 +6,7 @@ fixed per-tuple service time paces the
 :class:`~repro.cep.engine.PatternEngine`, and overload turns into queue
 drops chosen by the configured policy.  An *ideal* (shed-nothing) engine
 run over the same events gives the match-recall denominator, which is how
-the ``cep_pattern`` benchmark scores drop policies.
+the ``offline_cep`` benchmark workload scores drop policies.
 
 Unlike the SPJ pipeline's per-source queues, the pattern pipeline uses one
 *merged* queue whose rows carry the stream name at position 0.  A sequence

@@ -7,7 +7,6 @@
     python -m repro.cli fig9 [--peaks 600,1200,...] [--runs N]
     python -m repro.cli explain "SELECT ..."        # engine + rewrite plans
     python -m repro.cli rewrite "SELECT ..."        # Figures 4/5 SQL
-    python -m repro.cli bench [--quick]             # perf regression suites
     python -m repro.cli trace [--out trace.json]    # traced Figure 9 run
     python -m repro.cli trace --merge a.jsonl b.jsonl  # stitch process traces
     python -m repro.cli serve [--port 7077] [...]   # live triage service
@@ -80,66 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     rew = sub.add_parser("rewrite", help="emit the Figures 4/5 SQL for a query")
     rew.add_argument("query")
-
-    bench = sub.add_parser(
-        "bench", help="run the perf regression suites, write BENCH_pipeline.json"
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="CI smoke mode: smaller inputs and fewer reps, same schema",
-    )
-    bench.add_argument(
-        "--out",
-        default="BENCH_pipeline.json",
-        help="result path (default: BENCH_pipeline.json in the CWD)",
-    )
-    bench.add_argument(
-        "--suite",
-        action="append",
-        dest="suites",
-        metavar="NAME",
-        help="run only this suite (repeatable; default: all)",
-    )
-    bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="regression gate: compare against this committed result file "
-        "and exit non-zero if any shared suite regressed too far",
-    )
-    bench.add_argument(
-        "--max-regression",
-        type=float,
-        default=10.0,
-        metavar="PCT",
-        help="ops/sec drop (percent) tolerated by --compare (default: 10)",
-    )
-    bench.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="also write a Prometheus snapshot of the per-shard gauges from "
-        "a small sharded ingest/close cycle",
-    )
-    bench.add_argument(
-        "--profile",
-        nargs="?",
-        const="bench_profiles",
-        default=None,
-        metavar="DIR",
-        help="sample each suite with the continuous profiler and write "
-        "DIR/<suite>.collapsed (default DIR: bench_profiles); inspect "
-        "with `repro prof`",
-    )
-    bench.add_argument(
-        "--drop-policy",
-        choices=POLICY_CHOICES,
-        default=None,
-        help="override the drop policy the queue-centric suites use "
-        "(default: each suite's own; cep_pattern always scores "
-        "pattern-utility against random). " + policy_help(),
-    )
 
     trace = sub.add_parser(
         "trace",
@@ -392,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
         "collapsed",
         nargs="*",
         metavar="COLLAPSED",
-        help="collapsed-stack file(s) (e.g. from `repro bench --profile` or "
-        "`repro trace --profile-out`); several are merged. Omit to "
+        help="collapsed-stack file(s) (e.g. from `repro trace "
+        "--profile-out`); several are merged. Omit to "
         "capture live from a server started with --profile-hz",
     )
     prof.add_argument(
@@ -508,79 +447,6 @@ def cmd_rewrite(args, out) -> int:
     catalog = paper_catalog()
     bound = Binder(catalog).bind(parse_statement(args.query))
     out.write(rewrite_to_sql(SPJPlan.from_bound(bound)) + "\n")
-    return 0
-
-
-def cmd_bench(args, out) -> int:
-    import json
-
-    from repro.perf.bench import (
-        baseline_mismatch,
-        baseline_skipped,
-        compare_results,
-        render_text,
-        run_bench_suites,
-        shard_metrics_snapshot,
-        write_results,
-    )
-
-    doc = run_bench_suites(
-        quick=args.quick,
-        suites=args.suites,
-        drop_policy=args.drop_policy,
-        profile_dir=args.profile,
-    )
-    path = write_results(doc, args.out)
-    out.write(render_text(doc) + "\n")
-    out.write(f"results written to {path}\n")
-    if args.profile:
-        out.write(
-            f"per-suite profiles -> {args.profile}/<suite>.collapsed "
-            f"(inspect with `repro prof`)\n"
-        )
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as fp:
-            fp.write(shard_metrics_snapshot())
-        out.write(f"per-shard metrics snapshot -> {args.metrics_out}\n")
-    if args.compare:
-        # A baseline problem must be one clean line + nonzero exit, never a
-        # traceback (CI logs) or a silently vacuous gate.
-        try:
-            with open(args.compare, "r", encoding="utf-8") as fp:
-                baseline = json.load(fp)
-        except OSError as exc:
-            reason = exc.strerror or str(exc)
-            out.write(
-                f"bench compare error: cannot read baseline "
-                f"{args.compare}: {reason}\n"
-            )
-            return 2
-        except json.JSONDecodeError as exc:
-            out.write(
-                f"bench compare error: baseline {args.compare} is not "
-                f"valid JSON: {exc}\n"
-            )
-            return 2
-        problem = baseline_mismatch(doc, baseline)
-        if problem is not None:
-            out.write(f"bench compare error: {problem}\n")
-            return 2
-        skipped = baseline_skipped(doc, baseline)
-        if skipped:
-            out.write(
-                f"bench compare note: baseline predates suite(s) "
-                f"{', '.join(skipped)}; not gated\n"
-            )
-        violations = compare_results(doc, baseline, args.max_regression)
-        if violations:
-            out.write("bench regression gate FAILED:\n")
-            for violation in violations:
-                out.write(f"  {violation}\n")
-            return 1
-        out.write(
-            f"bench regression gate passed "
-            f"(threshold {args.max_regression:g}%)\n"
-        )
     return 0
 
 
@@ -977,8 +843,6 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return cmd_explain(args, out)
     if args.command == "rewrite":
         return cmd_rewrite(args, out)
-    if args.command == "bench":
-        return cmd_bench(args, out)
     if args.command == "trace":
         return cmd_trace(args, out)
     if args.command == "serve":

@@ -283,40 +283,6 @@ class DataTriagePipeline:
                 except Exception:
                     record_hook_error("window_hook", registry)
 
-    def evaluate_window(
-        self,
-        window_id: int,
-        kept_rows: dict[str, Multiset],
-        kept_synopses: "dict[str, Synopsis | None] | None",
-        dropped_synopses: "dict[str, Synopsis | None] | None",
-        dropped_counts: dict[str, int],
-        arrived: dict[str, int],
-    ) -> WindowOutcome:
-        """Single-window convenience wrapper around :meth:`evaluate_windows`.
-
-        All arguments are per-source maps for *this* window only — the shape
-        an incremental feeder naturally holds when a window closes.
-        """
-        sources = self.sources
-        return self.evaluate_windows(
-            window_ids=[window_id],
-            kept_rows={s: {window_id: kept_rows.get(s, Multiset())} for s in sources},
-            kept_synopses=(
-                None
-                if kept_synopses is None
-                else {s: {window_id: kept_synopses.get(s)} for s in sources}
-            ),
-            dropped_synopses=(
-                None
-                if dropped_synopses is None
-                else {s: {window_id: dropped_synopses.get(s)} for s in sources}
-            ),
-            dropped_counts={
-                s: {window_id: dropped_counts.get(s, 0)} for s in sources
-            },
-            arrived={s: {window_id: arrived.get(s, 0)} for s in sources},
-        )[0]
-
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------

@@ -163,7 +163,7 @@ def bursty_pipeline(
 ):
     """A ready-to-run Figure 9 pipeline: ``(pipeline, streams)``.
 
-    The bench harness and ``repro trace`` share this so instrumented runs
+    ``run_bursty_rate`` and ``repro trace`` share this so instrumented runs
     (``obs``) drive byte-identical workloads to the plain ones.
     """
     window, streams = bursty_workload(

@@ -1,7 +1,7 @@
 """A dependency-free metrics registry with Prometheus text export.
 
 Every layer that reports its own health — the triage pipeline, the network
-service, the bench harness — does so through this registry without pulling
+service, the shard tier — does so through this registry without pulling
 in a client library.  This module implements the three instrument kinds the
 rest of the package uses (counters, gauges, histograms), each optionally
 labelled, plus two exports:

@@ -40,8 +40,7 @@ total equals the sum of worker totals exactly — no double counting across
 the shard RPC hop.
 
 :func:`profile_diff` compares two collapsed profiles by per-function
-self-time share and reports regressions, the function-level sentinel the
-CI bench gate runs alongside ``--compare``.
+self-time share and reports regressions (``repro prof --diff``).
 """
 
 from __future__ import annotations

@@ -19,8 +19,9 @@ its rows, children included — the same convention as PostgreSQL's
 exclusive ("self") share by subtracting the children.
 
 Profiling wraps every ``next()`` in a clock read, so a profiled execution
-is slower than a plain one; use it to find *where* time goes, and the bench
-harness (:mod:`repro.perf.bench`) to measure *how fast* the plain path is.
+is slower than a plain one; use it to find *where* time goes, and the repo
+benchmark (``benchmarks/e2e/run.py``) to measure *how fast* the plain path
+is.
 """
 
 from __future__ import annotations

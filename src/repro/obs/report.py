@@ -12,9 +12,9 @@ point of Data Triage is that those two live on one budget.  A
   (drain / exact / shadow / merge), when an instrumented run recorded them.
 
 :func:`build_window_reports` derives the reports from a finished
-:class:`~repro.core.pipeline.RunResult`; the network service and the bench
-harness export them (STATS reply, ``BENCH_pipeline.json``) so "why was
-window 17 slow / inaccurate" has a one-line answer.
+:class:`~repro.core.pipeline.RunResult`; the network service exports them
+in its STATS reply and ``repro trace`` prints them, so "why was window 17
+slow / inaccurate" has a one-line answer.
 """
 
 from __future__ import annotations

@@ -35,7 +35,7 @@ row-at-a-time closures.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from itertools import repeat
 from typing import Any
 
@@ -56,19 +56,10 @@ class _VectorEmitter(_Emitter):
     lowering is reused verbatim.
     """
 
-    #: Name of the generated function's argument (row-major batches).
-    arg = "rows"
-    #: Expression for the batch's row count, in terms of ``arg``.
-    count_expr = "len(rows)"
-
     def __init__(self, schema: Schema, functions) -> None:
         super().__init__(schema, functions)
         self.vectors: set[str] = set()
         self._col_names: dict[int, str] = {}
-
-    def _column_expr(self, pos: int) -> str:
-        """The expression loading column ``pos`` as one value-per-row list."""
-        return f"[_r[{pos}] for _r in rows]"
 
     def _lower(self, expr: Expression) -> str:
         if isinstance(expr, ColumnRef):
@@ -77,7 +68,7 @@ class _VectorEmitter(_Emitter):
             if name is None:
                 name = f"_col{pos}"
                 self._col_names[pos] = name
-                self.lines.append(f"{name} = {self._column_expr(pos)}")
+                self.lines.append(f"{name} = [_r[{pos}] for _r in rows]")
                 self.vectors.add(name)
             return name
         return super()._lower(expr)
@@ -89,9 +80,7 @@ class _VectorEmitter(_Emitter):
         if not vdeps:
             if volatile:
                 # Constant-argument user function: still once per row.
-                self.lines.append(
-                    f"{target} = [{body} for _ in range({self.count_expr})]"
-                )
+                self.lines.append(f"{target} = [{body} for _ in range(len(rows))]")
                 self.vectors.add(target)
             else:
                 self.lines.append(f"{target} = {body}")
@@ -105,25 +94,9 @@ class _VectorEmitter(_Emitter):
         self.vectors.add(target)
 
 
-class _ColsVectorEmitter(_VectorEmitter):
-    """The vector emitter with column loads taken straight from the caller.
-
-    The generated kernel's argument is a parallel-column sequence (the
-    :class:`~repro.engine.columns.ColumnBatch` interior representation), so
-    a column "load" is the zero-copy ``cols[pos]`` instead of a row pivot —
-    the one shape difference between the two vector targets.
-    """
-
-    arg = "cols"
-    count_expr = "(len(cols[0]) if cols else 0)"
-
-    def _column_expr(self, pos: int) -> str:
-        return f"cols[{pos}]"
-
-
 def _finish_vector(em: _VectorEmitter, return_expr: str, name: str) -> Callable:
     body = "\n    ".join(em.lines) if em.lines else "pass"
-    src = f"def {name}({em.arg}):\n    {body}\n    return {return_expr}\n"
+    src = f"def {name}(rows):\n    {body}\n    return {return_expr}\n"
     namespace = dict(em.env)
     namespace["_repeat"] = repeat
     exec(compile(src, f"<repro.perf.vector:{name}>", "exec"), namespace)
@@ -141,33 +114,15 @@ def compile_filter_vector(
     iff the predicate value ``is True`` (SQL three-valued logic — NULL and
     False both reject).
     """
-    return _filter_kernel(_VectorEmitter(schema, functions), expr)
-
-
-def compile_filter_vector_cols(
-    expr: Expression, schema: Schema, functions=None
-) -> Callable[[Sequence], list]:
-    """Compile a predicate into ``cols -> [i for row i passing]``.
-
-    The column-native twin of :func:`compile_filter_vector`: the argument
-    is a parallel-column sequence (``ColumnBatch.columns``-shaped), read
-    zero-copy, so batch consumers that already hold columns never pivot to
-    rows just to evaluate a predicate.  Same acceptance test (``is True``),
-    same index-vector result.
-    """
-    return _filter_kernel(_ColsVectorEmitter(schema, functions), expr)
-
-
-def _filter_kernel(em: _VectorEmitter, expr: Expression) -> Callable:
+    em = _VectorEmitter(schema, functions)
     atom = em.emit(expr)
-    count = em.count_expr
     if atom in em.vectors:
         ret = f"[_i for _i, _v in enumerate({atom}) if _v is True]"
     elif atom in em._lit:
         # Constant predicate, folded at compile time.
-        ret = f"list(range({count}))" if em._lit[atom] is True else "[]"
+        ret = "list(range(len(rows)))" if em._lit[atom] is True else "[]"
     else:
-        ret = f"list(range({count})) if {atom} is True else []"
+        ret = f"list(range(len(rows))) if {atom} is True else []"
     return _finish_vector(em, ret, "_vector_filter")
 
 
@@ -199,7 +154,6 @@ def vector_source(fn: Callable) -> str | None:
 
 __all__ = [
     "compile_filter_vector",
-    "compile_filter_vector_cols",
     "compile_tuple_vector",
     "vector_source",
 ]

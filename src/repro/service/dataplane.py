@@ -80,7 +80,7 @@ class StreamDataPlane:
         self.reset()
 
     def reset(self) -> None:
-        """Fresh queues and window state (bench reps, worker reuse)."""
+        """Fresh queues and window state (worker reuse)."""
         self.queues.clear()
         self.queues.update(
             {
@@ -267,6 +267,10 @@ class StreamDataPlane:
             # any window accounting, so a mid-batch rejection leaves no
             # inflated arrival counts or phantom known windows behind —
             # the same atomicity the timestamps=None path has.
+            if len(timestamps) != len(rows):
+                raise SchemaError(
+                    f"timestamps length {len(timestamps)} != rows {len(rows)}"
+                )
             staged: list[tuple[float, tuple]] = []
             for i, row in enumerate(rows):
                 tup_row = tuple(row)
@@ -334,6 +338,10 @@ class StreamDataPlane:
                     arrived[wid] = arrived.get(wid, 0) + n
                     known.add(wid)
         else:
+            if len(timestamps) != n:
+                raise SchemaError(
+                    f"timestamps length {len(timestamps)} != rows {n}"
+                )
             stamps = [float(t) for t in timestamps]
             keep: list[int] = []
             ka = keep.append

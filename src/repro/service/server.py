@@ -8,7 +8,7 @@ outruns the engine sheds into per-window synopses instead of growing an
 unbounded socket buffer.  A window ticker emulates the engine (a fixed
 ``service_time`` per tuple, exactly like the virtual-clock pipeline),
 closes windows as the clock passes them, evaluates the exact + shadow
-plans via :meth:`DataTriagePipeline.evaluate_window`, and fans the merged
+plans via :meth:`DataTriagePipeline.evaluate_windows`, and fans the merged
 composite result out to every subscriber.
 
 Design notes
@@ -850,9 +850,8 @@ class TriageServer:
         the ack quad PUBLISH reports as backpressure signals.  Raises
         :class:`SchemaError` (prefixed with the row index) if any row is
         invalid; the batch is rejected atomically.  This is the publish hot
-        path, shared by the PUBLISH handler and the bench harness's
-        service-ingest suite; the actual work happens in the data plane
-        (in-process, or one shard worker over its pipe).
+        path behind the PUBLISH handler; the actual work happens in the
+        data plane (in-process, or one shard worker over its pipe).
 
         ``columnar=True`` means ``rows`` is the ``cols`` encoding (one
         value list per schema column); it is routed to the plane's

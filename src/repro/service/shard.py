@@ -23,9 +23,7 @@ each source's global chain position, so a worker owning only ``S`` sheds
 exactly what the serial server would.
 
 Wire discipline: one pipe per worker, strictly one reply per command, FIFO.
-That gives RPC semantics without a framing layer, lets the coordinator
-*pipeline* commands (``submit_ingest`` + ``flush_ingest``, how the bench
-keeps workers busy without a round trip per batch), and guarantees a
+That gives RPC semantics without a framing layer and guarantees a
 worker's ``close`` reply reflects every ingest sent before it.
 
 Coordinator threads share workers: publisher executor threads run
@@ -474,57 +472,6 @@ class ShardedDataPlane:
         self._depths[source] = depth
         return accepted, late, depth, dropped
 
-    def submit_ingest(
-        self,
-        source: str,
-        rows,
-        timestamps=None,
-        now: float = 0.0,
-        validate: bool = True,
-    ) -> None:
-        """Pipelined ingest: send and return; ack owed to :meth:`flush_ingest`.
-
-        This is the throughput path — batches stream to all shards without
-        a coordinator round trip between them, and workers validate/offer
-        concurrently with the coordinator's next send.
-
-        Single-conversation constraint: while a submit/flush_ingest
-        conversation is open, no *other* split conversation (``advance``,
-        ``drain``, ``collect``, ``reset``) may run — replies would be
-        attributed to the wrong one.  Synchronous :meth:`ingest` calls are
-        fine (their replies are routed via the per-worker backlog).  The
-        server never pipelines (PUBLISH uses :meth:`ingest`); the bench
-        drives this path from a single thread with no ticker.
-        """
-        self._worker_for(source).submit(
-            ("ingest", source, rows, timestamps, now, validate)
-        )
-
-    def submit_ingest_columns(
-        self,
-        source: str,
-        cols,
-        timestamps=None,
-        now: float = 0.0,
-        validate: bool = True,
-    ) -> None:
-        """Pipelined columnar ingest (see :meth:`submit_ingest` for the
-        single-conversation constraint; acks owed to :meth:`flush_ingest`)."""
-        self._worker_for(source).submit(
-            ("ingest_cols", source, cols, timestamps, now, validate)
-        )
-
-    def flush_ingest(self) -> tuple[int, int]:
-        """Barrier: wait for every pipelined ingest; summed (accepted, late)."""
-        accepted = 0
-        late = 0
-        for worker in self.workers:
-            for reply in worker.flush():
-                a, l, depth, _dropped = _unwrap(reply)
-                accepted += a
-                late += l
-        return accepted, late
-
     # ------------------------------------------------------------------
     # Engine emulation + window close
     # ------------------------------------------------------------------
@@ -660,7 +607,7 @@ class ShardedDataPlane:
     # Lifecycle
     # ------------------------------------------------------------------
     def reset(self) -> None:
-        """Fresh worker planes + coordinator view (bench reps)."""
+        """Fresh worker planes + coordinator view."""
         for worker in self.workers:
             worker.submit(("reset",))
         for worker in self.workers:

@@ -6,8 +6,7 @@ required to be *behaviour-preserving*: the canonical match byte stream (and
 every lifecycle counter) must be identical between
 
 * :meth:`PatternEngine.consume` one event at a time,
-* :meth:`PatternEngine.advance_batch` over arbitrary batch splits,
-* :meth:`PatternEngine.advance_columns` over per-stream ColumnBatches, and
+* :meth:`PatternEngine.advance_batch` over arbitrary batch splits, and
 * ``compiled=False`` (the permanent interpreted fallback).
 
 The fuzz here exercises Kleene greedy absorption, key constraints, local
@@ -22,14 +21,13 @@ import pytest
 from repro.cep.engine import PatternEngine, canonical_match_bytes
 from repro.cep.utility import UtilityModel
 from repro.engine.catalog import Catalog
-from repro.engine.columns import ColumnBatch
 from repro.engine.types import Column, ColumnType, Schema, StreamTuple
 from repro.sql.binder import Binder
 from repro.sql.parser import parse_statement
 
 FULL = "PATTERN SEQ(A a, B+ b, C c) WHERE a.k = b.k AND b.k = c.k WITHIN 2"
 
-#: Adds run-independent conjuncts (b.v > 4, c.v < 6) so the batch paths'
+#: Adds run-independent conjuncts (b.v > 4, c.v < 6) so the batch path's
 #: vectorized local pre-filter actually has events to discard.
 LOCAL = (
     "PATTERN SEQ(A a, B+ b, C c) "
@@ -96,22 +94,6 @@ def run_batches(pattern, events, rng, **kw):
     while i < len(events):
         j = i + rng.randrange(1, 64)
         out.extend(engine.advance_batch(events[i:j]))
-        i = j
-    return out, engine
-
-
-def run_columns(pattern, events, **kw):
-    """Per-stream ColumnBatch chunks at same-stream run boundaries."""
-    engine = PatternEngine(pattern, utility=UtilityModel(pattern.within), **kw)
-    out = []
-    i = 0
-    while i < len(events):
-        stream = events[i][0]
-        j = i
-        while j < len(events) and events[j][0] == stream:
-            j += 1
-        batch = ColumnBatch.from_stream_tuples([t for _, t in events[i:j]])
-        out.extend(engine.advance_columns(stream, batch))
         i = j
     return out, engine
 
@@ -191,16 +173,6 @@ class TestRowBatchParity:
         assert canonical_match_bytes(batches) == canonical_match_bytes(rows)
         assert stats_tuple(be) == stats_tuple(re_)
         assert be.active_runs == re_.active_runs
-
-    @pytest.mark.parametrize("seed", range(3))
-    @pytest.mark.parametrize("text", [FULL, LOCAL])
-    def test_column_batches_are_byte_identical(self, text, seed):
-        pattern = bind(text)
-        events = workload(seed)
-        rows, re_ = run_rows(pattern, events, max_runs=16)
-        cols, ce = run_columns(pattern, events, max_runs=16)
-        assert canonical_match_bytes(cols) == canonical_match_bytes(rows)
-        assert stats_tuple(ce) == stats_tuple(re_)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_interpreted_fallback_is_byte_identical(self, seed):

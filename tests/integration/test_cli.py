@@ -62,9 +62,7 @@ class TestCli:
             build_parser().parse_args(["nope"])
 
     def test_drop_policy_flag_parses(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--drop-policy", "head"]
-        )
+        args = build_parser().parse_args(["serve", "--drop-policy", "head"])
         assert args.drop_policy == "head"
         args = build_parser().parse_args(
             ["serve", "--drop-policy", "pattern-utility", "--pattern",
@@ -75,24 +73,7 @@ class TestCli:
 
     def test_drop_policy_flag_rejects_unknown(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["bench", "--drop-policy", "nope"])
-
-    def test_bench_cep_pattern_suite(self, tmp_path):
-        import json
-
-        out_path = tmp_path / "bench.json"
-        code, text = run_cli(
-            ["bench", "--quick", "--suite", "cep_pattern",
-             "--out", str(out_path)]
-        )
-        assert code == 0
-        doc = json.loads(out_path.read_text())
-        suite = doc["suites"]["cep_pattern"]
-        recall = suite["recall"]
-        assert recall["pattern-utility"] > recall["random"]
-        assert suite["drop_fraction"]["pattern-utility"] == pytest.approx(
-            suite["drop_fraction"]["random"]
-        )
+            build_parser().parse_args(["serve", "--drop-policy", "nope"])
 
     def test_fig8_svg_output(self, tmp_path):
         svg_path = tmp_path / "fig8.svg"
@@ -189,19 +170,3 @@ class TestCli:
         code, text = run_cli(["prof", str(bad)])
         assert code == 2
         assert "invalid profile" in text
-
-    def test_bench_profile_writes_per_suite_collapsed(self, tmp_path):
-        from repro.obs.prof import validate_collapsed
-
-        prof_dir = tmp_path / "profiles"
-        code, text = run_cli(
-            ["bench", "--quick", "--suite", "service_ingest",
-             "--out", str(tmp_path / "bench.json"),
-             "--profile", str(prof_dir)]
-        )
-        assert code == 0
-        assert "per-suite profiles" in text
-        header = validate_collapsed(
-            (prof_dir / "service_ingest.collapsed").read_text()
-        )
-        assert header["label"] == "service_ingest"

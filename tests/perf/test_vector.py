@@ -25,7 +25,6 @@ from repro.experiments import paper_catalog
 from repro.perf.compile import compile_query, compile_scalar, compile_tuple
 from repro.perf.vector import (
     compile_filter_vector,
-    compile_filter_vector_cols,
     compile_tuple_vector,
     vector_source,
 )
@@ -97,23 +96,6 @@ class TestKernelEquivalence:
         # Folded at compile time: no per-row work, no `x is True` on a literal.
         assert "range(len(rows))" in src_true
         assert "return []" in src_false
-
-    @pytest.mark.parametrize("pred", PREDS)
-    def test_filter_vector_cols_matches_rows(self, pred):
-        rows = random_rows(random.Random(5))
-        cols = [list(col) for col in zip(*rows)]
-        expected = compile_filter_vector(pred, SCHEMA)(rows)
-        assert compile_filter_vector_cols(pred, SCHEMA)(cols) == expected
-
-    def test_filter_vector_cols_empty_and_constant(self):
-        assert compile_filter_vector_cols(PREDS[0], SCHEMA)([[], [], []]) == []
-        assert compile_filter_vector_cols(Literal(False), SCHEMA)(
-            [[1], [2], [3.0]]
-        ) == []
-        # Constant-true folds to range over the column length, zero per-row work.
-        true_kernel = compile_filter_vector_cols(Literal(True), SCHEMA)
-        assert true_kernel([[1, 1], [2, 2], [3.0, 3.0]]) == [0, 1]
-        assert "cols[0]" in vector_source(true_kernel)
 
     def test_scalar_only_tuple_broadcasts(self):
         exprs = [Literal(7), BinaryOp("+", Literal(1), Literal(2))]

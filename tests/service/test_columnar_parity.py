@@ -175,3 +175,35 @@ def test_columnar_ingest_rejects_bad_batch_atomically():
     assert plane.known_windows == set()
     accepted, late, _, _ = plane.ingest_columns("S", [[1], [2]], [0.1])
     assert (accepted, late) == (1, 0)
+
+
+@pytest.mark.parametrize("shards", [1, 2])
+@pytest.mark.parametrize("stamps", [[0.1, 0.2], [0.1, 0.2, 0.3, 0.4]])
+def test_timestamps_length_mismatch_is_rejected_before_accounting(shards, stamps):
+    # Three rows with two or four stamps: neither framing may lose a row
+    # silently, raise a bare IndexError, or count anything before rejecting.
+    from repro.engine.types import SchemaError
+
+    pipeline = make_pipeline()
+    if shards == 1:
+        plane = StreamDataPlane(pipeline)
+    else:
+        plane = ShardedDataPlane(pipeline, shards)
+    try:
+        with pytest.raises(SchemaError, match="timestamps length"):
+            plane.ingest("R", [[1], [2], [3]], stamps)
+        with pytest.raises(SchemaError, match="timestamps length"):
+            plane.ingest_columns("R", [[1, 2, 3]], stamps)
+        plane.advance(0.0)  # refreshes the sharded coordinator's view
+        assert plane.known_windows == set()
+        assert plane.stats_snapshot()["R"][0] == 0  # QueueStats.offered
+        # The plane (and its worker) still serves a well-formed batch, and
+        # the window's arrival count holds nothing from the rejected ones.
+        ack = plane.ingest_columns("R", [[1, 2, 3]], [0.1, 0.2, 0.3])
+        assert ack[:2] == (3, 0)
+        plane.advance(0.0)
+        assert plane.known_windows == {0}
+        assert plane.collect([0]).arrived["R"] == {0: 3}
+    finally:
+        if shards > 1:
+            plane.close()

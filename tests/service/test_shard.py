@@ -217,6 +217,36 @@ def test_sharded_plane_facade_and_reset():
         plane.close()
 
 
+def test_sharded_close_reaches_metrics_registry():
+    # A real ingest -> advance -> collect cycle must land the shard gauges
+    # and the audit counters in the caller's registry.
+    from repro.obs.audit import DropLedger
+    from repro.service.metrics import MetricsRegistry
+
+    registry = MetricsRegistry()
+    pipeline = make_pipeline()
+    ledger = DropLedger(seed=0, metrics=registry)
+    plane = ShardedDataPlane(pipeline, 2, metrics=registry, audit=ledger)
+    try:
+        for source, rows, stamps in workload(n_windows=1)[0]:
+            plane.ingest(source, rows, stamps)
+        plane.advance(10.0)
+        due = plane.due_windows(10.0)
+        assert due
+        plane.collect(due)
+        plane.mark_closed(due)
+    finally:
+        plane.close()
+    doc = registry.to_dict()
+    depth_keys = {tuple(k.split("||")) for k in doc["shard_queue_depth"]["values"]}
+    assert depth_keys == {(str(plane.assignment[s]), s) for s in STREAMS}
+    merged = doc["shard_windows_merged_total"]["values"]
+    assert sum(merged.values()) == 2 * len(due)
+    assert doc["shard_merge_seconds"]["values"][""]["count"] >= 1
+    assert sum(doc["audit_events_total"]["values"].values()) > 0
+    assert "audit_windows_attributed_total" in doc
+
+
 def test_sharded_plane_propagates_schema_errors():
     from repro.engine.types import SchemaError
 
