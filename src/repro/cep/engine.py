@@ -29,8 +29,8 @@ The fast path (behaviour-preserving; every structure below produces the
 byte-identical match stream of the naive scan-everything engine):
 
 * **Compiled predicates** — step predicates are lowered through
-  :func:`repro.perf.compile.compile_scalar` against the env schema; any
-  :class:`~repro.perf.compile.CompileError` leaves that predicate on the
+  :func:`repro.perf.vector.compile_scalar` against the env schema; any
+  :class:`~repro.perf.vector.CompileError` leaves that predicate on the
   interpreted ``Expression.bind`` closure (the executor's permanent
   fallback idiom).  ``compiled=False`` forces the interpreted path.
 * **Stream/key-indexed run scheduling** — each run is indexed under one
@@ -61,8 +61,7 @@ from typing import Callable
 
 from repro.engine.expressions import BinaryOp, is_equijoin_conjunct
 from repro.engine.types import StreamTuple
-from repro.perf.compile import CompileError, compile_scalar
-from repro.perf.vector import compile_filter_vector
+from repro.perf.vector import CompileError, compile_filter_vector, compile_scalar
 from repro.sql.binder import BoundPattern
 
 #: Engine observer signature: ``observer(event, value)``.  Events:

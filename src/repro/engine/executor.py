@@ -133,16 +133,19 @@ class QueryExecutor:
     Two execution modes share one planner:
 
     * **compiled** (default) — on first execution of a bound query, the
-      physical plan is built *once* and its expressions are code-generated
-      into flat Python closures (:mod:`repro.perf.compile`).  Subsequent
-      windows re-bind only the leaf scans to the new input bags, skipping
-      per-window plan construction and per-row ``Evaluator`` dispatch.
-      Compiled plans are cached per executor, keyed on (query identity,
-      source-schema fingerprint).
+      plan is lowered *once* into a content-free operator tree whose
+      expressions are generated whole-column kernels
+      (:mod:`repro.perf.compile`).  The tree has one execution face,
+      ``batch(inputs)``: subsequent windows re-bind the leaf scans to the
+      new input bags by calling it, skipping per-window plan construction
+      and per-row ``Evaluator`` dispatch.  Compiled plans are cached per
+      executor, keyed on (query identity, source-schema fingerprint).
     * **interpreted** — the original per-window plan instantiation.  It is
-      the reference semantics; any query the compiler cannot handle falls
-      back here transparently (and the failure is remembered, so the
-      compile is not retried every window).
+      the reference semantics; any query the compiler cannot handle runs
+      here instead.  The failure is remembered with its reason (the
+      compile is not retried every window) and counted once per query as
+      ``plan_compile_fallback_total{reason=<ExcType>}`` in
+      :func:`repro.obs.metrics.global_registry`; EXPLAIN ANALYZE prints it.
     """
 
     #: Compiled-plan cache entries kept per executor before eviction.
@@ -152,10 +155,11 @@ class QueryExecutor:
         self.catalog = catalog
         self.compiled = compiled
         self._functions = catalog.functions
-        # key -> (bound, CompiledQuery | None); the bound reference keeps
-        # id(bound) stable for the lifetime of the entry, None marks a
-        # query that failed to compile (permanent interpreted fallback).
-        self._plan_cache: dict[tuple, tuple[object, object | None]] = {}
+        # key -> (bound, CompiledQuery | None, reason | None); the bound
+        # reference keeps id(bound) stable for the lifetime of the entry,
+        # None marks a query that failed to compile (permanent interpreted
+        # fallback) and ``reason`` says why ("<ExcType>: <msg>").
+        self._plan_cache: dict[tuple, tuple[object, object, str | None]] = {}
 
     # ------------------------------------------------------------------
     # Compiled mode
@@ -180,18 +184,32 @@ class QueryExecutor:
         entry = self._plan_cache.get(key)
         if entry is not None:
             return entry[1]
+        reason = None
         try:
             from repro.perf.compile import compile_query
 
             plan = compile_query(bound, self._functions)
-        except Exception:
+        except Exception as exc:
             # Anything the compiler cannot express runs interpreted; a
             # genuinely invalid query will raise its real error there.
+            from repro.obs.metrics import global_registry
+
             plan = None
+            reason = f"{type(exc).__name__}: {exc}"
+            global_registry().counter(
+                "plan_compile_fallback_total",
+                "Queries run interpreted because plan compilation failed",
+                ("reason",),
+            ).inc(reason=type(exc).__name__)
         if len(self._plan_cache) >= self.PLAN_CACHE_SIZE:
             self._plan_cache.clear()
-        self._plan_cache[key] = (bound, plan)
+        self._plan_cache[key] = (bound, plan, reason)
         return plan
+
+    def _fallback_reason(self, bound) -> str | None:
+        """Why ``bound`` runs interpreted on a compiled executor, if it does."""
+        entry = self._plan_cache.get(self._plan_key(bound))
+        return entry[2] if entry is not None else None
 
     # ------------------------------------------------------------------
     def execute(self, bound, inputs: dict[str, Multiset]) -> QueryResult:

@@ -8,20 +8,24 @@ executor mode:
 * **compiled** — the cached :class:`~repro.perf.compile.CompiledNode` tree
   is *never mutated* (it is shared across windows and cached per executor);
   instead each node is shallow-copied and its child links are replaced with
-  counting proxies, so the profiled tree is a throwaway parallel structure;
+  counting proxies, so the profiled tree is a throwaway parallel structure.
+  A proxy brackets the node's one execution face, ``batch(inputs)``, with
+  a single clock pair;
 * **interpreted** — the physical plan is built fresh for the call (exactly
   as :meth:`~repro.engine.executor.QueryExecutor.execute_interpreted`
-  does per window) and wrapped the same way.
+  does per window) and each operator's iterator is wrapped in a
+  per-``next()`` clock.  When the executor runs compiled but the query
+  fell back, the report carries the reason.
 
 Timing is *inclusive*: a node's seconds cover everything spent producing
 its rows, children included — the same convention as PostgreSQL's
 ``EXPLAIN ANALYZE`` actual-time column.  :func:`render_profile` derives the
 exclusive ("self") share by subtracting the children.
 
-Profiling wraps every ``next()`` in a clock read, so a profiled execution
-is slower than a plain one; use it to find *where* time goes, and the repo
-benchmark (``benchmarks/e2e/run.py``) to measure *how fast* the plain path
-is.
+Profiling adds clock reads (one pair per compiled node, one per interpreted
+``next()``), so a profiled execution is slower than a plain one; use it to
+find *where* time goes, and the repo benchmark (``benchmarks/e2e/run.py``)
+to measure *how fast* the plain path is.
 """
 
 from __future__ import annotations
@@ -87,6 +91,8 @@ class ProfileReport:
     result: QueryResult
     root: OperatorProfile
     mode: str  # "compiled" | "interpreted"
+    #: Why a compiled executor ran this query interpreted ("<ExcType>: <msg>").
+    fallback: str | None = None
 
     @property
     def seconds(self) -> float:
@@ -133,11 +139,8 @@ class _ProfiledIter:
 class _CompiledProxy:
     """Stands in for a compiled node's child: same rows, counted.
 
-    Forwards both execution faces — ``iterate`` (per-row, wrapped in the
-    per-``next()`` clock) and ``batch`` (the PR 7 vectorized whole-window
-    path, bracketed once) — so parents that prefer ``batch`` via
-    :func:`~repro.perf.compile._rows_of` still report the rows that flowed
-    through this node.
+    Implements the node's one face, ``batch``, bracketed by a single clock
+    pair, so the parent reports the rows that flowed through this node.
     """
 
     __slots__ = ("_node", "_prof")
@@ -149,9 +152,6 @@ class _CompiledProxy:
     @property
     def schema(self):
         return self._node.schema
-
-    def iterate(self, inputs):
-        return iter(_ProfiledIter(_BoundIterate(self._node, inputs), self._prof))
 
     def batch(self, inputs):
         prof = self._prof
@@ -187,19 +187,6 @@ class _CompiledJoinProxy(_CompiledProxy):
         prof.seconds += _CLOCK() - t0
         prof.rows_out += sum(mult)
         return lrows, mult
-
-
-class _BoundIterate:
-    """Adapter giving ``node.iterate(inputs)`` an ``__iter__`` face."""
-
-    __slots__ = ("_node", "_inputs")
-
-    def __init__(self, node, inputs) -> None:
-        self._node = node
-        self._inputs = inputs
-
-    def __iter__(self):
-        return iter(self._node.iterate(self._inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +313,12 @@ def profile_execution(executor, bound, inputs) -> ProfileReport:
             _finish_synthetic(root, result, elapsed)
             return ProfileReport(result=result, root=root, mode="compiled")
     result, root = _profile_interpreted(executor, bound, inputs)
-    return ProfileReport(result=result, root=root, mode="interpreted")
+    return ProfileReport(
+        result=result,
+        root=root,
+        mode="interpreted",
+        fallback=executor._fallback_reason(bound),
+    )
 
 
 def _finish_synthetic(prof: OperatorProfile, result: QueryResult, elapsed: float) -> None:
@@ -380,7 +372,8 @@ def _fmt_ms(seconds: float) -> str:
 def render_profile(report: ProfileReport) -> str:
     """EXPLAIN ANALYZE text: the profiled tree plus a totals line."""
     out = io.StringIO()
-    out.write(f"EXPLAIN ANALYZE ({report.mode})\n")
+    why = f"; fallback: {report.fallback}" if report.fallback else ""
+    out.write(f"EXPLAIN ANALYZE ({report.mode}{why})\n")
 
     def render(prof: OperatorProfile, indent: int) -> None:
         label = prof.name + (f" {prof.detail}" if prof.detail else "")

@@ -7,31 +7,36 @@ evaluates through a tree of nested ``Evaluator`` closures — one Python call
 per operator node per row.
 
 This module removes both.  :func:`compile_query` lowers a bound query into
-
-* **flat row closures** — each expression tree becomes one generated Python
-  function (SSA-style statements, common subexpressions shared), so a
-  predicate or projection is a single call per row regardless of depth; and
-* **a reusable operator tree** — compiled nodes hold positions and closures
-  only; per window they are *re-bound* to the new input bags via
-  ``iterate(inputs)`` instead of being rebuilt.
+**a reusable operator tree** whose nodes hold positions and vector kernels
+only (:mod:`repro.perf.vector` lowers each predicate / projection /
+aggregate-input expression list into one generated whole-column function).
+A node has exactly one execution face, ``batch(inputs) -> list[tuple]``:
+per window the tree is *re-bound* to the new input bags by calling it, not
+rebuilt, and every operator consumes and produces whole row lists —
+filters gather by index vector, joins extend one output list, COUNT(*)
+over a join counts fan-out without materializing the join.
 
 Semantics are the interpreted path's, verbatim: SQL three-valued logic with
 both operands always evaluated (no short-circuit, so error behaviour
 matches), identical join order (the shared
 :func:`repro.engine.executor.join_schedule`), identical schema derivation,
-and identical NULL handling in joins and aggregates.  The equivalence test
-suite (``tests/engine/test_compiled_equivalence.py``) holds the two paths
+identical NULL handling in joins and aggregates, and identical row *order*
+(probe order, group first-occurrence order — ``LIMIT`` without ``ORDER BY``
+sees it).  The equivalence test suite
+(``tests/engine/test_compiled_equivalence.py``) holds the two paths
 result-identical over the paper workloads and a randomized SPJ corpus.
 
-Any construct this compiler cannot express raises :class:`CompileError`;
-:class:`~repro.engine.executor.QueryExecutor` then falls back to the
-interpreted path permanently for that query.
+Any construct the lowering cannot express raises
+:class:`~repro.perf.vector.CompileError`;
+:class:`~repro.engine.executor.QueryExecutor` then runs that query on the
+interpreter for good and counts the fallback
+(``plan_compile_fallback_total``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from typing import Any
 
 from repro.algebra.multiset import Multiset
@@ -48,248 +53,22 @@ from repro.engine.expressions import (
     BinaryOp,
     ColumnRef,
     Expression,
-    FunctionCall,
     Literal,
     UnaryOp,
     conjoin,
     resolve_column,
 )
 from repro.engine.types import Column, ColumnType, Schema
-
-
-class CompileError(RuntimeError):
-    """Raised when a query shape cannot be lowered to generated code."""
-
-
-# ---------------------------------------------------------------------------
-# Expression lowering
-# ---------------------------------------------------------------------------
-_PY_OPS = {
-    "=": "==",
-    "!=": "!=",
-    "<>": "!=",
-    "<": "<",
-    "<=": "<=",
-    ">": ">",
-    ">=": ">=",
-    "+": "+",
-    "-": "-",
-    "*": "*",
-    "/": "/",
-    "%": "%",
-}
-
-#: Literal types safe to inline as source text (repr round-trips exactly).
-_INLINE_LITERALS = (bool, int, str, type(None))
-
-
-class _Emitter:
-    """Lowers expression trees into SSA-style Python statements.
-
-    Nodes are emitted post-order into numbered temporaries; structurally
-    equal subtrees (expressions are frozen dataclasses, hence hashable)
-    share one temporary, so ``R.a = S.b AND R.a > 5`` loads ``R.a`` once.
-    """
-
-    def __init__(self, schema: Schema, functions) -> None:
-        self.schema = schema
-        self.functions = functions or {}
-        self.lines: list[str] = []
-        self.env: dict[str, Any] = {}
-        self._n = 0
-        self._cse: dict[Expression, str] = {}
-        self._lit: dict[str, Any] = {}  # inline-literal atom -> its value
-
-    def _fresh(self) -> str:
-        self._n += 1
-        return f"_t{self._n}"
-
-    def _stmt(
-        self, target: str, body: str, deps: tuple = (), volatile: bool = False
-    ) -> None:
-        """Emit one SSA statement ``target = body``.
-
-        ``deps`` lists every atom the body references — unused here, but
-        the vectorizing subclass (:mod:`repro.perf.vector`) rewrites the
-        statement into a list comprehension over its vector-valued deps.
-        ``volatile`` marks bodies that must run once per row even with no
-        row-dependent inputs (user function calls may be impure).
-        """
-        self.lines.append(f"{target} = {body}")
-
-    def _const(self, value: Any) -> str:
-        name = f"_c{len(self.env)}"
-        self.env[name] = value
-        return name
-
-    def emit(self, expr: Expression) -> str:
-        """Return an atom (temp name or inline source) holding ``expr``."""
-        atom = self._cse.get(expr)
-        if atom is None:
-            atom = self._lower(expr)
-            self._cse[expr] = atom
-        return atom
-
-    def _lower(self, expr: Expression) -> str:
-        if isinstance(expr, ColumnRef):
-            return f"row[{resolve_column(expr, self.schema)}]"
-        if isinstance(expr, Literal):
-            if type(expr.value) in _INLINE_LITERALS:
-                atom = repr(expr.value)
-                self._lit.setdefault(atom, expr.value)
-                return atom
-            return self._const(expr.value)
-        if isinstance(expr, BinaryOp):
-            return self._lower_binary(expr)
-        if isinstance(expr, UnaryOp):
-            a = self.emit(expr.operand)
-            t = self._fresh()
-            op = expr.op.upper()
-            if op == "NOT":
-                val = f"not ({a})"
-            elif expr.op == "-":
-                val = f"-({a})"
-            else:
-                raise CompileError(f"unknown unary operator {expr.op!r}")
-            nt = self._null_test(a)
-            if nt == "False":
-                body = val
-            elif nt == "True":
-                body = "None"
-            else:
-                body = f"None if {nt} else {val}"
-            self._stmt(t, body, (a,))
-            return t
-        if isinstance(expr, FunctionCall):
-            try:
-                fn = self.functions[expr.name.lower()]
-            except KeyError:
-                raise CompileError(f"unknown function {expr.name!r}") from None
-            args = [self.emit(a) for a in expr.args]
-            fvar = self._const(fn)
-            t = self._fresh()
-            self._stmt(t, f"{fvar}({', '.join(args)})", tuple(args), volatile=True)
-            return t
-        raise CompileError(f"cannot compile {type(expr).__name__} nodes")
-
-    def _null_test(self, *atoms: str) -> str:
-        """Source for "any operand is NULL"; folds statically-known atoms.
-
-        Returns ``"True"``/``"False"`` when decidable at compile time so no
-        ``<literal> is None`` comparison ever reaches the generated code.
-        """
-        parts = []
-        for x in atoms:
-            if x in self._lit:
-                if self._lit[x] is None:
-                    return "True"
-                continue  # a non-None literal can never be NULL
-            parts.append(f"{x} is None")
-        return " or ".join(parts) if parts else "False"
-
-    def _is_test(self, atom: str, const: bool) -> str:
-        """Source for ``atom is True/False``; folds literal atoms."""
-        if atom in self._lit:
-            return "True" if self._lit[atom] is const else "False"
-        return f"{atom} is {const}"
-
-    def _lower_binary(self, expr: BinaryOp) -> str:
-        op = expr.op.upper() if expr.op.isalpha() else expr.op
-        # Post-order: both operands are materialized before the combiner,
-        # exactly like the interpreted evaluator (no short-circuit — a
-        # raising right operand raises here too).
-        a = self.emit(expr.left)
-        b = self.emit(expr.right)
-        t = self._fresh()
-        nt = self._null_test(a, b)
-        if op in ("AND", "OR"):
-            const = False if op == "AND" else True
-            word = "and" if op == "AND" else "or"
-            absorb = " or ".join(
-                p for p in (self._is_test(a, const), self._is_test(b, const))
-                if p != "False"
-            ) or "False"
-            if absorb == "True":
-                body = f"{const}"
-            elif nt == "True":
-                body = f"{const} if {absorb} else None"
-            else:
-                inner = (
-                    f"bool({a}) {word} bool({b})"
-                    if nt == "False"
-                    else f"None if {nt} else bool({a}) {word} bool({b})"
-                )
-                if absorb == "False":
-                    body = inner
-                else:
-                    body = f"{const} if {absorb} else ({inner})"
-        else:
-            try:
-                py = _PY_OPS[expr.op]
-            except KeyError:
-                raise CompileError(
-                    f"unknown binary operator {expr.op!r}"
-                ) from None
-            if nt == "False":
-                body = f"{a} {py} {b}"
-            elif nt == "True":
-                body = "None"
-            else:
-                body = f"None if {nt} else {a} {py} {b}"
-        self._stmt(t, body, (a, b))
-        return t
-
-
-def _finish(em: _Emitter, return_expr: str, name: str) -> Callable:
-    body = "\n    ".join(em.lines) if em.lines else "pass"
-    src = f"def {name}(row):\n    {body}\n    return {return_expr}\n"
-    namespace = dict(em.env)
-    exec(compile(src, f"<repro.perf.compile:{name}>", "exec"), namespace)
-    fn = namespace[name]
-    fn.__repro_source__ = src  # introspection / EXPLAIN / debugging
-    return fn
-
-
-def compile_scalar(
-    expr: Expression, schema: Schema, functions=None
-) -> Callable[[tuple], Any]:
-    """Compile one expression into a flat ``row -> value`` closure."""
-    em = _Emitter(schema, functions)
-    return _finish(em, em.emit(expr), "_compiled_scalar")
-
-
-def compile_tuple(
-    exprs: list[Expression], schema: Schema, functions=None
-) -> Callable[[tuple], tuple]:
-    """Compile expressions into one ``row -> (v0, v1, ...)`` closure."""
-    em = _Emitter(schema, functions)
-    atoms = [em.emit(e) for e in exprs]
-    return _finish(em, "(" + "".join(a + ", " for a in atoms) + ")", "_compiled_tuple")
+from repro.perf.vector import (
+    CompileError,
+    compile_filter_vector,
+    compile_tuple_vector,
+)
 
 
 # ---------------------------------------------------------------------------
 # Compiled operator tree
 # ---------------------------------------------------------------------------
-def _try_vector_pred(expr, schema, functions) -> Callable | None:
-    """A vectorized predicate kernel, or None (row fallback) on failure."""
-    from repro.perf.vector import compile_filter_vector
-
-    try:
-        return compile_filter_vector(expr, schema, functions)
-    except CompileError:
-        return None
-
-
-def _try_vector_tuple(exprs, schema, functions) -> Callable | None:
-    """A vectorized tuple kernel, or None (row fallback) on failure."""
-    from repro.perf.vector import compile_tuple_vector
-
-    try:
-        return compile_tuple_vector(exprs, schema, functions)
-    except CompileError:
-        return None
-
-
 def _pure_key_positions(exprs, schema) -> frozenset | None:
     """Column positions read by ``exprs``, or None when ineligible.
 
@@ -318,41 +97,23 @@ def _pure_key_positions(exprs, schema) -> frozenset | None:
     return frozenset(acc)
 
 
-def _rows_of(node, inputs) -> list[tuple]:
-    """All of a node's output rows as one list.
-
-    Prefers the node's ``batch`` method; profiling proxies
-    (:mod:`repro.obs.profile` wraps nodes with iterate-only counters) and
-    any other iterate-only node fall back to draining ``iterate`` — same
-    rows, same order.
-    """
-    batch = getattr(node, "batch", None)
-    if batch is not None:
-        return batch(inputs)
-    return list(node.iterate(inputs))
-
-
 class CompiledNode:
-    """A plan node bound to schemas and closures, re-bindable to inputs.
+    """A plan node bound to schemas and vector kernels, re-bindable to inputs.
 
     Unlike :class:`~repro.engine.operators.PhysicalOperator` (which holds a
-    window's rows), a compiled node is content-free: ``iterate(inputs)``
-    binds it to one window's input bags, so the tree is built once per query
-    and reused for every window.  ``batch(inputs)`` returns the same rows
-    in the same order as draining ``iterate(inputs)``, but whole-batch:
-    filters/projections run vectorized kernels, joins build output lists
-    without generator resumption.
+    window's rows), a compiled node is content-free: ``batch(inputs)``
+    binds it to one window's input bags and returns all of its output rows
+    as one list, so the tree is built once per query and reused for every
+    window.  Row order is part of the contract — it is the interpreted
+    operator's iteration order.
     """
 
     __slots__ = ("schema",)
 
     schema: Schema
 
-    def iterate(self, inputs: dict[str, Multiset]) -> Iterator[tuple]:
-        raise NotImplementedError
-
     def batch(self, inputs: dict[str, Multiset]) -> list[tuple]:
-        return list(self.iterate(inputs))
+        raise NotImplementedError
 
 
 class _CScan(CompiledNode):
@@ -362,12 +123,6 @@ class _CScan(CompiledNode):
         self.key_lower = stream_name.lower()
         self.key = stream_name
         self.schema = schema
-
-    def iterate(self, inputs):
-        rows = inputs.get(self.key_lower)
-        if rows is None:
-            rows = inputs.get(self.key)
-        return iter(rows) if rows is not None else iter(())
 
     def batch(self, inputs):
         rows = inputs.get(self.key_lower)
@@ -387,70 +142,38 @@ class _CSubquery(CompiledNode):
         self.inner = inner
         self.schema = schema
 
-    def iterate(self, inputs):
-        return iter(self.inner.execute(inputs).rows)
-
     def batch(self, inputs):
         return self.inner.execute(inputs).rows.rows_list()
 
 
 class _CFilter(CompiledNode):
-    __slots__ = ("child", "pred", "vpred")
+    __slots__ = ("child", "vpred")
 
-    def __init__(
-        self, child: CompiledNode, pred: Callable, vpred: Callable | None = None
-    ) -> None:
+    def __init__(self, child: CompiledNode, vpred: Callable) -> None:
         self.child = child
-        self.pred = pred
         self.vpred = vpred
         self.schema = child.schema
 
-    def iterate(self, inputs):
-        pred = self.pred
-        for row in self.child.iterate(inputs):
-            if pred(row) is True:
-                yield row
-
     def batch(self, inputs):
-        rows = _rows_of(self.child, inputs)
+        rows = self.child.batch(inputs)
         if not rows:
             return rows
-        vpred = self.vpred
-        if vpred is not None:
-            return [rows[i] for i in vpred(rows)]
-        pred = self.pred
-        return [row for row in rows if pred(row) is True]
+        return [rows[i] for i in self.vpred(rows)]
 
 
 class _CProject(CompiledNode):
-    __slots__ = ("child", "row_fn", "vrow_fn")
+    __slots__ = ("child", "vrow_fn")
 
-    def __init__(
-        self,
-        child: CompiledNode,
-        row_fn: Callable,
-        schema: Schema,
-        vrow_fn: Callable | None = None,
-    ) -> None:
+    def __init__(self, child: CompiledNode, vrow_fn: Callable, schema: Schema) -> None:
         self.child = child
-        self.row_fn = row_fn
         self.vrow_fn = vrow_fn
         self.schema = schema
 
-    def iterate(self, inputs):
-        row_fn = self.row_fn
-        for row in self.child.iterate(inputs):
-            yield row_fn(row)
-
     def batch(self, inputs):
-        rows = _rows_of(self.child, inputs)
+        rows = self.child.batch(inputs)
         if not rows:
             return rows
-        vrow_fn = self.vrow_fn
-        if vrow_fn is not None:
-            return vrow_fn(rows)
-        row_fn = self.row_fn
-        return [row_fn(row) for row in rows]
+        return self.vrow_fn(rows)
 
 
 class _CHashJoin(CompiledNode):
@@ -475,57 +198,13 @@ class _CHashJoin(CompiledNode):
         self.rpos = tuple(rpos)
         self.schema = left.schema.concat(right.schema)
 
-    def iterate(self, inputs):
-        if len(self.rpos) == 1:
-            yield from self._iterate_single(inputs)
-            return
-        table: dict[tuple, list[tuple]] = {}
-        rpos = self.rpos
-        setdefault = table.setdefault
-        for row in self.right.iterate(inputs):
-            key = tuple(row[p] for p in rpos)
-            if None not in key:
-                setdefault(key, []).append(row)
-        if not table:
-            return
-        lpos = self.lpos
-        get = table.get
-        for lrow in self.left.iterate(inputs):
-            key = tuple(lrow[p] for p in lpos)
-            if None in key:
-                continue
-            matches = get(key)
-            if matches is not None:
-                for rrow in matches:
-                    yield lrow + rrow
-
-    def _iterate_single(self, inputs):
-        rp = self.rpos[0]
-        table: dict[Any, list[tuple]] = {}
-        setdefault = table.setdefault
-        for row in self.right.iterate(inputs):
-            key = row[rp]
-            if key is not None:
-                setdefault(key, []).append(row)
-        if not table:
-            return
-        lp = self.lpos[0]
-        get = table.get
-        for lrow in self.left.iterate(inputs):
-            key = lrow[lp]
-            if key is None:
-                continue
-            matches = get(key)
-            if matches is not None:
-                for rrow in matches:
-                    yield lrow + rrow
-
     def batch(self, inputs):
-        # Same pairs, same order as iterate, but output rows land in one
-        # list via extend-with-listcomp instead of per-row generator
-        # resumption — the dominant cost of wide joins.
+        # Probe order (left rows, then each key's build-side arrival order)
+        # is the interpreted HashJoin's; output rows land in one list via
+        # extend-with-listcomp instead of per-row generator resumption —
+        # the dominant cost of wide joins.
         out: list[tuple] = []
-        right_rows = _rows_of(self.right, inputs)
+        right_rows = self.right.batch(inputs)
         if len(self.rpos) == 1:
             rp = self.rpos[0]
             table: dict[Any, list[tuple]] = {}
@@ -540,7 +219,7 @@ class _CHashJoin(CompiledNode):
             get = table.get
             append = out.append
             extend = out.extend
-            for lrow in _rows_of(self.left, inputs):
+            for lrow in self.left.batch(inputs):
                 key = lrow[lp]
                 if key is None:
                     continue
@@ -564,7 +243,7 @@ class _CHashJoin(CompiledNode):
         mget = mtable.get
         append = out.append
         extend = out.extend
-        for lrow in _rows_of(self.left, inputs):
+        for lrow in self.left.batch(inputs):
             key = tuple(lrow[p] for p in lpos)
             if None in key:
                 continue
@@ -586,7 +265,7 @@ class _CHashJoin(CompiledNode):
         materialize their output (concatenating ``lrow + rrow`` per pair
         is most of a join-heavy plan's cost).
         """
-        right_rows = _rows_of(self.right, inputs)
+        right_rows = self.right.batch(inputs)
         lrows: list[tuple] = []
         mult: list[int] = []
         if len(self.rpos) == 1:
@@ -603,7 +282,7 @@ class _CHashJoin(CompiledNode):
             get = counts.get
             la = lrows.append
             ma = mult.append
-            for lrow in _rows_of(self.left, inputs):
+            for lrow in self.left.batch(inputs):
                 key = lrow[lp]
                 if key is None:
                     continue
@@ -625,7 +304,7 @@ class _CHashJoin(CompiledNode):
         get = mcounts.get
         la = lrows.append
         ma = mult.append
-        for lrow in _rows_of(self.left, inputs):
+        for lrow in self.left.batch(inputs):
             key = tuple(lrow[p] for p in lpos)
             if None in key:
                 continue
@@ -637,64 +316,40 @@ class _CHashJoin(CompiledNode):
 
 
 class _CNestedLoop(CompiledNode):
-    __slots__ = ("left", "right", "pred")
+    """Cross product; residual predicates are a :class:`_CFilter` above it."""
 
-    def __init__(
-        self,
-        left: CompiledNode,
-        right: CompiledNode,
-        pred: Callable | None,
-    ) -> None:
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: CompiledNode, right: CompiledNode) -> None:
         self.left = left
         self.right = right
-        self.pred = pred
         self.schema = left.schema.concat(right.schema)
 
-    def iterate(self, inputs):
-        right_rows = list(self.right.iterate(inputs))
-        pred = self.pred
-        for lrow in self.left.iterate(inputs):
-            for rrow in right_rows:
-                row = lrow + rrow
-                if pred is None or pred(row) is True:
-                    yield row
-
     def batch(self, inputs):
-        right_rows = _rows_of(self.right, inputs)
+        right_rows = self.right.batch(inputs)
+        # The left side is evaluated even against an empty right side, so
+        # a raising left subtree raises as it does in the interpreter.
+        left_rows = self.left.batch(inputs)
         out: list[tuple] = []
-        if not right_rows:
-            # iterate() still drains the left side in this case; keep any
-            # error behaviour of the left subtree identical.
-            _rows_of(self.left, inputs)
-            return out
-        pred = self.pred
-        extend = out.extend
-        for lrow in _rows_of(self.left, inputs):
-            if pred is None:
+        if right_rows:
+            extend = out.extend
+            for lrow in left_rows:
                 extend([lrow + rrow for rrow in right_rows])
-            else:
-                extend(
-                    [
-                        row
-                        for rrow in right_rows
-                        if pred(row := lrow + rrow) is True
-                    ]
-                )
         return out
 
 
 class _CAggregate(CompiledNode):
-    """GROUP BY + aggregates via one compiled key/argument closure.
+    """GROUP BY + aggregates via one vector key/argument kernel.
 
     The running-state layout and finalization mirror
     :class:`~repro.engine.operators.HashAggregate` exactly (totals start at
     ``0.0`` so SUM of integers stays float; NULL arguments are skipped by
-    everything except ``COUNT(*)``; empty input yields no groups).
+    everything except ``COUNT(*)``; empty input yields no groups; groups
+    come out in first-occurrence order).
     """
 
     __slots__ = (
-        "child", "row_fn", "vrow_fn", "n_keys", "agg_slots", "functions_",
-        "key_positions",
+        "child", "vrow_fn", "n_keys", "agg_slots", "functions_", "key_positions",
     )
 
     def __init__(
@@ -713,8 +368,7 @@ class _CAggregate(CompiledNode):
             else:
                 slots.append(len(exprs))
                 exprs.append(spec.argument)
-        self.row_fn = compile_tuple(exprs, child.schema, functions)
-        self.vrow_fn = _try_vector_tuple(exprs, child.schema, functions)
+        self.vrow_fn = compile_tuple_vector(exprs, child.schema, functions)
         self.n_keys = len(group_by)
         self.key_positions = _pure_key_positions(
             [e for _, e in group_by], child.schema
@@ -733,66 +387,12 @@ class _CAggregate(CompiledNode):
             cols.append(Column(spec.output_name, t))
         self.schema = Schema(cols)
 
-    def iterate(self, inputs):
-        row_fn = self.row_fn
-        nk = self.n_keys
-        slots = self.agg_slots
-        n = len(slots)
-        if all(slot is None for slot in slots):
-            # Pure COUNT(*) (the paper query's shape): the per-row work
-            # collapses to one dict bump — no slot scan, no key slicing.
-            counts: dict[tuple, int] = {}
-            cget = counts.get
-            for row in self.child.iterate(inputs):
-                key = row_fn(row)
-                counts[key] = cget(key, 0) + 1
-            for key, count in counts.items():
-                yield key + (count,) * n
-            return
-        # state: [count, nonnull[], total[], min[], max[]]
-        groups: dict[tuple, list] = {}
-        get = groups.get
-        for row in self.child.iterate(inputs):
-            vals = row_fn(row)
-            key = vals[:nk]
-            state = get(key)
-            if state is None:
-                state = groups[key] = [0, [0] * n, [0.0] * n, [None] * n, [None] * n]
-            state[0] += 1
-            nonnull, total, minimum, maximum = state[1], state[2], state[3], state[4]
-            for i, slot in enumerate(slots):
-                if slot is None:
-                    continue
-                v = vals[slot]
-                if v is None:
-                    continue
-                nonnull[i] += 1
-                total[i] += v
-                if minimum[i] is None or v < minimum[i]:
-                    minimum[i] = v
-                if maximum[i] is None or v > maximum[i]:
-                    maximum[i] = v
-        fns = self.functions_
-        for key, state in groups.items():
-            out = list(key)
-            count, nonnull, total, minimum, maximum = state
-            for i, fn in enumerate(fns):
-                if fn == "count":
-                    out.append(count if slots[i] is None else nonnull[i])
-                elif fn == "sum":
-                    out.append(total[i] if nonnull[i] else None)
-                elif fn == "avg":
-                    out.append(total[i] / nonnull[i] if nonnull[i] else None)
-                elif fn == "min":
-                    out.append(minimum[i])
-                else:  # max
-                    out.append(maximum[i])
-            yield tuple(out)
-
     def batch(self, inputs):
         slots = self.agg_slots
         n = len(slots)
         if all(slot is None for slot in slots):
+            # Pure COUNT(*) (the paper query's shape): no slot scan, no key
+            # slicing — the kernel's output tuple *is* the group key.
             child = self.child
             kp = self.key_positions
             # Duck-typed on left_match_counts so profiling proxies (which
@@ -808,44 +408,31 @@ class _CAggregate(CompiledNode):
                 # left-side columns, so count each left row's join fan-out
                 # instead of materializing the concatenated output.  Group
                 # first-occurrence order equals probe order, which is the
-                # order iterate() first bumps each key.
+                # order the interpreter first sees each key.
                 lrows, mult = lmc(inputs)
                 if not lrows:
                     return []
-                vrow_fn = self.vrow_fn
-                if vrow_fn is not None:
-                    keys = vrow_fn(lrows)
-                else:
-                    row_fn = self.row_fn
-                    keys = [row_fn(row) for row in lrows]
                 counts: dict[tuple, int] = {}
                 cget = counts.get
-                for key, m in zip(keys, mult):
+                for key, m in zip(self.vrow_fn(lrows), mult):
                     counts[key] = cget(key, 0) + m
                 return [key + (c,) * n for key, c in counts.items()]
-            rows = _rows_of(child, inputs)
-            # Pure COUNT(*): vectorized key computation + Counter's C-level
-            # counting loop.  Counter preserves first-occurrence order, so
-            # group order matches the dict-bump loop in iterate().
+            rows = child.batch(inputs)
             if not rows:
                 return []
-            vrow_fn = self.vrow_fn
-            if vrow_fn is not None:
-                keys = vrow_fn(rows)
-            else:
-                row_fn = self.row_fn
-                keys = [row_fn(row) for row in rows]
-            return [key + (c,) * n for key, c in Counter(keys).items()]
-        rows = _rows_of(self.child, inputs)
-        if rows and self.vrow_fn is not None:
-            vals_list = self.vrow_fn(rows)
-        else:
-            row_fn = self.row_fn
-            vals_list = [row_fn(row) for row in rows]
+            # Counter's C-level counting loop preserves first-occurrence
+            # order, so group order matches the interpreter's.
+            return [
+                key + (c,) * n for key, c in Counter(self.vrow_fn(rows)).items()
+            ]
+        rows = self.child.batch(inputs)
+        if not rows:
+            return []
         nk = self.n_keys
+        # state: [count, nonnull[], total[], min[], max[]]
         groups: dict[tuple, list] = {}
         get = groups.get
-        for vals in vals_list:
+        for vals in self.vrow_fn(rows):
             key = vals[:nk]
             state = get(key)
             if state is None:
@@ -891,18 +478,9 @@ class _CDistinct(CompiledNode):
         self.child = child
         self.schema = child.schema
 
-    def iterate(self, inputs):
-        seen: set[tuple] = set()
-        add = seen.add
-        for row in self.child.iterate(inputs):
-            if row not in seen:
-                add(row)
-                yield row
-
     def batch(self, inputs):
-        # dict.fromkeys keeps first occurrences in order — same rows, same
-        # order as the seen-set loop in iterate().
-        return list(dict.fromkeys(_rows_of(self.child, inputs)))
+        # dict.fromkeys keeps first occurrences, in order.
+        return list(dict.fromkeys(self.child.batch(inputs)))
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +499,7 @@ class CompiledQuery:
 
     def execute(self, inputs: dict[str, Multiset]) -> QueryResult:
         bound = self.bound
-        rows = _rows_of(self.root, inputs)
+        rows = self.root.batch(inputs)
         if not bound.order_by and bound.limit is None:
             return QueryResult(rows=Multiset(rows), schema=self.schema)
         if bound.order_by:
@@ -979,9 +557,7 @@ def _compile_select(bound, functions) -> CompiledNode:
         if pred is not None:
             node = per_source[name]
             per_source[name] = _CFilter(
-                node,
-                compile_scalar(pred, node.schema, functions),
-                _try_vector_pred(pred, node.schema, functions),
+                node, compile_filter_vector(pred, node.schema, functions)
             )
 
     order = [src.name for src in bound.sources]
@@ -989,7 +565,7 @@ def _compile_select(bound, functions) -> CompiledNode:
     for step in join_schedule(bound):
         right = per_source[step.source]
         if step.is_cross:
-            current = _CNestedLoop(current, right, None)
+            current = _CNestedLoop(current, right)
         else:
             lpos = [current.schema.position(k) for k in step.keys_left]
             rpos = [right.schema.position(k) for k in step.keys_right]
@@ -998,9 +574,7 @@ def _compile_select(bound, functions) -> CompiledNode:
     residual = conjoin(bound.residual_predicates)
     if residual is not None:
         current = _CFilter(
-            current,
-            compile_scalar(residual, current.schema, functions),
-            _try_vector_pred(residual, current.schema, functions),
+            current, compile_filter_vector(residual, current.schema, functions)
         )
 
     if bound.is_aggregate:
@@ -1008,23 +582,18 @@ def _compile_select(bound, functions) -> CompiledNode:
         if bound.having is not None:
             current = _CFilter(
                 current,
-                compile_scalar(bound.having, current.schema, functions),
-                _try_vector_pred(bound.having, current.schema, functions),
+                compile_filter_vector(bound.having, current.schema, functions),
             )
     elif not bound.select_star:
         outputs = bound.outputs
-        exprs = [e for _, e in outputs]
-        row_fn = compile_tuple(exprs, current.schema, functions)
+        vrow_fn = compile_tuple_vector(
+            [e for _, e in outputs], current.schema, functions
+        )
         types = [_infer_type(expr, current.schema) for _, expr in outputs]
         schema = Schema(
             [Column(name, t) for (name, _), t in zip(outputs, types)]
         )
-        current = _CProject(
-            current,
-            row_fn,
-            schema,
-            _try_vector_tuple(exprs, current.schema, functions),
-        )
+        current = _CProject(current, vrow_fn, schema)
 
     if bound.distinct:
         current = _CDistinct(current)

@@ -7,13 +7,12 @@ library into that deployment: a long-running asyncio TCP server
 per-window synopses via the same :class:`~repro.core.triage_queue.TriageQueue`
 machinery the simulator uses, evaluates each closed window's composite
 (exact + approximate) answer, and fans it out to subscribers — while a
-dependency-free telemetry layer (:mod:`repro.service.metrics`) reports
+dependency-free telemetry layer (:mod:`repro.obs.metrics`) reports
 queue depths, drop ratios, and window latencies as Prometheus text or JSON.
 
 Modules:
 
 * :mod:`repro.service.protocol` — the versioned NDJSON wire protocol;
-* :mod:`repro.service.metrics` — counters/gauges/histograms + exports;
 * :mod:`repro.service.session` — admission control, rate caps, eviction;
 * :mod:`repro.service.dataplane` — the in-process triage data plane;
 * :mod:`repro.service.shard` — the multi-process sharded data plane;
@@ -21,14 +20,14 @@ Modules:
 * :mod:`repro.service.client` — the asyncio client library.
 """
 
-from repro.service.client import ServiceError, TriageClient
-from repro.service.dataplane import StreamDataPlane
-from repro.service.metrics import (
+from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
 )
+from repro.service.client import ServiceError, TriageClient
+from repro.service.dataplane import StreamDataPlane
 from repro.service.protocol import (
     MAX_BATCH_ROWS,
     MAX_FRAME_BYTES,

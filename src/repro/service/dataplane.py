@@ -30,6 +30,8 @@ determinism tests pin down.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 from repro.algebra.multiset import Multiset
 from repro.core.merge import WindowPartials
 from repro.core.triage_core import TriageCore
@@ -236,61 +238,20 @@ class StreamDataPlane:
         ``cols`` wire encoding).
         """
         queue = self.queues[source]
-        validate_row = self._schemas[source].validate_row if validate else None
-        ids = self.config.window.ids
-        arrived = self.arrived[source]
-        known = self.known_windows
-        last_closed = self.last_closed_wid
-        batch: list[StreamTuple] = []
-        late = 0
+        tup_rows = [tuple(row) for row in rows]
+        if validate:
+            validate_row = self._schemas[source].validate_row
+            for i, tup_row in enumerate(tup_rows):
+                try:
+                    validate_row(tup_row)
+                except SchemaError as exc:
+                    raise SchemaError(f"row {i}: {exc}") from None
+        stamps, keep, late = self._admit(source, len(tup_rows), timestamps, now)
         if timestamps is None:
-            wids = ids(now)
-            if last_closed is not None and (
-                not wids or wids[0] <= last_closed
-            ):
-                late = len(rows)
-            else:
-                for i, row in enumerate(rows):
-                    tup_row = tuple(row)
-                    if validate_row is not None:
-                        try:
-                            validate_row(tup_row)
-                        except SchemaError as exc:
-                            raise SchemaError(f"row {i}: {exc}") from None
-                    batch.append(StreamTuple(now, tup_row))
-                n = len(batch)
-                for wid in wids:
-                    arrived[wid] = arrived.get(wid, 0) + n
-                    known.add(wid)
-        else:
-            # Validate (and coerce timestamps for) the whole batch before
-            # any window accounting, so a mid-batch rejection leaves no
-            # inflated arrival counts or phantom known windows behind —
-            # the same atomicity the timestamps=None path has.
-            if len(timestamps) != len(rows):
-                raise SchemaError(
-                    f"timestamps length {len(timestamps)} != rows {len(rows)}"
-                )
-            staged: list[tuple[float, tuple]] = []
-            for i, row in enumerate(rows):
-                tup_row = tuple(row)
-                if validate_row is not None:
-                    try:
-                        validate_row(tup_row)
-                    except SchemaError as exc:
-                        raise SchemaError(f"row {i}: {exc}") from None
-                staged.append((float(timestamps[i]), tup_row))
-            for ts, tup_row in staged:
-                wids = ids(ts)
-                if last_closed is not None and (
-                    not wids or wids[0] <= last_closed
-                ):
-                    late += 1
-                    continue
-                for wid in wids:
-                    arrived[wid] = arrived.get(wid, 0) + 1
-                    known.add(wid)
-                batch.append(StreamTuple(ts, tup_row))
+            stamps = repeat(now)
+        batch = list(map(StreamTuple, stamps, tup_rows))
+        if keep is not None:
+            batch = [batch[i] for i in keep]
         queue.offer_bulk(batch)
         return len(batch), late, len(queue), queue.stats.dropped
 
@@ -322,45 +283,51 @@ class StreamDataPlane:
         if validate and cols:
             schema.validate_columns(cols)
         n = len(cols[0]) if cols else 0
+        stamps, keep, late = self._admit(source, n, timestamps, now)
+        batch = ColumnBatch(cols, stamps, schema)
+        if keep is not None:
+            batch = batch.select(keep)
+        queue.offer_bulk(batch)
+        return len(batch), late, len(queue), queue.stats.dropped
+
+    def _admit(self, source: str, n: int, timestamps, now: float):
+        """Stamp ``n`` validated rows, turn the late ones away, count the rest.
+
+        Returns ``(stamps, keep, late)``: the batch's timestamps (the one
+        shared ``now`` when the publisher sent none), the indices that land
+        in a still-open window (``None`` = all of them) and how many do not.
+        Survivors are added to ``arrived`` / ``known_windows``.  Everything
+        that can raise does so before the first count is touched, so a
+        rejected batch leaves no inflated arrivals or phantom windows.
+        """
         ids = self.config.window.ids
         arrived = self.arrived[source]
         known = self.known_windows
         last_closed = self.last_closed_wid
-        late = 0
         if timestamps is None:
+            # One window lookup for the whole batch.
             wids = ids(now)
             if last_closed is not None and (not wids or wids[0] <= last_closed):
-                late = n
-                batch = ColumnBatch((), now, schema)
-            else:
-                batch = ColumnBatch(cols, now, schema)
-                for wid in wids:
-                    arrived[wid] = arrived.get(wid, 0) + n
-                    known.add(wid)
-        else:
-            if len(timestamps) != n:
-                raise SchemaError(
-                    f"timestamps length {len(timestamps)} != rows {n}"
-                )
-            stamps = [float(t) for t in timestamps]
-            keep: list[int] = []
-            ka = keep.append
-            for i, ts in enumerate(stamps):
-                wids = ids(ts)
-                if last_closed is not None and (
-                    not wids or wids[0] <= last_closed
-                ):
-                    late += 1
-                    continue
-                for wid in wids:
-                    arrived[wid] = arrived.get(wid, 0) + 1
-                    known.add(wid)
-                ka(i)
-            batch = ColumnBatch(cols, stamps, schema)
-            if len(keep) != n:
-                batch = batch.select(keep)
-        queue.offer_bulk(batch)
-        return len(batch), late, len(queue), queue.stats.dropped
+                return now, [], n
+            for wid in wids:
+                arrived[wid] = arrived.get(wid, 0) + n
+                known.add(wid)
+            return now, None, 0
+        if len(timestamps) != n:
+            raise SchemaError(f"timestamps length {len(timestamps)} != rows {n}")
+        stamps = [float(t) for t in timestamps]
+        keep: list[int] = []
+        ka = keep.append
+        for i, ts in enumerate(stamps):
+            wids = ids(ts)
+            if last_closed is not None and (not wids or wids[0] <= last_closed):
+                continue
+            for wid in wids:
+                arrived[wid] = arrived.get(wid, 0) + 1
+                known.add(wid)
+            ka(i)
+        late = n - len(keep)
+        return stamps, (keep if late else None), late
 
     # ------------------------------------------------------------------
     # Engine emulation

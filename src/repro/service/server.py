@@ -51,12 +51,16 @@ from repro.core.triage_queue import TriageQueue
 from repro.engine.catalog import Catalog
 from repro.engine.types import SchemaError
 from repro.obs.audit import DropLedger, attribute_reports
-from repro.obs.metrics import DeltaSnapshotter, fold_queue_stats
+from repro.obs.metrics import (
+    LATENCY_BUCKETS,
+    DeltaSnapshotter,
+    MetricsRegistry,
+    fold_queue_stats,
+)
 from repro.obs.report import WindowReport, summarize_reports
 from repro.obs.slo import SLOEngine, audit_service_slos, default_service_slos
 from repro.service import protocol
 from repro.service.dataplane import StreamDataPlane
-from repro.service.metrics import LATENCY_BUCKETS, MetricsRegistry
 from repro.service.protocol import ProtocolError, read_frame
 from repro.service.session import AdmissionError, Session, SessionRegistry
 from repro.sql.ast import PatternStmt, SelectStmt

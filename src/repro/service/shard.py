@@ -139,9 +139,6 @@ def _worker_main(conn, payload: bytes, owned: list[str]) -> None:
                 reply = True
             elif op == "prof_ship":
                 reply = plane.prof_ship()
-            elif op == "reset":
-                plane.reset()
-                reply = True
             elif op == "stop":
                 conn.send(("ok", True))
                 break
@@ -606,18 +603,6 @@ class ShardedDataPlane:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def reset(self) -> None:
-        """Fresh worker planes + coordinator view."""
-        for worker in self.workers:
-            worker.submit(("reset",))
-        for worker in self.workers:
-            _unwrap(_one_reply(worker))
-        self.known_windows = set()
-        self.last_closed_wid = None
-        self._depths = {s: 0 for s in self.sources}
-        self._heads = {s: None for s in self.sources}
-        self._stats = {s: QueueStats().snapshot() for s in self.sources}
-
     def close(self) -> None:
         """Stop workers and reap processes; idempotent."""
         if self._closed:

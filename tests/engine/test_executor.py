@@ -138,6 +138,58 @@ class TestAggregateExpressions:
         assert res.rows == Multiset([(10, 2), (0, 1)])
 
 
+class TestCompileFallback:
+    def test_unknown_function_is_counted_once_and_named(self, catalog):
+        """A query the compiler rejects runs interpreted: same outcome every
+        window, one ``plan_compile_fallback_total`` bump for the query (not
+        one per window), and EXPLAIN ANALYZE says why."""
+        from repro.engine.expressions import ExpressionError
+        from repro.obs.metrics import global_registry
+        from repro.obs.profile import profile_execution, render_profile
+
+        counter = global_registry().counter(
+            "plan_compile_fallback_total",
+            "Queries run interpreted because plan compilation failed",
+            ("reason",),
+        )
+        before = counter.value(reason="CompileError")
+        bound = Binder(catalog).bind(parse_statement("SELECT twice(a) AS x FROM R"))
+        compiled = QueryExecutor(catalog)
+        interpreter = QueryExecutor(catalog, compiled=False)
+
+        # Window 1: the function does not exist; the interpreter's error is
+        # the one the caller sees.
+        for executor in (interpreter, compiled):
+            with pytest.raises(ExpressionError, match="unknown function 'twice'"):
+                executor.execute(bound, BASE_INPUTS)
+
+        # Windows 2-3: it exists now, the remembered fallback still answers.
+        catalog.functions.register_function("twice", lambda x: 2 * x)
+        for _ in range(2):
+            got = compiled.execute(bound, BASE_INPUTS)
+            assert got.rows == interpreter.execute(bound, BASE_INPUTS).rows
+            assert got.rows == Multiset([(2,), (2,), (4,)])
+
+        assert counter.value(reason="CompileError") == before + 1
+        text = render_profile(profile_execution(compiled, bound, BASE_INPUTS))
+        assert text.startswith(
+            "EXPLAIN ANALYZE (interpreted; fallback: "
+            "CompileError: unknown function 'twice')\n"
+        )
+        assert counter.value(reason="CompileError") == before + 1
+
+    def test_interpreted_executor_reports_no_fallback(self, catalog):
+        from repro.obs.profile import profile_execution, render_profile
+
+        bound = Binder(catalog).bind(parse_statement("SELECT a FROM R"))
+        for compiled, mode in ((True, "compiled"), (False, "interpreted")):
+            report = profile_execution(
+                QueryExecutor(catalog, compiled=compiled), bound, BASE_INPUTS
+            )
+            assert report.fallback is None
+            assert render_profile(report).startswith(f"EXPLAIN ANALYZE ({mode})\n")
+
+
 class TestContinuousQuery:
     def test_per_window_results(self, catalog):
         bound = Binder(catalog).bind(

@@ -44,15 +44,6 @@ def test_histogram_conflicting_override_raises():
     reg.histogram("h", buckets=LATENCY_BUCKETS)
 
 
-def test_service_shim_reexports_same_objects():
-    import repro.obs.metrics as obs_metrics
-    import repro.service.metrics as service_metrics
-
-    assert service_metrics.MetricsRegistry is obs_metrics.MetricsRegistry
-    assert service_metrics.LATENCY_BUCKETS is obs_metrics.LATENCY_BUCKETS
-    assert service_metrics.global_registry is obs_metrics.global_registry
-
-
 def test_record_hook_error_counts_site():
     reg = MetricsRegistry()
     record_hook_error("window_hook", reg)

@@ -142,15 +142,13 @@ def _cardinalities(report):
     return sorted(out)
 
 
-def test_cardinality_parity_interpreted_compiled_vectorized(
-    paper_catalog, monkeypatch
-):
-    """ISSUE 9 satellite: row accounting agrees across execution modes.
+def test_cardinality_parity_interpreted_compiled_vectorized(paper_catalog):
+    """Row accounting agrees across the two execution modes.
 
-    The interpreted executor, the compiled/batched executor, and the
-    compiled executor with vectorization forcibly disabled must all report
-    the same per-operator cardinalities — the counting proxies see rows
-    through ``batch()`` exactly as through tuple-at-a-time ``__call__``.
+    The interpreted executor (per-``next()`` iterator proxies) and the
+    compiled executor (vector kernels behind ``batch()`` proxies, COUNT(*)
+    pushdown through the join proxy included) must report the same
+    per-operator cardinalities.
     """
     bound = bind(paper_catalog, JOIN_AGG)
 
@@ -160,24 +158,6 @@ def test_cardinality_parity_interpreted_compiled_vectorized(
     compiled = profile_execution(
         QueryExecutor(paper_catalog, compiled=True), bound, INPUTS
     )
-
-    import repro.perf.compile as compile_mod
-
-    monkeypatch.setattr(compile_mod, "_try_vector_pred", lambda *a: None)
-    monkeypatch.setattr(compile_mod, "_try_vector_tuple", lambda *a: None)
-    scalar = profile_execution(
-        QueryExecutor(paper_catalog, compiled=True), bound, INPUTS
-    )
-
-    assert interpreted.result.rows == compiled.result.rows == scalar.result.rows
-    # Interpreted and compiled plans may shape the tree differently, but
-    # the same operators must count the same rows.
-    assert _cardinalities(compiled) == _cardinalities(scalar)
-    def shared(report):
-        return [
-            (name, rows)
-            for name, rows, _ in _cardinalities(report)
-            if name in ("HashAggregate", "Scan")
-        ]
-
-    assert shared(interpreted) == shared(compiled) == shared(scalar)
+    assert (interpreted.mode, compiled.mode) == ("interpreted", "compiled")
+    assert interpreted.result.rows == compiled.result.rows
+    assert _cardinalities(interpreted) == _cardinalities(compiled)

@@ -1,11 +1,12 @@
 """Vector kernels and the factored COUNT(*)-over-join pushdown.
 
-The vectorized closures of :mod:`repro.perf.vector` re-target the scalar
-SSA lowering at whole columns; every kernel must be value-identical to the
-row-at-a-time closure it replaces, including SQL three-valued logic over
-NULLs and per-row invocation of impure user functions.  The pushdown in
-:class:`~repro.perf.compile._CAggregate` must be invisible too: same
-groups, same counts, same first-occurrence order as the fused iterator.
+The vector kernels of :mod:`repro.perf.vector` are the only thing a
+compiled plan executes; every kernel must be value-identical to the
+interpreted ``Expression.bind`` closure evaluated row by row, including SQL
+three-valued logic over NULLs and per-row invocation of impure user
+functions.  The pushdown in :class:`~repro.perf.compile._CAggregate` must
+be invisible too: same groups, same counts, same first-occurrence order as
+the interpreted executor.
 """
 
 import random
@@ -20,11 +21,13 @@ from repro.engine.expressions import (
     Literal,
     UnaryOp,
 )
+from repro.engine import QueryExecutor
 from repro.engine.types import Column, ColumnType, Schema
 from repro.experiments import paper_catalog
-from repro.perf.compile import compile_query, compile_scalar, compile_tuple
+from repro.perf.compile import compile_query
 from repro.perf.vector import (
     compile_filter_vector,
+    compile_scalar,
     compile_tuple_vector,
     vector_source,
 )
@@ -74,15 +77,17 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("pred", PREDS)
     def test_filter_vector_matches_scalar(self, pred):
         rows = random_rows(random.Random(3))
-        scalar = compile_scalar(pred, SCHEMA)
-        expected = [i for i, row in enumerate(rows) if scalar(row) is True]
+        interpreted = pred.bind(SCHEMA)
+        expected = [i for i, row in enumerate(rows) if interpreted(row) is True]
         assert compile_filter_vector(pred, SCHEMA)(rows) == expected
+        scalar = compile_scalar(pred, SCHEMA)
+        assert [scalar(row) for row in rows] == [interpreted(row) for row in rows]
 
     def test_tuple_vector_matches_scalar(self):
         rows = random_rows(random.Random(4))
-        scalar = compile_tuple(EXPRS, SCHEMA)
+        evals = [e.bind(SCHEMA) for e in EXPRS]
         vector = compile_tuple_vector(EXPRS, SCHEMA)
-        assert vector(rows) == [scalar(row) for row in rows]
+        assert vector(rows) == [tuple(ev(row) for ev in evals) for row in rows]
 
     def test_empty_rows_and_empty_exprs(self):
         vector = compile_tuple_vector(EXPRS, SCHEMA)
@@ -122,9 +127,9 @@ class TestKernelEquivalence:
 
         expr = FunctionCall("double", (col("a"),))
         rows = random_rows(random.Random(5))
-        scalar = compile_tuple([expr], SCHEMA, {"double": double})
+        scalar = expr.bind(SCHEMA, {"double": double})
         vector = compile_tuple_vector([expr], SCHEMA, {"double": double})
-        assert vector(rows) == [scalar(row) for row in rows]
+        assert vector(rows) == [(scalar(row),) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +156,25 @@ def compile_paper(sql):
     return compile_query(bound, None)
 
 
+def assert_matches_interpreter(sql, inputs):
+    """Compiled == interpreted: bag, schema, and (through LIMIT) row order.
+
+    A LIMIT without ORDER BY keeps the plan's own emission order in
+    ``ordered_rows``, so the second pass pins probe / group
+    first-occurrence order, not just the bag.
+    """
+    catalog = paper_catalog()
+    interpreter = QueryExecutor(catalog, compiled=False)
+    for text in (sql, sql + " LIMIT 100000"):
+        bound = Binder(catalog).bind(parse_statement(text))
+        got = compile_query(bound, catalog.functions).execute(inputs)
+        want = interpreter.execute(bound, inputs)
+        assert got.rows == want.rows, text
+        assert got.schema.names == want.schema.names, text
+        assert got.ordered_rows == want.ordered_rows, text
+    assert want.ordered_rows  # the LIMIT pass really compared an order
+
+
 class TestAggregatePushdown:
     def test_pushdown_eligibility_analysis(self):
         cq = compile_paper(JOIN_SQL)
@@ -160,12 +184,10 @@ class TestAggregatePushdown:
         assert agg.key_positions is not None
         assert all(p < len(agg.child.left.schema) for p in agg.key_positions)
 
-    def test_pushdown_matches_iterate_exactly(self):
+    def test_pushdown_matches_interpreter_exactly(self):
         rng = random.Random(11)
         for _ in range(5):
-            cq = compile_paper(JOIN_SQL)
-            inputs = join_inputs(rng)
-            assert cq.root.batch(inputs) == list(cq.root.iterate(inputs))
+            assert_matches_interpreter(JOIN_SQL, join_inputs(rng))
 
     def test_pushdown_never_materializes_join_output(self, monkeypatch):
         from repro.perf import compile as compile_mod
@@ -195,7 +217,6 @@ class TestAggregatePushdown:
             "WHERE R.a = S.b AND S.c = T.d GROUP BY a"
         )
         rng = random.Random(13)
-        cq = compile_paper(sql)
         inputs = {
             "r": Multiset([(rng.randint(0, 5),) for _ in range(100)]),
             "s": Multiset(
@@ -203,13 +224,11 @@ class TestAggregatePushdown:
             ),
             "t": Multiset([(rng.randint(0, 5),) for _ in range(100)]),
         }
-        assert cq.root.batch(inputs) == list(cq.root.iterate(inputs))
+        assert_matches_interpreter(sql, inputs)
 
     def test_non_countstar_aggregate_not_factored(self):
         sql = "SELECT a, SUM(c) AS s FROM R, S WHERE R.a = S.b GROUP BY a"
-        cq = compile_paper(sql)
-        inputs = join_inputs(random.Random(17))
-        assert cq.root.batch(inputs) == list(cq.root.iterate(inputs))
+        assert_matches_interpreter(sql, join_inputs(random.Random(17)))
 
     def test_empty_sides(self):
         cq = compile_paper(JOIN_SQL)
@@ -221,3 +240,45 @@ class TestAggregatePushdown:
             "t": Multiset(),
         }
         assert cq.root.batch(one_side) == []
+
+
+# ---------------------------------------------------------------------------
+# One execution face
+# ---------------------------------------------------------------------------
+class TestOneFace:
+    def test_vector_compile_error_sends_query_to_interpreter(self, monkeypatch):
+        """There is no scalar closure to retreat to: a kernel that cannot be
+        generated fails the plan, and the executor answers interpreted."""
+        from repro.perf import compile as compile_mod
+        from repro.perf.vector import CompileError
+
+        def refuse(expr, schema, functions=None):
+            raise CompileError("no vector kernel")
+
+        monkeypatch.setattr(compile_mod, "compile_filter_vector", refuse)
+        catalog = paper_catalog()
+        sql = "SELECT a, c FROM R, S WHERE R.a = S.b AND S.c > 20"
+        bound = Binder(catalog).bind(parse_statement(sql))
+        inputs = join_inputs(random.Random(23))
+        executor = QueryExecutor(catalog)
+        got = executor.execute(bound, inputs)
+        assert executor._compiled_plan(bound) is None
+        assert executor._fallback_reason(bound) == "CompileError: no vector kernel"
+        want = QueryExecutor(catalog, compiled=False).execute(bound, inputs)
+        assert got.rows == want.rows and len(got.rows) > 0
+        assert got.schema.names == want.schema.names
+
+    def test_every_compiled_node_defines_batch_and_none_iterate(self):
+        from repro.perf.compile import CompiledNode
+
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        nodes = list(subclasses(CompiledNode))
+        assert len(nodes) >= 8
+        for node in nodes:
+            assert "batch" in vars(node), node.__name__
+        for node in [CompiledNode, *nodes]:
+            assert not hasattr(node, "iterate"), node.__name__

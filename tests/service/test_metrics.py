@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.service.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture

@@ -199,7 +199,7 @@ def test_sharded_plane_requires_two_shards():
         ShardedDataPlane(pipeline, 1)
 
 
-def test_sharded_plane_facade_and_reset():
+def test_sharded_plane_facade_and_fresh_start():
     pipeline = make_pipeline(queue_capacity=50)
     plane = ShardedDataPlane(pipeline, 2)
     try:
@@ -210,7 +210,11 @@ def test_sharded_plane_facade_and_reset():
         assert sum(plane.shard_depths().values()) == 2
         kept, dropped = plane.totals()
         assert (kept, dropped) == (0, 0)  # nothing drained yet
-        plane.reset()
+    finally:
+        plane.close()
+    # Starting over is a new plane, not a reset op: nothing carries across.
+    plane = ShardedDataPlane(pipeline, 2)
+    try:
         assert plane.depths() == {s: 0 for s in STREAMS}
         assert plane.known_windows == set()
     finally:
@@ -221,7 +225,7 @@ def test_sharded_close_reaches_metrics_registry():
     # A real ingest -> advance -> collect cycle must land the shard gauges
     # and the audit counters in the caller's registry.
     from repro.obs.audit import DropLedger
-    from repro.service.metrics import MetricsRegistry
+    from repro.obs.metrics import MetricsRegistry
 
     registry = MetricsRegistry()
     pipeline = make_pipeline()
