@@ -32,7 +32,11 @@ byte-identical match stream of the naive scan-everything engine):
   :func:`repro.perf.vector.compile_scalar` against the env schema; any
   :class:`~repro.perf.vector.CompileError` leaves that predicate on the
   interpreted ``Expression.bind`` closure (the executor's permanent
-  fallback idiom).  ``compiled=False`` forces the interpreted path.
+  fallback idiom) and is counted: ``PatternEngine.predicates_interpreted``
+  / ``prefilters_skipped`` per engine, ``cep_predicate_fallback_total
+  {reason}`` / ``cep_prefilter_skipped_total`` in
+  :func:`repro.obs.metrics.global_registry`.  ``compiled=False`` forces
+  the interpreted path (a choice, so not counted).
 * **Stream/key-indexed run scheduling** — each run is indexed under one
   *token* per step it could consume next: ``(stream, None, None)`` when no
   usable key constraint exists, else ``(stream, row_pos, key_value)`` from
@@ -61,19 +65,18 @@ from typing import Callable
 
 from repro.engine.expressions import BinaryOp, is_equijoin_conjunct
 from repro.engine.types import StreamTuple
+from repro.obs.metrics import global_registry
 from repro.perf.vector import CompileError, compile_filter_vector, compile_scalar
 from repro.sql.binder import BoundPattern
-
-#: Engine observer signature: ``observer(event, value)``.  Events:
-#: ``"run_start"``, ``"run_extend"``, ``"match"``, ``"run_expire"``,
-#: ``"run_shed"`` — each with value 1.0 per occurrence (``run_expire``
-#: batches: one call with the count of runs expired together).
-EngineObserver = Callable[[str, float], None]
 
 
 @dataclass
 class EngineStats:
-    """Lifecycle counters for one engine instance."""
+    """Lifecycle counters for one engine instance.
+
+    Whoever wants them as metrics folds the deltas
+    (:func:`repro.obs.metrics.fold_engine_stats`); the engine calls nobody.
+    """
 
     events: int = 0
     runs_started: int = 0
@@ -93,8 +96,10 @@ class _CompiledStep:
         "env_offset",
         "width",
         "predicates",
+        "interpreted",
         "key_link",
         "local_rows",
+        "prefilter_skipped",
     )
 
     def __init__(self, bound_step, pattern: "BoundPattern", compiled: bool) -> None:
@@ -103,14 +108,22 @@ class _CompiledStep:
         self.kleene = bound_step.kleene
         self.env_offset = bound_step.env_offset
         self.width = len(bound_step.schema)
-        self.predicates = [
-            _compile_pred(p, pattern, compiled) for p in bound_step.predicates
-        ]
+        self.predicates = []
+        #: Predicates the compiler refused, left on the interpreted closure.
+        self.interpreted = 0
+        for pred in bound_step.predicates:
+            fn = _compile_pred(pred, pattern) if compiled else None
+            if fn is None:
+                fn = pred.bind(pattern.env_schema)
+                if compiled:
+                    self.interpreted += 1
+            self.predicates.append(fn)
         self.key_link = _find_key_link(bound_step, pattern)
         # Vectorized run-independent pre-filter over this step's own stream
         # schema (the batch path evaluates it against raw candidate rows,
         # not the env).  None means "cannot pre-filter at this step".
         self.local_rows = None
+        self.prefilter_skipped = False
         local = getattr(bound_step, "local_predicates", ())
         if compiled and local:
             expr = local[0]
@@ -119,17 +132,26 @@ class _CompiledStep:
             try:
                 self.local_rows = compile_filter_vector(expr, bound_step.schema)
             except CompileError:
-                self.local_rows = None
+                self.prefilter_skipped = True
+                global_registry().counter(
+                    "cep_prefilter_skipped_total",
+                    "Pattern steps whose vectorized local pre-filter "
+                    "failed to compile",
+                ).inc()
 
 
-def _compile_pred(pred, pattern: BoundPattern, compiled: bool) -> Callable:
-    """Compile one predicate; fall back to the interpreted closure."""
-    if compiled:
-        try:
-            return compile_scalar(pred, pattern.env_schema)
-        except CompileError:
-            pass
-    return pred.bind(pattern.env_schema)
+def _compile_pred(pred, pattern: BoundPattern) -> "Callable | None":
+    """Compile one predicate; None (counted) when the compiler refuses it."""
+    try:
+        return compile_scalar(pred, pattern.env_schema)
+    except CompileError as exc:
+        global_registry().counter(
+            "cep_predicate_fallback_total",
+            "Pattern step predicates run interpreted because "
+            "compilation failed",
+            ("reason",),
+        ).inc(reason=type(exc).__name__)
+        return None
 
 
 class _Run:
@@ -197,7 +219,6 @@ class PatternEngine:
         pattern: BoundPattern,
         *,
         max_runs: int = 1024,
-        observer: EngineObserver | None = None,
         utility=None,
         audit=None,
         compiled: bool = True,
@@ -206,11 +227,10 @@ class PatternEngine:
             raise ValueError(f"max_runs must be >= 1, got {max_runs}")
         self.pattern = pattern
         self.max_runs = max_runs
-        self.observer = observer
         self.utility = utility
         #: Optional :class:`repro.obs.audit.DropLedger`: records every
         #: partial-match evict (``cep_evict``) with the retired run's
-        #: utility score.  Assignable post-construction.
+        #: utility score.
         self.audit = audit
         #: False pins every predicate on the interpreted closures (and
         #: disables the vectorized batch pre-filter) — the permanent
@@ -218,6 +238,10 @@ class PatternEngine:
         self.compiled = compiled
         self.stats = EngineStats()
         self._steps = [_CompiledStep(s, pattern, compiled) for s in pattern.steps]
+        #: Compile fallbacks taken building the steps (none are possible
+        #: under ``compiled=False``: that path is chosen, not fallen to).
+        self.predicates_interpreted = sum(st.interpreted for st in self._steps)
+        self.prefilters_skipped = sum(st.prefilter_skipped for st in self._steps)
         self._within = pattern.within
         self._env_len = len(pattern.env_schema)
         self._runs: dict[int, _Run] = {}
@@ -341,8 +365,6 @@ class PatternEngine:
             for run in cands:
                 if self._extend(run, stream, tup):
                     self.stats.runs_extended += 1
-                    if self.observer is not None:
-                        self.observer("run_extend", 1.0)
                     if run.step >= n:
                         if completed is None:
                             completed = []
@@ -519,7 +541,6 @@ class PatternEngine:
             self._index_add(run)
             heappush(self._expiry, (run.start, run.rid))
             self.stats.runs_started += 1
-            self._notify("run_start")
             if len(self._runs) > self.max_runs:
                 self._shed_run(tup.timestamp)
         self._version += 1
@@ -531,7 +552,6 @@ class PatternEngine:
                 row.append(run.counts[k])
             row.extend(run.env[step.env_offset : step.env_offset + step.width])
         self.stats.matches += 1
-        self._notify("match")
         if self.utility is not None:
             for stream, ts in run.events:
                 self.utility.credit(stream, ts)
@@ -552,7 +572,6 @@ class PatternEngine:
         if expired:
             self.stats.runs_expired += expired
             self._version += 1
-            self._notify("run_expire", float(expired))
 
     def _shed_run(self, now: float) -> None:
         """pSPICE-style partial-match shedding: retire the worst run.
@@ -574,7 +593,6 @@ class PatternEngine:
         self._index_remove(worst)
         self.stats.runs_shed += 1
         self._version += 1
-        self._notify("run_shed")
         if self.audit is not None:
             self.audit.record(
                 "cep_evict",
@@ -621,10 +639,6 @@ class PatternEngine:
         if not inert:
             return None
         return [i for i in range(len(events)) if i not in inert]
-
-    def _notify(self, event: str, value: float = 1.0) -> None:
-        if self.observer is not None:
-            self.observer(event, value)
 
 
 def _find_key_link(bound_step, pattern: BoundPattern) -> tuple[int, int] | None:

@@ -104,7 +104,7 @@ class PatternPipeline:
         self.pattern = pattern
 
     # ------------------------------------------------------------------
-    def build_engine(self, *, observer=None, with_utility: bool = True) -> PatternEngine:
+    def build_engine(self, *, with_utility: bool = True) -> PatternEngine:
         utility = (
             UtilityModel(self.pattern.within, bins=self.config.utility_bins)
             if with_utility
@@ -113,7 +113,6 @@ class PatternPipeline:
         return PatternEngine(
             self.pattern,
             max_runs=self.config.max_runs,
-            observer=observer,
             utility=utility,
         )
 

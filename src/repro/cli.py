@@ -465,28 +465,26 @@ def cmd_trace(args, out) -> int:
         trace_capacity=args.capacity,
         tuple_events=not args.no_tuple_events,
     )
-    pipeline, streams = bursty_pipeline(
-        ShedStrategy.DATA_TRIAGE, args.peak, params, args.seed, obs=obs
-    )
-    ledger = None
     if args.audit_out:
         from repro.obs.audit import DropLedger
 
-        ledger = DropLedger(seed=args.seed, metrics=obs.registry)
-        pipeline.audit = ledger
+        obs.ledger = DropLedger(seed=args.seed, metrics=obs.registry)
     if args.profile_out:
         from repro.obs.prof import SamplingProfiler
 
-        pipeline.prof = SamplingProfiler(
+        obs.sampler = SamplingProfiler(
             args.profile_hz, label="trace-fig9", metrics=obs.registry
         )
+    pipeline, streams = bursty_pipeline(
+        ShedStrategy.DATA_TRIAGE, args.peak, params, args.seed, obs=obs
+    )
     result = pipeline.run(streams)
     if args.profile_out:
-        pipeline.prof.stop()
+        obs.sampler.stop()
         with open(args.profile_out, "w", encoding="utf-8") as fp:
-            fp.write(pipeline.prof.export_collapsed())
+            fp.write(obs.sampler.export_collapsed())
         out.write(
-            f"profile: {pipeline.prof.samples} samples at "
+            f"profile: {obs.sampler.samples} samples at "
             f"{args.profile_hz:g} Hz -> {args.profile_out}\n"
         )
 
@@ -512,6 +510,7 @@ def cmd_trace(args, out) -> int:
         f"{len(tracer)} events retained ({tracer.emitted} emitted, "
         f"{tracer.dropped} evicted) -> {args.out} [{args.format}]\n"
     )
+    ledger = obs.ledger
     if ledger is not None:
         from repro.obs.audit import attribute_reports
 

@@ -16,16 +16,8 @@ paper-figure experiments use fixed capacities as the paper did.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.core.triage_queue import QueueStats
-
-#: Observer callback signature: ``observer(metric_name, value)``.  Emitted
-#: metrics: ``"arrival_rate"`` / ``"drop_fraction"`` after each
-#: :meth:`LoadController.observe`, ``"recommended_capacity"`` after each
-#: :meth:`LoadController.recommended_capacity`.  The service's telemetry
-#: layer turns these into gauges; ``None`` costs nothing.
-ControllerObserver = Callable[[str, float], None]
 
 
 @dataclass
@@ -52,7 +44,6 @@ class LoadController:
     max_capacity: int = 100_000
     estimate: LoadEstimate = field(default_factory=LoadEstimate)
     shrink_factor: float = 0.75  # capacity may drop at most this much per step
-    observer: ControllerObserver | None = None
     _last_stats: tuple[int, int] = (0, 0)  # (offered, dropped) at last observe
     _last_capacity: int | None = None
 
@@ -78,9 +69,6 @@ class LoadController:
         est.arrival_rate = self.alpha * rate + (1 - self.alpha) * est.arrival_rate
         est.drop_fraction = self.alpha * frac + (1 - self.alpha) * est.drop_fraction
         est.shedding = est.drop_fraction > 1e-6
-        if self.observer is not None:
-            self.observer("arrival_rate", est.arrival_rate)
-            self.observer("drop_fraction", est.drop_fraction)
         return est
 
     # ------------------------------------------------------------------
@@ -113,6 +101,4 @@ class LoadController:
         if self._last_capacity is not None and capacity < self._last_capacity:
             capacity = max(capacity, int(self._last_capacity * self.shrink_factor))
         self._last_capacity = capacity
-        if self.observer is not None:
-            self.observer("recommended_capacity", float(capacity))
         return capacity

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -58,6 +59,13 @@ from repro.synopses.base import Dimension, Synopsis
 
 if TYPE_CHECKING:
     from repro.obs import Observability
+
+_UNOBSERVED = nullcontext()
+
+
+def _no_phase(window_id: int, phase: str):
+    """``Observability.window_phase`` for a pipeline without a bundle."""
+    return _UNOBSERVED
 
 
 @dataclass
@@ -113,31 +121,21 @@ class DataTriagePipeline:
         domains: dict[str, tuple[int, int]] | None = None,
         *,
         obs: "Observability | None" = None,
-        audit=None,
     ) -> None:
         """``domains`` maps qualified columns (``'R.a'``) to value bounds;
         unlisted columns default to the paper's 1..100.
 
-        ``audit`` attaches a :class:`repro.obs.audit.DropLedger`: queued
-        runs then record every shed decision (kind, policy, window ids,
-        score, sampled exemplar) for post-run error attribution.  ``None``
-        (default) keeps the shed paths unaudited and unchanged.
-
-        ``obs`` attaches an observability bundle (:class:`repro.obs.Observability`):
-        runs then record queue/engine metrics into its registry, spans and
-        tuple-lifecycle events into its tracer, and per-window phase timings
-        into its ``phase_seconds`` store.  ``None`` (default) keeps every
-        hot path uninstrumented.
+        ``obs`` attaches an observability bundle (:class:`repro.obs.Observability`),
+        the only attachment point: runs then record queue/engine metrics
+        into its registry, spans and tuple-lifecycle events into its tracer,
+        per-window phase timings into its ``phase_seconds`` store, every
+        shed decision into its ``ledger`` (when it has one) and phase tags
+        onto its ``sampler``'s stacks (likewise).  ``None`` (default) keeps
+        every hot path uninstrumented.
         """
         self.catalog = catalog
         self.config = config
         self.obs = obs
-        self.audit = audit
-        #: Optional :class:`repro.obs.prof.SamplingProfiler`.  Assigned
-        #: directly or auto-built by :meth:`run` from ``config.profile_hz``;
-        #: sampling happens on a daemon thread, so the hot paths below only
-        #: ever pay the ambient phase-tag stores (and only when set).
-        self.prof = None
         #: ``hook(outcome)`` callbacks run once per evaluated
         #: :class:`WindowOutcome` — see :meth:`add_window_hook`.
         self.window_hooks: list = []
@@ -238,11 +236,11 @@ class DataTriagePipeline:
         summarize: bool | None = None,
         seed: int | None = None,
         thread_safe: bool = False,
-        audit=None,
     ) -> TriageQueue:
         """A :class:`TriageQueue` for ``source``, configured like the
-        pipeline's own (dimensions, window, synopsis factory), for callers
-        that drive arrival/drain themselves instead of using :meth:`run`.
+        pipeline's own (dimensions, window, synopsis factory, the bundle's
+        ledger), for callers that drive arrival/drain themselves instead of
+        using :meth:`run`.
         """
         cfg = self.config
         index = self.sources.index(source)
@@ -259,7 +257,7 @@ class DataTriagePipeline:
             ),
             seed=(cfg.seed if seed is None else seed) * 7919 + index,
             thread_safe=thread_safe,
-            audit=audit,
+            audit=self.obs.ledger if self.obs is not None else None,
         )
 
     def add_window_hook(self, hook) -> None:
@@ -292,12 +290,8 @@ class DataTriagePipeline:
         ``streams`` maps chain *source names* to timestamp-sorted arrivals.
         """
         cfg = self.config
-        if self.prof is None and cfg.profile_hz is not None:
-            from repro.obs.prof import SamplingProfiler
-
-            self.prof = SamplingProfiler(cfg.profile_hz)
-        if self.prof is not None and not self.prof.running:
-            self.prof.start()
+        if self.obs is not None and self.obs.sampler is not None:
+            self.obs.sampler.start()  # idempotent; whoever attached it stops it
         sources = self.sources
         missing = [s for s in sources if s not in streams]
         if missing:
@@ -374,7 +368,7 @@ class DataTriagePipeline:
         tracer = obs.tracer if obs is not None else None
         trace_on = tracer is not None and tracer.enabled
         tuple_on = trace_on and tracer.tuple_events
-        queues = {s: self.build_queue(s, audit=self.audit) for s in sources}
+        queues = {s: self.build_queue(s) for s in sources}
         use_shadow = cfg.strategy is ShedStrategy.DATA_TRIAGE
         core = TriageCore(
             [queues[s] for s in sources],
@@ -444,71 +438,61 @@ class DataTriagePipeline:
 
         drain = core.drain if obs is None else observed_drain
 
-        # Ambient phase tags join sampled stacks to the identically-named
-        # trace spans; two global stores per arrival, and only when a
-        # profiler is attached.
-        prof_on = self.prof is not None
-        if prof_on:
-            # Per-arrival phase flips store straight into the prof module's
-            # globals dict (the slot set_phase guards and the sampler thread
-            # reads) — one dict store per flip, no function-call overhead.
-            import repro.obs.prof as _prof
-
-            _phase = _prof.__dict__
-            _phase["_current_phase"] = "ingest"
-
         source_index = {s: i for i, s in enumerate(sources)}
-        for ts, _, source, tup in events:
-            if prof_on:
-                _phase["_current_phase"] = "drain"
-            drain(ts)
-            if prof_on:
-                _phase["_current_phase"] = "ingest"
-            if controllers is not None and ts >= next_control:
-                elapsed = control_dt
-                while next_control <= ts:
-                    next_control += control_dt
-                for s in sources:
-                    est = controllers[s].observe(
-                        interval_seconds=elapsed, stats=queues[s].stats
-                    )
-                    queues[s].capacity = controllers[s].recommended_capacity(
-                        cfg.service_time
-                    )
-                    if obs is not None:
-                        g_capacity.set(queues[s].capacity, stream=s)
-                        g_rate.set(est.arrival_rate, stream=s)
-                        g_frac.set(est.drop_fraction, stream=s)
-            q = queues[source]
-            if obs is None:
-                q.offer(tup)
-            else:
-                if tuple_on:
-                    tuple_event("ingest", source, ts)
-                    dropped_before = q.stats.dropped
+        # Ambient phase tags join sampled stacks to the identically-named
+        # trace spans; ``flip`` is None unless a sampler is attached.
+        with (
+            obs.phase_tags("ingest") if obs is not None else nullcontext()
+        ) as flip:
+            for ts, _, source, tup in events:
+                if flip is not None:
+                    flip("drain")
+                drain(ts)
+                if flip is not None:
+                    flip("ingest")
+                if controllers is not None and ts >= next_control:
+                    elapsed = control_dt
+                    while next_control <= ts:
+                        next_control += control_dt
+                    for s in sources:
+                        est = controllers[s].observe(
+                            interval_seconds=elapsed, stats=queues[s].stats
+                        )
+                        queues[s].capacity = controllers[s].recommended_capacity(
+                            cfg.service_time
+                        )
+                        if obs is not None:
+                            g_capacity.set(queues[s].capacity, stream=s)
+                            g_rate.set(est.arrival_rate, stream=s)
+                            g_frac.set(est.drop_fraction, stream=s)
+                q = queues[source]
+                if obs is None:
                     q.offer(tup)
-                    tuple_event(
-                        "shed" if q.stats.dropped > dropped_before else "enqueue",
-                        source,
-                        ts,
-                    )
                 else:
-                    q.offer(tup)
-                depth_samples[source].append(len(q))
-            core.sync(source_index[source])
-        if prof_on:
-            _phase["_current_phase"] = "drain"
-        drain()
-        if obs is not None:
-            obs.record_run_phase("drain", drain_seconds)
-            fold_queue_stats(
-                reg, {s: q.stats.snapshot() for s, q in queues.items()}, {}
-            )
-            for s, samples in depth_samples.items():
-                if samples:
-                    h_depth.observe_many(samples, stream=s)
-        if prof_on:
-            _phase["_current_phase"] = None
+                    if tuple_on:
+                        tuple_event("ingest", source, ts)
+                        dropped_before = q.stats.dropped
+                        q.offer(tup)
+                        tuple_event(
+                            "shed" if q.stats.dropped > dropped_before else "enqueue",
+                            source,
+                            ts,
+                        )
+                    else:
+                        q.offer(tup)
+                    depth_samples[source].append(len(q))
+                core.sync(source_index[source])
+            if flip is not None:
+                flip("drain")
+            drain()
+            if obs is not None:
+                obs.record_run_phase("drain", drain_seconds)
+                fold_queue_stats(
+                    reg, {s: q.stats.snapshot() for s, q in queues.items()}, {}
+                )
+                for s, samples in depth_samples.items():
+                    if samples:
+                        h_depth.observe_many(samples, stream=s)
 
         dropped_syn: dict[str, dict[int, Synopsis | None]] = {s: {} for s in sources}
         dropped_counts: dict[str, dict[int, int]] = {s: {} for s in sources}
@@ -584,15 +568,13 @@ class DataTriagePipeline:
         # input bag, so one shared empty Multiset is safe and avoids a
         # throwaway Counter per (source, window).
         empty = Multiset()
-        # Per-window phase accounting (exact/shadow/merge) lands in
-        # ``obs.phase_seconds`` and the tracer.
+        # Per-window phase accounting (exact/shadow/merge) goes through the
+        # bundle's one phase seam: ``obs.phase_seconds``, the tracer's
+        # spans and the sampler's tags.
         obs = self.obs
         tracer = obs.tracer if obs is not None else None
         trace_on = tracer is not None and tracer.enabled
-        prof_on = self.prof is not None
-        if prof_on:
-            from repro.obs.prof import set_phase as _set_phase
-        clock = time.perf_counter
+        phase = obs.window_phase if obs is not None else _no_phase
         windows: list[WindowOutcome] = []
         for wid in window_ids:
             wid_traces = trace_ids.get(wid) if trace_ids else None
@@ -613,66 +595,53 @@ class DataTriagePipeline:
             exact_inputs = {
                 stream_of[s]: kept_rows[s].get(wid, empty) for s in sources
             }
-            if prof_on:
-                _set_phase("exact")
-            t0 = clock()
-            result = self.executor.execute(self.bound, exact_inputs)
-            t1 = clock()
+            with phase(wid, "exact"):
+                result = self.executor.execute(self.bound, exact_inputs)
 
-            if prof_on:
-                _set_phase("shadow")
-            result_syn: Synopsis | None = None
-            if dropped_synopses is not None:
-                assert kept_synopses is not None
-                result_syn = self.shadow.estimate_dropped(
-                    {s: kept_synopses[s].get(wid) for s in sources},
-                    {s: dropped_synopses[s].get(wid) for s in sources},
-                )
-            t2 = clock()
-
-            if prof_on:
-                _set_phase("merge")
-            raw_rows = None
-            exact: Groups = {}
-            estimated: Groups = {}
-            if self.merge_spec is None:
-                # Raw mode: carry rows + synopsis; no numeric merge exists.
-                raw_rows = result.rows
-                merged = {}
-            else:
-                exact = exact_groups(result.rows, result.schema, self.merge_spec)
+            with phase(wid, "shadow"):
+                result_syn: Synopsis | None = None
                 if dropped_synopses is not None:
-                    estimated = estimate_groups(result_syn, self.merge_spec)
-                    merged = merge_groups(exact, estimated, self.merge_spec)
-                else:
-                    merged = exact
-            t3 = clock()
-            if prof_on:
-                _set_phase(None)
+                    assert kept_synopses is not None
+                    result_syn = self.shadow.estimate_dropped(
+                        {s: kept_synopses[s].get(wid) for s in sources},
+                        {s: dropped_synopses[s].get(wid) for s in sources},
+                    )
 
-            ideal = self._ideal_for(ideal_inputs, wid) if ideal_inputs else None
-            if obs is not None:
-                obs.record_phase(wid, "exact", t1 - t0)
-                obs.record_phase(wid, "shadow", t2 - t1)
-                obs.record_phase(wid, "merge", t3 - t2)
-                if ideal_inputs:
-                    obs.record_phase(wid, "ideal", clock() - t3)
-                if trace_on:
-                    tracer.complete("exact", t0, t1, cat="window", window=wid)
-                    tracer.complete("shadow", t1, t2, cat="window", window=wid)
-                    tracer.complete("merge", t2, t3, cat="window", window=wid)
-                    if wid_traces:
-                        tracer.instant(
-                            "emit",
-                            cat="window",
-                            window=wid,
-                            rows=len(result.rows),
-                            trace_ids=wid_traces,
-                        )
+            with phase(wid, "merge"):
+                raw_rows = None
+                exact: Groups = {}
+                estimated: Groups = {}
+                if self.merge_spec is None:
+                    # Raw mode: carry rows + synopsis; no numeric merge exists.
+                    raw_rows = result.rows
+                    merged = {}
+                else:
+                    exact = exact_groups(result.rows, result.schema, self.merge_spec)
+                    if dropped_synopses is not None:
+                        estimated = estimate_groups(result_syn, self.merge_spec)
+                        merged = merge_groups(exact, estimated, self.merge_spec)
                     else:
-                        tracer.instant(
-                            "emit", cat="window", window=wid, rows=len(result.rows)
-                        )
+                        merged = exact
+
+            ideal = None
+            if ideal_inputs:
+                t0 = time.perf_counter()
+                ideal = self._ideal_for(ideal_inputs, wid)
+                if obs is not None:
+                    obs.record_phase(wid, "ideal", time.perf_counter() - t0)
+            if trace_on:
+                if wid_traces:
+                    tracer.instant(
+                        "emit",
+                        cat="window",
+                        window=wid,
+                        rows=len(result.rows),
+                        trace_ids=wid_traces,
+                    )
+                else:
+                    tracer.instant(
+                        "emit", cat="window", window=wid, rows=len(result.rows)
+                    )
             windows.append(
                 WindowOutcome(
                     window_id=wid,

@@ -67,10 +67,6 @@ class PipelineConfig:
     #: window evaluation; queries the compiler cannot express fall back to
     #: the interpreted executor automatically.
     compiled_plans: bool = True
-    #: Background sampling-profiler rate in Hz (None disables profiling).
-    #: Sampling runs on a daemon thread and is byte-transparent to results
-    #: and drop decisions; the pipeline exposes the profiler as ``.prof``.
-    profile_hz: float | None = None
 
     def __post_init__(self) -> None:
         if self.service_time <= 0:
@@ -81,8 +77,6 @@ class PipelineConfig:
             raise ValueError(
                 f"adaptive_staleness must be positive: {self.adaptive_staleness}"
             )
-        if self.profile_hz is not None and not self.profile_hz > 0:
-            raise ValueError(f"profile_hz must be > 0: {self.profile_hz}")
 
     @property
     def engine_capacity(self) -> float:

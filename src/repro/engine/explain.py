@@ -27,7 +27,7 @@ def explain_analyze(executor, bound, inputs) -> str:
     rows, invocations, and wall time for the plan that actually executed
     (compiled when the executor runs compiled plans, interpreted otherwise).
     """
-    from repro.obs.profile import profile_execution, render_profile
+    from repro.obs.explain import profile_execution, render_profile
 
     return render_profile(profile_execution(executor, bound, inputs))
 

@@ -6,15 +6,17 @@ One package gathers the four concerns every other layer reports through:
   (counters/gauges/histograms with Prometheus text export);
 * :mod:`repro.obs.trace` — span + tuple-lifecycle tracing into a bounded
   ring buffer, exportable as Chrome-trace JSON (Perfetto) or JSON lines;
-* :mod:`repro.obs.profile` — per-operator EXPLAIN ANALYZE for both
+* :mod:`repro.obs.explain` — per-operator EXPLAIN ANALYZE for both
   executor modes (loaded lazily);
 * :mod:`repro.obs.report` — per-window accuracy/latency accounting
   (loaded lazily: it pulls in :mod:`repro.quality`, which imports the
   core pipeline — eager import here would be circular, since the pipeline
   itself imports this package's metrics).
 
-:class:`Observability` is the handle instrumented layers accept: it bundles
-a registry, a tracer, and the per-window phase-timing store that
+:class:`Observability` is the one handle instrumented layers accept: it
+bundles a registry, a tracer, the optional drop ledger
+(:mod:`repro.obs.audit`) and sampling profiler (:mod:`repro.obs.prof`), and
+the per-window phase-timing store that
 :func:`repro.obs.report.build_window_reports` later joins with accuracy.
 Constructed with defaults it is *passive* — a fresh registry and the shared
 :data:`NULL_TRACER`, so instrumented code pays only `is None` /
@@ -22,6 +24,9 @@ Constructed with defaults it is *passive* — a fresh registry and the shared
 """
 
 from __future__ import annotations
+
+import time
+from contextlib import contextmanager, nullcontext
 
 from repro.obs.metrics import (  # noqa: F401 - re-exported package surface
     DEFAULT_BUCKETS,
@@ -110,10 +115,10 @@ __all__ = [
 #: importable from the core pipeline without a circular import through
 #: ``repro.quality`` → ``repro.core.pipeline``.
 _LAZY = {
-    "OperatorProfile": "repro.obs.profile",
-    "ProfileReport": "repro.obs.profile",
-    "profile_execution": "repro.obs.profile",
-    "render_profile": "repro.obs.profile",
+    "OperatorProfile": "repro.obs.explain",
+    "ProfileReport": "repro.obs.explain",
+    "profile_execution": "repro.obs.explain",
+    "render_profile": "repro.obs.explain",
     "WindowReport": "repro.obs.report",
     "build_window_reports": "repro.obs.report",
     "summarize_reports": "repro.obs.report",
@@ -157,8 +162,15 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(module), name)
 
 
+#: The parts that cross the shard pipe: (name in the shipped table, bundle
+#: attribute).  Each part answers ``ship(window_ids)`` / ``absorb(delta)``.
+_SHIPPED = (("audit", "ledger"), ("prof", "sampler"))
+
+_UNTAGGED = nullcontext()  # a window phase with no sampler to tag
+
+
 class Observability:
-    """The bundle an instrumented run records into.
+    """The one handle an instrumented layer is given.
 
     ``registry`` collects metrics, ``tracer`` collects spans and
     tuple-lifecycle events, and :attr:`phase_seconds` accumulates the
@@ -166,6 +178,14 @@ class Observability:
     with accuracy.  Pass ``trace=True`` to record spans (the default keeps
     the shared no-op :data:`NULL_TRACER`, so metrics-only instrumentation
     stays cheap).
+
+    ``ledger`` (a :class:`~repro.obs.audit.DropLedger`) and ``sampler`` (a
+    :class:`~repro.obs.prof.SamplingProfiler`) are the two optional parts;
+    both are plain attributes, so a caller may also set them between
+    construction and the first run.  The layers read them from here:
+    queues and the pattern engine record shed decisions into ``ledger``,
+    and the phase seams below tag the ``sampler``'s stacks.  Whoever
+    attaches a sampler owns its lifetime (``start()`` / ``stop()``).
     """
 
     def __init__(
@@ -177,6 +197,8 @@ class Observability:
         trace_capacity: int = 65536,
         tuple_events: bool = True,
         label: str = "repro",
+        ledger=None,
+        sampler=None,
     ) -> None:
         self.registry = registry if registry is not None else MetricsRegistry()
         if tracer is None:
@@ -186,6 +208,8 @@ class Observability:
                 else NULL_TRACER
             )
         self.tracer = tracer
+        self.ledger = ledger
+        self.sampler = sampler
         if self.tracer.enabled:
             # Ring-buffer overflow must be visible, not silent: every event
             # evicted by a full trace buffer counts here.
@@ -219,9 +243,99 @@ class Observability:
         )
         self._phase_hist.observe(seconds, phase=phase)
 
-    def reset(self) -> None:
-        """Clear per-run state (trace buffer and phase stores); metrics
-        are cumulative and keep counting across runs."""
-        self.tracer.clear()
-        self.phase_seconds.clear()
-        self.run_phase_seconds.clear()
+    # ------------------------------------------------------------------
+    # The phase seam: the only way a layer names what it is doing
+    # ------------------------------------------------------------------
+    @contextmanager
+    def phase_tags(self, phase: str):
+        """A stretch of work tagged ``phase`` on the sampler's stacks.
+
+        Yields the flip function (one global store per call) for callers
+        whose phase alternates inside the stretch — the replay loop flips
+        per arrival — or ``None`` when no sampler is attached, so a flip
+        costs one branch.  The tag that was set before comes back on exit,
+        error or not.
+        """
+        if self.sampler is None:
+            yield None
+        else:
+            from repro.obs.prof import phase as tagged, set_phase
+
+            with tagged(phase):
+                yield set_phase
+
+    @contextmanager
+    def window_phase(self, window_id: int, phase: str):
+        """One evaluation phase of one window (``exact``/``shadow``/``merge``):
+        tagged like :meth:`phase_tags`, its wall time charged to
+        ``window_id`` and, when tracing, recorded as the same-named span."""
+        with self.phase_tags(phase) if self.sampler is not None else _UNTAGGED:
+            t0 = time.perf_counter()
+            try:
+                yield
+            finally:
+                t1 = time.perf_counter()
+                self.record_phase(window_id, phase, t1 - t0)
+                if self.tracer.enabled:
+                    self.tracer.complete(
+                        phase, t0, t1, cat="window", window=window_id
+                    )
+
+    # ------------------------------------------------------------------
+    # The shard channel: one table of deltas, keyed by ``_SHIPPED``
+    # ------------------------------------------------------------------
+    def worker_spec(self, seed: int) -> dict | None:
+        """What a shard worker needs to build its local bundle, or None.
+
+        Constructor keywords per attached part.  ``seed`` only drives the
+        worker ledger's exemplar sampling, never a drop decision.
+        """
+        spec = {}
+        if self.ledger is not None:
+            spec["ledger"] = {
+                "capacity": self.ledger.capacity,
+                "exemplars": self.ledger.exemplars,
+                "seed": seed,
+            }
+        if self.sampler is not None:
+            spec["sampler"] = {
+                "hz": self.sampler.hz,
+                "max_stacks": self.sampler.max_stacks,
+            }
+        return spec or None
+
+    @classmethod
+    def from_worker_spec(cls, spec: dict) -> "Observability":
+        """Worker side of :meth:`worker_spec`; the sampler comes started."""
+        ledger = sampler = None
+        if "ledger" in spec:
+            from repro.obs.audit import DropLedger
+
+            ledger = DropLedger(**spec["ledger"])
+        if "sampler" in spec:
+            from repro.obs.prof import SamplingProfiler
+
+            sampler = SamplingProfiler(**spec["sampler"])
+            sampler.start()
+        return cls(ledger=ledger, sampler=sampler)
+
+    def ship(self, window_ids=None) -> dict | None:
+        """``{name: delta}`` of what each attached part saw since it last
+        shipped (ledger buckets of ``window_ids``; all pending when None).
+
+        ``None``, not an empty table, when nothing is attached.  Deltas are
+        additive, so shipping early or twice never double counts.
+        """
+        table = {}
+        for name, attr in _SHIPPED:
+            part = getattr(self, attr)
+            if part is not None:
+                table[name] = part.ship(window_ids)
+        return table or None
+
+    def absorb(self, table: dict) -> None:
+        """Merge a worker's :meth:`ship` table into this bundle's parts."""
+        for name, attr in _SHIPPED:
+            if name in table:
+                getattr(self, attr).absorb(table[name])
+

@@ -57,6 +57,7 @@ __all__ = [
     "global_registry",
     "record_hook_error",
     "fold_queue_stats",
+    "fold_engine_stats",
     "shard_instruments",
 ]
 
@@ -525,15 +526,15 @@ def global_registry() -> MetricsRegistry:
 
 
 def record_hook_error(site: str, registry: MetricsRegistry | None = None) -> None:
-    """Count one swallowed observer/hook exception at ``site``.
+    """Count one swallowed hook exception at ``site``.
 
-    User-supplied observers and per-window hooks are best-effort: an
+    User-supplied per-window hooks are best-effort: an
     exception they raise is caught by the dispatch site, counted here as
     ``obs_hook_errors_total{site=...}``, and never aborts the run.
     """
     (registry or _GLOBAL_REGISTRY).counter(
         "obs_hook_errors_total",
-        "Exceptions raised by user-supplied observers/hooks (swallowed)",
+        "Exceptions raised by user-supplied hooks (swallowed)",
         ("site",),
     ).inc(site=site)
 
@@ -580,14 +581,48 @@ def fold_queue_stats(
     seen.update(changed)
 
 
+#: The ``cep_*_total`` family: (metric, help, ``EngineStats`` field).
+_ENGINE_COUNTERS = (
+    ("cep_runs_started_total", "Pattern runs (partial matches) opened",
+     "runs_started"),
+    ("cep_runs_extended_total", "Events absorbed into partial matches",
+     "runs_extended"),
+    ("cep_matches_total", "Complete pattern matches emitted", "matches"),
+    ("cep_runs_expired_total", "Partial matches expired at WITHIN",
+     "runs_expired"),
+    ("cep_runs_shed_total",
+     "Partial matches retired by the pSPICE memory bound", "runs_shed"),
+)
+
+
+def fold_engine_stats(
+    registry: MetricsRegistry, stats, seen: dict[str, int]
+) -> None:
+    """Add what a pattern engine counted since the last fold to ``cep_*_total``.
+
+    The engine-side twin of :func:`fold_queue_stats`: ``stats`` is the
+    engine's :class:`~repro.cep.engine.EngineStats`, ``seen`` the field
+    values already folded (updated in place).  The first call mints the
+    (empty) instruments.
+    """
+    for name, help, field in _ENGINE_COUNTERS:
+        counter = registry.counter(name, help)
+        value = getattr(stats, field)
+        delta = value - seen.get(field, 0)
+        if delta > 0:
+            counter.inc(float(delta))
+        seen[field] = value
+
+
 def shard_instruments(registry: MetricsRegistry) -> dict:
     """The sharded data plane's instrument trio, labelled per shard.
 
     ``shard_queue_depth{shard=,stream=}`` (gauge, refreshed every tick
     snapshot), ``shard_windows_merged_total{shard=}`` (one increment per
     window partial a shard ships at close), and ``shard_merge_seconds``
-    (histogram of coordinator-side partial-merge latency).  Created through
-    the normal registry path so they ride the same STATS/TELEMETRY
+    (histogram of coordinator-side partial-merge latency).  The server sets
+    them from what the plane reports (its depth snapshot, its assignment,
+    ``last_merge_seconds``), so they ride the same STATS/TELEMETRY
     snapshots — and ``repro top`` — as every other metric.
     """
     return {

@@ -301,13 +301,15 @@ class SamplingProfiler:
     # ------------------------------------------------------------------
     # Fleet merge (mirrors DropLedger.ship/absorb)
     # ------------------------------------------------------------------
-    def ship(self) -> dict:
+    def ship(self, window_ids=None) -> dict:
         """Serialize this profiler's *new* samples for a coordinator.
 
         Reports per-stack count increments since the last shipment, so a
         coordinator absorbing every shipment ends with a total sample count
         equal to the sum of worker totals exactly.  Safe to send over the
         shard RPC pipe; feed to :meth:`absorb` on the other side.
+        ``window_ids`` is the shard channel's common argument
+        (:meth:`repro.obs.Observability.ship`); samples belong to no window.
         """
         with self._lock:
             stacks = []

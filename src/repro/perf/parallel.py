@@ -25,18 +25,19 @@ def fork_context():
 def pipeline_payload(pipeline) -> bytes:
     """Pickle the recipe a worker needs to rebuild ``pipeline``.
 
-    The payload is (catalog, bound query, config, domains).  Observability
-    never crosses the process boundary: workers run uninstrumented and ship
-    results back.
+    The payload is (catalog, bound query, config, domains).  The
+    observability bundle never crosses the process boundary: a worker
+    builds its own from a spec (:meth:`repro.obs.Observability.worker_spec`)
+    and ships deltas back.
     """
     return pickle.dumps(
         (pipeline.catalog, pipeline.bound, pipeline.config, pipeline._domains)
     )
 
 
-def build_pipeline_from_payload(payload: bytes):
-    """Worker side of :func:`pipeline_payload`."""
+def build_pipeline_from_payload(payload: bytes, obs=None):
+    """Worker side of :func:`pipeline_payload`; ``obs`` is the worker's own."""
     from repro.core.pipeline import DataTriagePipeline
 
     catalog, bound, config, domains = pickle.loads(payload)
-    return DataTriagePipeline(catalog, bound, config, domains)
+    return DataTriagePipeline(catalog, bound, config, domains, obs=obs)

@@ -50,50 +50,27 @@ class StreamDataPlane:
         *,
         sources: list[str] | None = None,
         thread_safe: bool = False,
-        audit=None,
     ) -> None:
         """``sources=None`` owns every source of the pipeline's query;
         a shard worker passes its assigned subset.  ``thread_safe`` is
         forwarded to the queues (the in-server plane shares them across
-        publisher threads; shard workers are single-threaded).  ``audit`` is an
-        optional :class:`~repro.obs.audit.DropLedger` shared by every
-        owned queue (and the hosted pattern engine); see
-        :meth:`enable_audit` for turning it on after construction.
+        publisher threads; shard workers are single-threaded).  The
+        ledger of ``pipeline.obs`` (if any) is shared by every owned queue
+        and the hosted pattern engine.
         """
         self.pipeline = pipeline
         self.config = pipeline.config
         self.sources: list[str] = (
             list(pipeline.sources) if sources is None else list(sources)
         )
-        self._thread_safe = thread_safe
-        self._audit = audit
-        self._prof = None
         self._schemas = {
             s: pipeline.bound.source(s).schema for s in self.sources
         }
         self.build_kept_syn: bool = self.config.strategy.summarizes_drops
-        self.queues: dict[str, TriageQueue] = {}
-        # CEP pattern hosting (attach_pattern): the engine consumes drained
-        # tuples of its streams alongside the SPJ window accounting.
-        self._pattern_args: tuple | None = None
-        self._pattern_engine = None
-        self._pattern_sources: frozenset[str] = frozenset()
-        self._pattern_matches: list[StreamTuple] = []
-        self.reset()
-
-    def reset(self) -> None:
-        """Fresh queues and window state (worker reuse)."""
-        self.queues.clear()
-        self.queues.update(
-            {
-                s: self.pipeline.build_queue(
-                    s,
-                    thread_safe=self._thread_safe,
-                    audit=self._audit,
-                )
-                for s in self.sources
-            }
-        )
+        self.queues: dict[str, TriageQueue] = {
+            s: pipeline.build_queue(s, thread_safe=thread_safe)
+            for s in self.sources
+        }
         # Untimed core: the engine is emulated by a tuple budget per tick.
         self._core = TriageCore(
             list(self.queues.values()), synopses=self.build_kept_syn
@@ -101,8 +78,11 @@ class StreamDataPlane:
         self.arrived: dict[str, dict[int, int]] = {s: {} for s in self.sources}
         self.known_windows: set[int] = set()
         self._budget_carry = 0.0
-        if self._pattern_args is not None:
-            self._build_pattern_engine()
+        # CEP pattern hosting (attach_pattern): the engine consumes drained
+        # tuples of its streams alongside the SPJ window accounting.
+        self._pattern_engine = None
+        self._pattern_sources: frozenset[str] = frozenset()
+        self._pattern_matches: list[StreamTuple] = []
 
     # ------------------------------------------------------------------
     # CEP pattern hosting
@@ -112,7 +92,6 @@ class StreamDataPlane:
         pattern,
         *,
         max_runs: int = 1024,
-        observer=None,
         with_utility: bool = True,
         utility_bins: int = 8,
     ):
@@ -122,32 +101,27 @@ class StreamDataPlane:
         streams must all be sources of this plane.  Drained tuples of those
         sources are fed — in the drain's oldest-head-first order — to a
         :class:`~repro.cep.engine.PatternEngine`; matches accumulate until
-        :meth:`take_matches`.  At most one pattern per plane; the engine is
-        rebuilt (empty) on :meth:`reset`.
+        :meth:`take_matches`.  At most one pattern per plane.
         """
+        from repro.cep.engine import PatternEngine
+        from repro.cep.utility import UtilityModel
+
         missing = [s for s in pattern.streams if s not in self.sources]
         if missing:
             raise ValueError(
                 f"pattern streams {missing} are not sources of this plane "
                 f"({self.sources})"
             )
-        self._pattern_args = (pattern, max_runs, observer, with_utility, utility_bins)
-        return self._build_pattern_engine()
-
-    def _build_pattern_engine(self):
-        from repro.cep.engine import PatternEngine
-        from repro.cep.utility import UtilityModel
-
-        pattern, max_runs, observer, with_utility, bins = self._pattern_args
-        utility = (
-            UtilityModel(pattern.within, bins=bins) if with_utility else None
-        )
+        obs = self.pipeline.obs
         self._pattern_engine = PatternEngine(
             pattern,
             max_runs=max_runs,
-            observer=observer,
-            utility=utility,
-            audit=self._audit,
+            utility=(
+                UtilityModel(pattern.within, bins=utility_bins)
+                if with_utility
+                else None
+            ),
+            audit=obs.ledger if obs is not None else None,
         )
         self._pattern_sources = frozenset(pattern.streams)
         self._pattern_matches = []
@@ -157,58 +131,6 @@ class StreamDataPlane:
     def pattern_engine(self):
         """The hosted pattern engine, or None."""
         return self._pattern_engine
-
-    # ------------------------------------------------------------------
-    # Shed-provenance auditing
-    # ------------------------------------------------------------------
-    @property
-    def audit(self):
-        """The attached :class:`~repro.obs.audit.DropLedger`, or None."""
-        return self._audit
-
-    def enable_audit(self, ledger) -> None:
-        """Attach ``ledger`` to the live queues (and survive resets).
-
-        Shard workers receive the enable over RPC *after* their plane is
-        built, so this rewires already-constructed queues in place; the
-        queue's recording hook is one ``is not None`` check, so attaching
-        mid-run changes no drop decision (the ledger has its own RNG).
-        """
-        self._audit = ledger
-        for q in self.queues.values():
-            q.audit = ledger
-        if self._pattern_engine is not None:
-            self._pattern_engine.audit = ledger
-
-    def audit_ship(self, wids: list[int] | None = None):
-        """Serialize the ledger's new state for the coordinator (or None)."""
-        if self._audit is None:
-            return None
-        return self._audit.ship(wids)
-
-    # ------------------------------------------------------------------
-    # Continuous profiling (shard workers sample locally, ship deltas)
-    # ------------------------------------------------------------------
-    @property
-    def prof(self):
-        """The attached :class:`~repro.obs.prof.SamplingProfiler`, or None."""
-        return self._prof
-
-    def enable_profile(self, prof) -> None:
-        """Attach and start a local sampling profiler.
-
-        The profiler runs on its own daemon thread; nothing on the
-        ingest/drain paths changes, so enabling profiling cannot alter a
-        result or a drop decision.
-        """
-        self._prof = prof
-        prof.start()
-
-    def prof_ship(self):
-        """Serialize the profiler's new samples for the coordinator."""
-        if self._prof is None:
-            return None
-        return self._prof.ship()
 
     def take_matches(self) -> list[StreamTuple]:
         """Pop the pattern matches emitted since the last call."""

@@ -55,7 +55,9 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS,
     DeltaSnapshotter,
     MetricsRegistry,
+    fold_engine_stats,
     fold_queue_stats,
+    shard_instruments,
 )
 from repro.obs.report import WindowReport, summarize_reports
 from repro.obs.slo import SLOEngine, audit_service_slos, default_service_slos
@@ -150,17 +152,41 @@ class TriageServer:
         config: PipelineConfig | None = None,
         service: ServiceConfig | None = None,
         *,
-        metrics: MetricsRegistry | None = None,
         domains: dict[str, tuple[int, int]] | None = None,
         obs=None,
     ) -> None:
-        """``obs`` (a :class:`repro.obs.Observability`) attaches tracing and
-        per-window phase timing to window evaluation; when ``metrics`` is not
-        given, the server then shares ``obs.registry`` so one STATS snapshot
-        carries both layers.
+        """``obs`` (a :class:`repro.obs.Observability`) is the one
+        observability attachment: its tracer and per-window phase timing
+        cover window evaluation, its registry is the server's
+        (:attr:`metrics`, so one STATS snapshot carries both layers), and
+        its ledger / sampler are the server's.  ``ServiceConfig.audit`` /
+        ``profile_hz`` fill in a ledger / sampler the bundle lacks,
+        building the bundle when none was given.
         """
         self.config = config or PipelineConfig()
         self.service = service or ServiceConfig()
+        if self.service.audit or self.service.profile_hz is not None:
+            from repro.obs import Observability
+
+            obs = obs if obs is not None else Observability()
+            if self.service.audit and obs.ledger is None:
+                # The coordinator ledger is the single source of truth: the
+                # serial plane's queues write to it directly; shard workers
+                # keep their own and ship state back at window close.
+                obs.ledger = DropLedger(
+                    capacity=self.service.audit_ring,
+                    exemplars=self.service.audit_exemplars,
+                    seed=self.config.seed,
+                    metrics=obs.registry,
+                )
+            if self.service.profile_hz is not None and obs.sampler is None:
+                # Likewise the merge target of the workers' sample deltas,
+                # so its total sample count is the fleet-wide total.
+                from repro.obs.prof import SamplingProfiler
+
+                obs.sampler = SamplingProfiler(
+                    self.service.profile_hz, metrics=obs.registry
+                )
         self.obs = obs
         self.pipeline = DataTriagePipeline(
             catalog, query, self.config, domains, obs=obs
@@ -170,46 +196,16 @@ class TriageServer:
                 "the service serves grouped aggregate queries; "
                 "raw-mode (non-aggregate) queries have no per-window merge"
             )
-        if metrics is not None:
-            self.metrics = metrics
-        else:
-            self.metrics = obs.registry if obs is not None else MetricsRegistry()
+        self.metrics = obs.registry if obs is not None else MetricsRegistry()
+        self.sharded = self.service.shards > 1
         self._build_instruments()
         #: Rolling per-window accuracy/latency reports (newest last),
         #: exported in the STATS reply.
         self._window_reports: deque[WindowReport] = deque(maxlen=128)
-
-        #: Shed-provenance audit ledger (None when auditing is off).  The
-        #: coordinator ledger is the single source of truth: the serial
-        #: plane's queues write to it directly; shard workers keep their
-        #: own ledgers and ship state back at window close (see
-        #: :meth:`ShardedDataPlane.collect`).
-        self.audit: DropLedger | None = None
-        if self.service.audit:
-            self.audit = DropLedger(
-                capacity=self.service.audit_ring,
-                exemplars=self.service.audit_exemplars,
-                seed=self.config.seed,
-                metrics=self.metrics,
-            )
         #: Recent attribution records (newest last) for STATS / `repro audit`.
         self._audit_attributions: deque[dict] = deque(maxlen=128)
         #: Attribution records accumulated since the last TELEMETRY push.
         self._pending_audit: list[dict] = []
-
-        #: Continuous sampling profiler (None when profiling is off).  The
-        #: coordinator profiler is the merge target: the serial plane runs
-        #: under it directly; shard workers sample locally and ship
-        #: collapsed deltas that :meth:`ShardedDataPlane.prof_sync` absorbs
-        #: here, so its total sample count is the fleet-wide total.
-        self.prof = None
-        if self.service.profile_hz is not None:
-            from repro.obs.prof import SamplingProfiler
-
-            self.prof = SamplingProfiler(
-                self.service.profile_hz, metrics=self.metrics
-            )
-            self.pipeline.prof = self.prof
 
         # SLO scoring: every closed window feeds measurements; evaluation
         # happens on the telemetry cadence (see tick()).
@@ -218,7 +214,7 @@ class TriageServer:
             if self.service.slos is not None
             else default_service_slos(self.config.window.width)
         )
-        if self.audit is not None:
+        if self._ledger is not None:
             # Only append when auditing so an audit-off server's SLO set
             # (and therefore its STATS/TELEMETRY payloads) is unchanged.
             slos = list(slos) + audit_service_slos(self.config.window.width)
@@ -235,7 +231,6 @@ class TriageServer:
 
         self._sources = self.pipeline.sources
         self._source_by_lower = {s.lower(): s for s in self._sources}
-        self.sharded = self.service.shards > 1
         if self.sharded and self.config.adaptive_staleness is not None:
             raise ValueError(
                 "adaptive staleness control tunes in-process queue capacities "
@@ -244,27 +239,19 @@ class TriageServer:
         if self.sharded:
             from repro.service.shard import ShardedDataPlane
 
-            self.plane = ShardedDataPlane(
-                self.pipeline,
-                self.service.shards,
-                metrics=self.metrics,
-                audit=self.audit,
-                prof=self.prof,
-            )
+            self.plane = ShardedDataPlane(self.pipeline, self.service.shards)
             #: Sharded queues live inside worker processes; the in-process
             #: map is empty and introspection goes through the plane facade.
             self.queues: dict[str, TriageQueue] = {}
         else:
-            self.plane = StreamDataPlane(
-                self.pipeline,
-                thread_safe=True,
-                audit=self.audit,
-            )
+            self.plane = StreamDataPlane(self.pipeline, thread_safe=True)
             self.queues = self.plane.queues
         for s, capacity in self.plane.capacities().items():
             self._g_capacity.set(capacity, stream=s)
-        #: Queue-stat snapshots already folded into ``triage_*_total``.
+        #: Queue-stat snapshots already folded into ``triage_*_total``, and
+        #: the hosted pattern engine's counters folded into ``cep_*_total``.
         self._folded_stats: dict[str, tuple] = {}
+        self._folded_engine: dict[str, int] = {}
         self._fold_queue_stats()
 
         self.registry = SessionRegistry(
@@ -279,16 +266,13 @@ class TriageServer:
         if self.config.adaptive_staleness is not None:
             self._controllers = {
                 s: LoadController(
-                    alpha=0.5,
-                    max_staleness=self.config.adaptive_staleness,
-                    observer=self._controller_observer(s),
+                    alpha=0.5, max_staleness=self.config.adaptive_staleness
                 )
                 for s in self._sources
             }
 
         #: Hosted CEP pattern query (attach_pattern), serial plane only.
         self.pattern: BoundPattern | None = None
-        self._cep_counters: dict[str, object] = {}
         self._g_cep_runs = None
 
         self._server: asyncio.base_events.Server | None = None
@@ -297,6 +281,16 @@ class TriageServer:
         self._t0: float | None = None
         self._last_tick = 0.0
         self._closing = False
+
+    @property
+    def _ledger(self) -> DropLedger | None:
+        """The bundle's drop ledger (None when auditing is off)."""
+        return self.obs.ledger if self.obs is not None else None
+
+    @property
+    def _sampler(self):
+        """The bundle's sampling profiler (None when profiling is off)."""
+        return self.obs.sampler if self.obs is not None else None
 
     @property
     def _known_windows(self) -> set[int]:
@@ -375,9 +369,11 @@ class TriageServer:
             name: m.gauge(f"controller_{name}", f"Load controller {name}", ("stream",))
             for name in ("arrival_rate", "drop_fraction", "recommended_capacity")
         }
+        self._shard = shard_instruments(m) if self.sharded else None
 
     def _fold_queue_stats(self) -> None:
-        """Bring ``triage_*_total`` up to the plane's queue counters.
+        """Bring ``triage_*_total`` (and, with a hosted pattern,
+        ``cep_*_total``) up to what the plane's queues and engine counted.
 
         Called wherever the counters can be read: every tick, and right
         before a STATS reply, a TELEMETRY delta / SLO evaluation and the
@@ -387,6 +383,9 @@ class TriageServer:
         fold_queue_stats(
             self.metrics, self.plane.stats_snapshot(), self._folded_stats
         )
+        engine = self.plane.pattern_engine
+        if engine is not None:
+            fold_engine_stats(self.metrics, engine.stats, self._folded_engine)
 
     # ------------------------------------------------------------------
     # CEP pattern hosting
@@ -398,9 +397,9 @@ class TriageServer:
 
         Every tuple the engine drain consumes from a pattern stream also
         steps the NFA (see :meth:`StreamDataPlane.attach_pattern`); matches
-        accumulate in the plane and lifecycle events feed the ``cep_*``
-        metrics.  When the configured drop policy is pattern-aware (it has
-        a ``bind_engine`` hook, like
+        accumulate in the plane and the engine's lifecycle counters are
+        folded into the ``cep_*`` metrics.  When the configured drop policy
+        is pattern-aware (it has a ``bind_engine`` hook, like
         :class:`~repro.cep.policy.PatternUtilityPolicy`), the live engine
         is bound into it so victim selection sees real partial-match state.
         Sharded planes cannot host patterns — a sequence NFA needs one
@@ -417,56 +416,20 @@ class TriageServer:
             pattern = Binder(self.pipeline.catalog).bind_pattern(pattern)
         if not isinstance(pattern, BoundPattern):
             raise TypeError(f"not a pattern query: {pattern!r}")
-        self._build_cep_instruments()
-        engine = self.plane.attach_pattern(
-            pattern, max_runs=max_runs, observer=self._pattern_event
-        )
+        engine = self.plane.attach_pattern(pattern, max_runs=max_runs)
         bind = getattr(self.config.policy, "bind_engine", None)
         if bind is not None:
             bind(engine)
         self.pattern = pattern
-        return engine
-
-    def _build_cep_instruments(self) -> None:
-        m = self.metrics
-        self._cep_counters = {
-            "run_start": m.counter(
-                "cep_runs_started_total", "Pattern runs (partial matches) opened"
-            ),
-            "run_extend": m.counter(
-                "cep_runs_extended_total", "Events absorbed into partial matches"
-            ),
-            "match": m.counter(
-                "cep_matches_total", "Complete pattern matches emitted"
-            ),
-            "run_expire": m.counter(
-                "cep_runs_expired_total", "Partial matches expired at WITHIN"
-            ),
-            "run_shed": m.counter(
-                "cep_runs_shed_total",
-                "Partial matches retired by the pSPICE memory bound",
-            ),
-        }
-        self._g_cep_runs = m.gauge(
+        self._g_cep_runs = self.metrics.gauge(
             "cep_active_runs", "Live partial matches in the pattern engine"
         )
-
-    def _pattern_event(self, event: str, value: float) -> None:
-        counter = self._cep_counters.get(event)
-        if counter is not None:
-            counter.inc(value)
+        self._fold_queue_stats()  # mints the (empty) cep_*_total family
+        return engine
 
     def take_matches(self):
         """Pop pattern matches emitted since the last call (serial plane)."""
         return self.plane.take_matches()
-
-    def _controller_observer(self, stream: str):
-        def observe(name: str, value: float) -> None:
-            gauge = self._g_ctrl.get(name)
-            if gauge is not None:
-                gauge.set(value, stream=stream)
-
-        return observe
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -492,8 +455,8 @@ class TriageServer:
         )
         self._t0 = asyncio.get_running_loop().time()
         self._last_tick = self.now()
-        if self.prof is not None:
-            self.prof.start()
+        if self._sampler is not None:
+            self._sampler.start()
         if self.service.tick_interval is not None:
             self._ticker_task = asyncio.get_running_loop().create_task(
                 self._ticker()
@@ -541,18 +504,13 @@ class TriageServer:
         self._fold_queue_stats()
         try:
             await self._close_windows(now, force=True)
-            if self.audit is not None and self.sharded:
-                # Pull any residual worker ledger state (windowless events
-                # such as cep_evict ship only with a collect) so the final
-                # coordinator counts reconcile exactly with plane totals.
+            if self.obs is not None and self.sharded:
+                # Pull what no close reply carried (windowless ledger
+                # events, the workers' last samples) so the final ledger
+                # counts reconcile exactly with plane totals and the merged
+                # profile's total is the fleet total.
                 await asyncio.get_running_loop().run_in_executor(
-                    None, self.plane.audit_sync
-                )
-            if self.prof is not None and self.sharded:
-                # Same for profiles: absorb the workers' final sample
-                # deltas so the merged profile's total is the fleet total.
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self.plane.prof_sync
+                    None, self.plane.obs_sync
                 )
         except Exception:
             if not self.sharded:
@@ -561,8 +519,8 @@ class TriageServer:
             # sessions still deserve their BYE and the ports their close.
         await self.registry.close_all(farewell={"type": "BYE"})
         self._g_sessions.set(0)
-        if self.prof is not None:
-            self.prof.stop()
+        if self._sampler is not None:
+            self._sampler.stop()
         if self.sharded:
             self.plane.close()
 
@@ -870,6 +828,7 @@ class TriageServer:
         (``trace=None``, the common case) skip all of it.
         """
         now = self.now() if now is None else now
+        ledger = self._ledger
         tracer = None
         span_cm = None
         traced_wids: set[int] | None = None
@@ -898,10 +857,10 @@ class TriageServer:
                 span_cm = tracer.span("ingest", cat="service", source=source,
                                       rows=nrows)
                 span_cm.__enter__()
-            if self.audit is not None:
+            if ledger is not None:
                 # Exemplars sampled during this batch carry the client's
                 # trace id (mirrors the tracer context lifecycle above).
-                self.audit.set_trace(trace["trace_id"])
+                ledger.set_trace(trace["trace_id"])
         try:
             if columnar:
                 accepted, late, depth, dropped_total = self.plane.ingest_columns(
@@ -915,15 +874,15 @@ class TriageServer:
             if tracer is not None:
                 span_cm.__exit__(None, None, None)
                 tracer.clear_context()
-            if trace is not None and self.audit is not None:
-                self.audit.set_trace(None)
+            if trace is not None and ledger is not None:
+                ledger.set_trace(None)
         if late:
             self._c_late.inc(late, stream=source)
-            if self.audit is not None:
+            if ledger is not None:
                 # Edge shedding: rows refused coordinator-side because their
                 # window already closed.  No window bucket (the window is
                 # gone), so these land in the ledger's unattributed pool.
-                self.audit.record(
+                ledger.record(
                     "edge_shed",
                     policy="admission",
                     stream=source,
@@ -956,18 +915,18 @@ class TriageServer:
                 "summary": self._summary(),
                 "window_reports": [r.to_dict() for r in self._window_reports],
             }
-            if self.audit is not None:
+            if self._ledger is not None:
                 reply["audit"] = {
-                    "summary": self.audit.summary(),
+                    "summary": self._ledger.summary(),
                     "attributions": list(self._audit_attributions),
                 }
-            if self.prof is not None:
+            if self._sampler is not None:
                 want = frame.get("profile")
                 if want and self.sharded:
                     # Live capture wants the fleet-wide view: absorb the
                     # workers' sample deltas before exporting.
                     await asyncio.get_running_loop().run_in_executor(
-                        None, self.plane.prof_sync
+                        None, self.plane.obs_sync
                     )
                 reply["prof"] = self._prof_block(live=want)
         await session.send_now(reply)
@@ -983,9 +942,10 @@ class TriageServer:
         """
         from repro.obs.prof import top_functions
 
-        counts = self.prof.snapshot()
+        sampler = self._sampler
+        counts = sampler.snapshot()
         block = {
-            "summary": self.prof.summary(),
+            "summary": sampler.summary(),
             "top": [
                 {"function": fn, "self_share": round(share, 6)}
                 for fn, share in top_functions(counts, 10)
@@ -993,7 +953,7 @@ class TriageServer:
         }
         if live:
             limit = live if isinstance(live, int) and live is not True else 200
-            block["collapsed"] = self.prof.export_collapsed(limit=limit)
+            block["collapsed"] = sampler.export_collapsed(limit=limit)
         return block
 
     def _summary(self) -> dict:
@@ -1046,6 +1006,10 @@ class TriageServer:
         for s, depth in self.plane.depths().items():
             self._g_depth.set(depth, stream=s)
             self._h_depth.observe(depth, stream=s)
+            if self.sharded:
+                self._shard["depth"].set(
+                    depth, shard=str(self.plane.assignment[s]), stream=s
+                )
 
         if self._g_cep_runs is not None and not self.sharded:
             engine = self.plane.pattern_engine
@@ -1054,10 +1018,15 @@ class TriageServer:
 
         if self._controllers is not None and elapsed > 0:
             for s, controller in self._controllers.items():
-                controller.observe(interval_seconds=elapsed, stats=self.queues[s].stats)
+                est = controller.observe(
+                    interval_seconds=elapsed, stats=self.queues[s].stats
+                )
                 capacity = controller.recommended_capacity(self.config.service_time)
                 self.queues[s].capacity = capacity
                 self._g_capacity.set(capacity, stream=s)
+                self._g_ctrl["arrival_rate"].set(est.arrival_rate, stream=s)
+                self._g_ctrl["drop_fraction"].set(est.drop_fraction, stream=s)
+                self._g_ctrl["recommended_capacity"].set(capacity, stream=s)
 
         emitted = await self._close_windows(now)
         await self._maybe_push_telemetry(now)
@@ -1101,13 +1070,13 @@ class TriageServer:
             "slo": self.slo.status(),
             "summary": self._telemetry_summary(),
         }
-        if self.audit is not None:
+        if self._ledger is not None:
             frame["audit"] = {
-                "summary": self.audit.summary(),
+                "summary": self._ledger.summary(),
                 "attributions": self._pending_audit,
             }
             self._pending_audit = []
-        if self.prof is not None:
+        if self._sampler is not None:
             frame["prof"] = self._prof_block()
         self._pending_reports = []
         self._c_telemetry.inc(len(subscribers))
@@ -1182,6 +1151,9 @@ class TriageServer:
             partials = await asyncio.get_running_loop().run_in_executor(
                 None, self.plane.collect, list(wids)
             )
+            for shard in set(self.plane.assignment.values()):
+                self._shard["merged"].inc(len(wids), shard=str(shard))
+            self._shard["merge_seconds"].observe(self.plane.last_merge_seconds)
         else:
             partials = self.plane.collect(list(wids))
         trace_ids = None
@@ -1205,7 +1177,7 @@ class TriageServer:
             arrived=partials.arrived,
         )
         frames = [self._frame_outcome(o, now) for o in outcomes]
-        if self.audit is not None:
+        if self._ledger is not None:
             # Attribution join: sharded planes shipped worker ledger state
             # during collect() above, so by now the coordinator ledger holds
             # every shed decision for these windows at any shard count.
@@ -1220,7 +1192,7 @@ class TriageServer:
         the error basis degrades to the window's shed fraction — still a
         meaningful burn signal for the ``attributed_error_burn`` SLO.
         """
-        taken = self.audit.take_windows(wids)
+        taken = self._ledger.take_windows(wids)
         if not taken:
             return
         recent = list(self._window_reports)[-len(wids):]

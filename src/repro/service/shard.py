@@ -66,8 +66,14 @@ class ShardError(RuntimeError):
     """A shard worker failed or answered out of protocol."""
 
 
-def _worker_main(conn, payload: bytes, owned: list[str]) -> None:
-    """Shard worker loop: commands in, exactly one reply each, FIFO."""
+def _worker_main(conn, payload: bytes, owned: list[str], obs_spec) -> None:
+    """Shard worker loop: commands in, exactly one reply each, FIFO.
+
+    ``obs_spec`` (:meth:`repro.obs.Observability.worker_spec`, or None)
+    says which observability parts this worker keeps locally; what they
+    see goes home as one ``{name: delta}`` table on every ``close`` reply
+    and on ``obs_ship``.
+    """
     from repro.service.dataplane import StreamDataPlane
 
     # A foreground Ctrl-C signals the whole process group; shutdown must
@@ -77,8 +83,14 @@ def _worker_main(conn, payload: bytes, owned: list[str]) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    pipeline = build_pipeline_from_payload(payload)
-    plane = StreamDataPlane(pipeline, sources=owned)
+    obs = None
+    if obs_spec is not None:
+        from repro.obs import Observability
+
+        obs = Observability.from_worker_spec(obs_spec)
+    plane = StreamDataPlane(
+        build_pipeline_from_payload(payload, obs), sources=owned
+    )
     while True:
         try:
             msg = conn.recv()
@@ -111,34 +123,14 @@ def _worker_main(conn, payload: bytes, owned: list[str]) -> None:
                 plane.drain(budget)
                 reply = plane.depths()
             elif op == "close":
-                _, wids = msg
-                reply = plane.collect(list(wids))
-                plane.mark_closed(list(wids))
-            elif op == "audit_enable":
-                _, capacity, exemplars, seed = msg
-                from repro.obs.audit import DropLedger
-
-                plane.enable_audit(
-                    DropLedger(
-                        capacity=capacity, exemplars=exemplars, seed=seed
-                    )
+                wids = list(msg[1])
+                reply = (
+                    plane.collect(wids),
+                    obs.ship(wids) if obs is not None else None,
                 )
-                reply = True
-            elif op == "audit_ship":
-                _, wids = msg
-                reply = plane.audit_ship(
-                    None if wids is None else list(wids)
-                )
-            elif op == "prof_enable":
-                _, hz, max_stacks = msg
-                from repro.obs.prof import SamplingProfiler
-
-                plane.enable_profile(
-                    SamplingProfiler(hz, max_stacks=max_stacks)
-                )
-                reply = True
-            elif op == "prof_ship":
-                reply = plane.prof_ship()
+                plane.mark_closed(wids)
+            elif op == "obs_ship":
+                reply = obs.ship(msg[1]) if obs is not None else None
             elif op == "stop":
                 conn.send(("ok", True))
                 break
@@ -265,9 +257,17 @@ class ShardedDataPlane:
     staleness tolerance the queues' unlocked stats reads already have.
     """
 
-    def __init__(
-        self, pipeline, shards: int, *, metrics=None, audit=None, prof=None
-    ) -> None:
+    def __init__(self, pipeline, shards: int) -> None:
+        """Fork ``shards`` workers, each primed with ``pipeline``'s recipe.
+
+        When ``pipeline.obs`` carries a ledger or a sampler, each worker
+        keeps a local one (its ledger seeded by shard index — that RNG only
+        samples exemplars, never decides a drop) and ships what it saw back
+        with every ``close`` reply, where :meth:`collect` absorbs it into
+        ``pipeline.obs`` — the observability analogue of ``merge_partials``.
+        The coordinator's sampler is never started here: a pure merge
+        target stays stopped, so its total is exactly the workers' sum.
+        """
         if shards < 2:
             raise ValueError(
                 "ShardedDataPlane needs >= 2 shards; use StreamDataPlane "
@@ -288,20 +288,23 @@ class ShardedDataPlane:
         self._stats: dict[str, tuple] = {
             s: QueueStats().snapshot() for s in self.sources
         }
-        self._instruments = None
-        if metrics is not None:
-            from repro.obs.metrics import shard_instruments
-
-            self._instruments = shard_instruments(metrics)
+        #: Coordinator seconds the last :meth:`collect` spent merging.
+        self.last_merge_seconds = 0.0
+        self._obs = pipeline.obs
         payload = pipeline_payload(pipeline)
         ctx = fork_context()
         self.workers: list[_ShardWorker] = []
         for i in range(shards):
             owned = [s for s in self.sources if self.assignment[s] == i]
             parent_conn, child_conn = ctx.Pipe()
+            spec = (
+                self._obs.worker_spec(seed=i + 1)
+                if self._obs is not None
+                else None
+            )
             proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, payload, owned),
+                args=(child_conn, payload, owned, spec),
                 daemon=True,
                 name=f"repro-shard-{i}",
             )
@@ -309,12 +312,6 @@ class ShardedDataPlane:
             child_conn.close()
             self.workers.append(_ShardWorker(i, owned, proc, parent_conn))
         self._closed = False
-        self._audit = None
-        if audit is not None:
-            self.enable_audit(audit)
-        self._prof = None
-        if prof is not None:
-            self.enable_profile(prof)
 
     # ------------------------------------------------------------------
     # CEP pattern hosting (refused: needs one totally-ordered consumer)
@@ -342,91 +339,25 @@ class ShardedDataPlane:
         )
 
     # ------------------------------------------------------------------
-    # Shed-provenance auditing
+    # Observability channel
     # ------------------------------------------------------------------
-    @property
-    def audit(self):
-        """The coordinator-side :class:`~repro.obs.audit.DropLedger`, or None."""
-        return self._audit
+    def obs_sync(self) -> None:
+        """Pull everything the workers' local parts still hold.
 
-    def enable_audit(self, ledger) -> None:
-        """Attach a coordinator ledger; workers grow local ones over RPC.
-
-        Each worker builds a private :class:`DropLedger` (seeded by shard
-        index — the ledger RNG only drives exemplar sampling, never drop
-        decisions) and ships its entries back at window close
-        (:meth:`collect`), where they merge into ``ledger`` alongside the
-        ``WindowPartials`` — the audit analogue of ``merge_partials``.
+        Closing windows already bring their deltas home on the ``close``
+        reply; this is for what no close carries — windowless ledger
+        events, samples since the last close — at shutdown and for a live
+        profile capture.  Deltas are additive, so syncing any number of
+        times never double counts.
         """
-        self._audit = ledger
-        for worker in self.workers:
-            worker.submit(
-                ("audit_enable", ledger.capacity, ledger.exemplars,
-                 worker.index + 1)
-            )
-        for worker in self.workers:
-            _unwrap(_one_reply(worker))
-
-    def audit_sync(self) -> None:
-        """Pull every worker's remaining ledger state (shutdown, tests).
-
-        Pops *all* pending worker-side window aggregates, not just closed
-        windows — after this, the coordinator ledger's counts equal the
-        sum of every shard's shed decisions.
-        """
-        if self._audit is None:
+        if self._obs is None:
             return
         for worker in self.workers:
-            worker.submit(("audit_ship", None))
+            worker.submit(("obs_ship", None))
         for worker in self.workers:
-            shipment = _unwrap(_one_reply(worker))
-            if shipment:
-                self._audit.absorb(shipment)
-
-    # ------------------------------------------------------------------
-    # Continuous profiling
-    # ------------------------------------------------------------------
-    @property
-    def prof(self):
-        """The coordinator-side merge profiler, or None."""
-        return self._prof
-
-    def enable_profile(self, prof) -> None:
-        """Attach a coordinator merge profiler; workers sample locally.
-
-        Each worker starts a private
-        :class:`~repro.obs.prof.SamplingProfiler` on its own daemon thread
-        and ships per-stack count *deltas* back on :meth:`prof_sync`, where
-        they merge into ``prof`` — the profiling analogue of the audit
-        ship/absorb hop.  ``prof`` itself is not started here: whether the
-        coordinator process also samples is its owner's call (the server
-        starts it; a pure merge target stays stopped, so its totals are
-        exactly the sum of worker totals).
-        """
-        self._prof = prof
-        for worker in self.workers:
-            worker.submit(("prof_enable", prof.hz, prof.max_stacks))
-        for worker in self.workers:
-            _unwrap(_one_reply(worker))
-
-    def prof_sync(self) -> int:
-        """Absorb every worker's new samples; returns samples absorbed.
-
-        Shipments are deltas, so syncing any number of times never double
-        counts: after a final sync the coordinator profile's total sample
-        count equals the sum of the workers' totals (plus whatever the
-        coordinator itself sampled) exactly.
-        """
-        if self._prof is None:
-            return 0
-        for worker in self.workers:
-            worker.submit(("prof_ship",))
-        absorbed = 0
-        for worker in self.workers:
-            shipment = _unwrap(_one_reply(worker))
-            if shipment:
-                absorbed += self._prof.absorb(shipment)
-        return absorbed
+            table = _unwrap(_one_reply(worker))
+            if table is not None:
+                self._obs.absorb(table)
 
     # ------------------------------------------------------------------
     # Ingest
@@ -481,18 +412,12 @@ class ShardedDataPlane:
         """
         for worker in self.workers:
             worker.submit(("tick", elapsed))
-        depth_gauge = (
-            self._instruments["depth"] if self._instruments else None
-        )
         for worker in self.workers:
             snap = _unwrap(_one_reply(worker))
             self._depths.update(snap["depths"])
             self._heads.update(snap["heads"])
             self._stats.update(snap["stats"])
             self.known_windows.update(snap["known"])
-            if depth_gauge is not None:
-                for s, d in snap["depths"].items():
-                    depth_gauge.set(d, shard=str(worker.index), stream=s)
 
     def drain(self, budget: int | None) -> None:
         """Explicit drain (shutdown path); each shard gets the full budget."""
@@ -530,29 +455,14 @@ class ShardedDataPlane:
             worker.submit(("close", list(wids)))
         parts: list[WindowPartials] = []
         for worker in self.workers:
-            part = _unwrap(_one_reply(worker))
+            part, table = _unwrap(_one_reply(worker))
             parts.append(part)
-            if self._instruments is not None and worker.sources:
-                self._instruments["merged"].inc(
-                    len(wids), shard=str(worker.index)
-                )
+            if table is not None:
+                self._obs.absorb(table)
         t0 = time.perf_counter()
         merged = merge_partials(parts)
-        if self._instruments is not None:
-            self._instruments["merge_seconds"].observe(
-                time.perf_counter() - t0
-            )
+        self.last_merge_seconds = time.perf_counter() - t0
         merged.window_ids = list(wids)
-        if self._audit is not None:
-            # Second broadcast conversation: workers pop these windows'
-            # ledger aggregates, drain their event rings, and the shipments
-            # merge into the coordinator ledger next to the partials.
-            for worker in self.workers:
-                worker.submit(("audit_ship", list(wids)))
-            for worker in self.workers:
-                shipment = _unwrap(_one_reply(worker))
-                if shipment:
-                    self._audit.absorb(shipment)
         return merged
 
     def mark_closed(self, wids: list[int]) -> None:

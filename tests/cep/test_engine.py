@@ -145,20 +145,35 @@ class TestProtection:
 
 class TestObserverAndUtility:
     def test_observer_event_counts_match_stats(self):
-        events: dict[str, float] = {}
-        engine = PatternEngine(
-            bind(FULL),
-            observer=lambda e, v: events.__setitem__(e, events.get(e, 0) + v),
-        )
-        feed(
-            engine,
-            [("A", 0.0, 7), ("B", 0.1, 7), ("C", 0.2, 7), ("A", 5.0, 9)],
-        )
+        # What an observer of the engine sees is its EngineStats, folded by
+        # delta: folding after every event or once at the end lands the
+        # same ``cep_*_total`` values, and a repeat fold adds nothing.
+        from repro.obs.metrics import MetricsRegistry, fold_engine_stats
+
+        def counters(registry):
+            return {
+                name: inst["values"].get("", 0.0)
+                for name, inst in registry.to_dict().items()
+            }
+
+        events = [("A", 0.0, 7), ("B", 0.1, 7), ("C", 0.2, 7), ("A", 5.0, 9)]
+        stepwise, seen = MetricsRegistry(), {}
+        engine = PatternEngine(bind(FULL))
+        for event in events:
+            feed(engine, [event])
+            fold_engine_stats(stepwise, engine.stats, seen)
+        fold_engine_stats(stepwise, engine.stats, seen)
+        at_end = MetricsRegistry()
+        fold_engine_stats(at_end, engine.stats, {})
         stats = engine.stats
-        assert events.get("run_start", 0) == stats.runs_started
-        assert events.get("run_extend", 0) == stats.runs_extended
-        assert events.get("match", 0) == stats.matches == 1
-        assert events.get("run_expire", 0) == stats.runs_expired
+        assert counters(stepwise) == counters(at_end) == {
+            "cep_runs_started_total": stats.runs_started,
+            "cep_runs_extended_total": stats.runs_extended,
+            "cep_matches_total": stats.matches,
+            "cep_runs_expired_total": stats.runs_expired,
+            "cep_runs_shed_total": stats.runs_shed,
+        }
+        assert stats.matches == 1 and stats.runs_started == 2
 
     def test_utility_model_learns_contribution(self):
         model = UtilityModel(within=2.0, bins=4)
@@ -171,3 +186,63 @@ class TestObserverAndUtility:
     def test_utility_prior_is_half(self):
         model = UtilityModel(within=2.0, bins=4)
         assert model.probability("A", 0.3) == pytest.approx(0.5)
+
+
+class TestCompileFallbacks:
+    """No silent fallback: a predicate or pre-filter the compiler refuses
+    still runs (interpreted, identical matches) and is counted — on the
+    engine and in the global registry, the way the SPJ executor counts
+    ``plan_compile_fallback_total``."""
+
+    LOCAL = (
+        "PATTERN SEQ(A a, B+ b, C c) "
+        "WHERE a.k = b.k AND b.k = c.k AND a.k < 50 WITHIN 2"
+    )
+    EVENTS = [
+        ("A", 0.1, 7), ("B", 0.2, 7), ("A", 0.25, 70), ("C", 0.4, 7),
+        ("A", 0.5, 9), ("B", 0.6, 9), ("C", 0.7, 9),
+    ]
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        from repro.perf.vector import CompileError
+
+        raise CompileError("refused by the test")
+
+    def _counter(self, name, labels=()):
+        from repro.obs.metrics import global_registry
+
+        return global_registry().counter(name, "", labels)
+
+    def test_refused_predicate_is_interpreted_and_counted(self, monkeypatch):
+        reference = PatternEngine(bind(self.LOCAL))
+        assert reference.predicates_interpreted == 0
+        counter = self._counter("cep_predicate_fallback_total", ("reason",))
+        before = counter.value(reason="CompileError")
+        monkeypatch.setattr("repro.cep.engine.compile_scalar", self._refuse)
+        engine = PatternEngine(bind(self.LOCAL))
+        n_predicates = sum(len(st.predicates) for st in engine._steps)
+        assert engine.predicates_interpreted == n_predicates > 0
+        assert counter.value(reason="CompileError") == before + n_predicates
+        assert feed(engine, self.EVENTS) == feed(reference, self.EVENTS)
+        assert engine.stats == reference.stats
+        # Interpreting by choice is not a fallback.
+        assert PatternEngine(
+            bind(self.LOCAL), compiled=False
+        ).predicates_interpreted == 0
+        assert counter.value(reason="CompileError") == before + n_predicates
+
+    def test_refused_prefilter_is_skipped_and_counted(self, monkeypatch):
+        reference = PatternEngine(bind(self.LOCAL))
+        assert reference.prefilters_skipped == 0
+        assert reference._kernels_rows  # the pre-filter is live here
+        counter = self._counter("cep_prefilter_skipped_total")
+        before = counter.value()
+        monkeypatch.setattr("repro.cep.engine.compile_filter_vector", self._refuse)
+        engine = PatternEngine(bind(self.LOCAL))
+        assert engine.prefilters_skipped == 1  # only step ``a`` has a local
+        assert not engine._kernels_rows
+        assert counter.value() == before + 1
+        batch = [(s, StreamTuple(ts, (k,))) for s, ts, k in self.EVENTS]
+        assert engine.advance_batch(batch) == reference.advance_batch(batch)
+        assert engine.stats == reference.stats

@@ -145,7 +145,7 @@ class TestCompileFallback:
         one per window), and EXPLAIN ANALYZE says why."""
         from repro.engine.expressions import ExpressionError
         from repro.obs.metrics import global_registry
-        from repro.obs.profile import profile_execution, render_profile
+        from repro.obs.explain import profile_execution, render_profile
 
         counter = global_registry().counter(
             "plan_compile_fallback_total",
@@ -179,7 +179,7 @@ class TestCompileFallback:
         assert counter.value(reason="CompileError") == before + 1
 
     def test_interpreted_executor_reports_no_fallback(self, catalog):
-        from repro.obs.profile import profile_execution, render_profile
+        from repro.obs.explain import profile_execution, render_profile
 
         bound = Binder(catalog).bind(parse_statement("SELECT a FROM R"))
         for compiled, mode in ((True, "compiled"), (False, "interpreted")):

@@ -55,7 +55,7 @@ def test_record_hook_error_counts_site():
 def test_record_hook_error_falls_back_to_global():
     c = global_registry().counter(
         "obs_hook_errors_total",
-        "Exceptions raised by user-supplied observers/hooks (swallowed)",
+        "Exceptions raised by user-supplied hooks (swallowed)",
         ("site",),
     )
     before = c.value(site="test_site")

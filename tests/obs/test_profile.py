@@ -5,7 +5,7 @@ import pytest
 from repro.algebra import Multiset
 from repro.engine import QueryExecutor
 from repro.engine.explain import explain_analyze
-from repro.obs.profile import profile_execution, render_profile
+from repro.obs.explain import profile_execution, render_profile
 from repro.sql import Binder, parse_statement
 
 INPUTS = {

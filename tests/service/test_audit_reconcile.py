@@ -29,6 +29,7 @@ from repro.experiments import (
     bursty_pipeline,
     paper_catalog,
 )
+from repro.obs import Observability
 from repro.obs.audit import DropLedger, attribute_reports
 from repro.obs.metrics import MetricsRegistry, fold_queue_stats
 from repro.service import ServiceConfig, TriageServer
@@ -41,14 +42,18 @@ STREAMS = ("R", "S", "T")
 DROP_KINDS = ("drop_incoming", "evict_buffered")
 
 
-def make_pipeline(queue_capacity=40):
+def make_pipeline(queue_capacity=40, ledger=None, sampler=None):
+    """The suite's pipeline; a ledger / sampler rides in on a bundle."""
     config = PipelineConfig(
         window=WindowSpec(width=1.0),
         queue_capacity=queue_capacity,
         service_time=0.002,
         compute_ideal=False,
     )
-    return DataTriagePipeline(paper_catalog(), PAPER_QUERY, config)
+    obs = None
+    if ledger is not None or sampler is not None:
+        obs = Observability(ledger=ledger, sampler=sampler)
+    return DataTriagePipeline(paper_catalog(), PAPER_QUERY, config, obs=obs)
 
 
 def workload(seed=17, n_windows=3, rows_per_batch=120, batches_per_window=2):
@@ -138,8 +143,8 @@ def folded_counters(plane):
 # ---------------------------------------------------------------------------
 def test_serial_ledger_reconciles_with_observer_counters():
     ledger = DropLedger(seed=0)
-    pipeline = make_pipeline()
-    plane = StreamDataPlane(pipeline, audit=ledger)
+    pipeline = make_pipeline(ledger=ledger)
+    plane = StreamDataPlane(pipeline)
     _, (offered, dropped) = drive(plane, pipeline, workload())
     assert dropped > 0, "workload must force shedding to be a real test"
 
@@ -159,8 +164,8 @@ def test_ledger_reconciles_at_every_shard_count(shards):
     are identical across shard counts."""
     schedule = workload(seed=17)
     reference = DropLedger(seed=0)
-    ref_pipeline = make_pipeline()
-    ref_plane = StreamDataPlane(ref_pipeline, audit=reference)
+    ref_pipeline = make_pipeline(ledger=reference)
+    ref_plane = StreamDataPlane(ref_pipeline)
     ref_outcomes, (ref_offered, ref_dropped) = drive(
         ref_plane, ref_pipeline, schedule
     )
@@ -172,11 +177,11 @@ def test_ledger_reconciles_at_every_shard_count(shards):
         counters = ref_counters
     else:
         ledger = DropLedger(seed=0)
-        pipeline = make_pipeline()
-        plane = ShardedDataPlane(pipeline, shards, audit=ledger)
+        pipeline = make_pipeline(ledger=ledger)
+        plane = ShardedDataPlane(pipeline, shards)
         try:
             outcomes, (_, dropped) = drive(plane, pipeline, schedule)
-            plane.audit_sync()
+            plane.obs_sync()
             counters = folded_counters(plane)
         finally:
             plane.close()
@@ -197,11 +202,11 @@ def test_ledger_reconciles_at_every_shard_count(shards):
 @pytest.mark.parametrize("shards", [2, 4])
 def test_sharded_attribution_partitions_events(shards):
     ledger = DropLedger(seed=0)
-    pipeline = make_pipeline()
-    plane = ShardedDataPlane(pipeline, shards, audit=ledger)
+    pipeline = make_pipeline(ledger=ledger)
+    plane = ShardedDataPlane(pipeline, shards)
     try:
         drive(plane, pipeline, workload())
-        plane.audit_sync()
+        plane.obs_sync()
     finally:
         plane.close()
     taken = ledger.take_windows(ledger.pending_windows())
@@ -221,13 +226,10 @@ def test_audit_is_invisible_to_results(shards):
     schedule = workload(seed=23)
 
     def run_once(audit):
+        pipeline = make_pipeline(ledger=audit)
         if shards == 1:
-            pipeline = make_pipeline()
-            return drive(
-                StreamDataPlane(pipeline, audit=audit), pipeline, schedule
-            )
-        pipeline = make_pipeline()
-        plane = ShardedDataPlane(pipeline, shards, audit=audit)
+            return drive(StreamDataPlane(pipeline), pipeline, schedule)
+        plane = ShardedDataPlane(pipeline, shards)
         try:
             return drive(plane, pipeline, schedule)
         finally:
@@ -244,9 +246,8 @@ def test_fig9_pipeline_run_reconciles_and_attributes():
     params = ExperimentParams(n_windows=2)
     ledger = DropLedger(seed=0)
     pipeline, streams = bursty_pipeline(
-        ShedStrategy.DATA_TRIAGE, 3000.0, params, 0
+        ShedStrategy.DATA_TRIAGE, 3000.0, params, 0, obs=Observability(ledger=ledger)
     )
-    pipeline.audit = ledger
     result = pipeline.run(streams)
     dropped = result.total_dropped
     assert dropped > 0
@@ -324,9 +325,9 @@ def test_server_counters_match_plane_and_ledger(shards):
             assert server.plane.stats_snapshot()["R"][:5] == (40, 35, 5, 35, 5)
             assert server.plane.totals() == (40, 35)
             if shards > 1:
-                server.plane.audit_sync()
+                server.plane.obs_sync()
             assert sum(
-                server.audit.counts.get(k, 0) for k in DROP_KINDS
+                server.obs.ledger.counts.get(k, 0) for k in DROP_KINDS
             ) == 35
 
     asyncio.run(main())
@@ -335,7 +336,7 @@ def test_server_counters_match_plane_and_ledger(shards):
 def test_server_audit_off_has_no_audit_state():
     async def main():
         async with serve() as server:
-            assert server.audit is None
+            assert server.obs is None
             assert "attributed_error_burn" not in server.slo.status()
 
     asyncio.run(main())
@@ -353,12 +354,12 @@ def test_server_audit_counts_edge_sheds_and_attributes_windows():
             assert server._audit_attributions
             record = server._audit_attributions[-1]
             assert record["basis"] == "shed_fraction"
-            assert server.audit.pending_windows() == []
+            assert server.obs.ledger.pending_windows() == []
             # Rows for the closed window are edge sheds in the ledger.
             _, late, _, _ = server.ingest_rows("R", [[2]], [0.1], now=2.0)
             assert late == 1
-            assert server.audit.counts.get("edge_shed") == 1
-            (loose,) = server.audit.unattributed()
+            assert server.obs.ledger.counts.get("edge_shed") == 1
+            (loose,) = server.obs.ledger.unattributed()
             assert loose["policy"] == "admission"
             # The audit SLO exists and observed the closed window.
             assert "attributed_error_burn" in server.slo.status()

@@ -1,5 +1,7 @@
 """TriageServer hosting a CEP pattern query: metrics, summary, refusal."""
 
+import asyncio
+
 import pytest
 
 from repro.cep import DEMO_PATTERN, PatternUtilityPolicy, bursty_pattern_workload, demo_catalog
@@ -35,6 +37,9 @@ class TestAttachPattern:
         matches = server.take_matches()
         assert matches
         assert engine.stats.matches == len(matches)
+        # The engine calls nobody: its counters reach ``cep_*_total`` at the
+        # next point a reader could look, here a tick.
+        asyncio.run(server.tick())
         metrics = server.metrics.to_dict()
         assert metrics["cep_matches_total"]["values"][""] == len(matches)
         assert metrics["cep_runs_started_total"]["values"][""] > 0

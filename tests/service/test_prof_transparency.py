@@ -6,12 +6,12 @@ Three contracts, mirroring the audit-reconcile suite:
   profiling on and off, for the Figure 9 pipeline run and for the serial
   and sharded data planes: the sampler lives on its own daemon thread
   and never touches the policy RNG chain or the hot path's data flow.
-* **Service surface** — a server started with ``profile_hz`` carries a
+* **Service surface** — a server configured with a sampling rate carries a
   ``prof`` block in STATS (and supports live collapsed capture over the
   wire); a prof-off server's replies are unchanged and live capture is
   refused with a clear error.
 * **Merge exactness** — the coordinator's fleet-wide profile is a pure
-  merge target (never started), so after ``prof_sync`` its total sample
+  merge target (never started), so after ``obs_sync`` its total sample
   count equals the sum of the workers' shipped samples exactly, no
   matter how many times syncing runs.
 """
@@ -24,6 +24,7 @@ import pytest
 from repro.core.strategies import PipelineConfig, ShedStrategy
 from repro.engine.window import WindowSpec
 from repro.experiments import bursty_pipeline, paper_catalog
+from repro.obs import Observability
 from repro.obs.prof import SamplingProfiler, parse_collapsed, validate_collapsed
 from repro.service import ServiceConfig, TriageServer
 from repro.service.dataplane import StreamDataPlane
@@ -44,16 +45,23 @@ def test_fig9_run_identical_with_profiling_on_and_off():
     params = ExperimentParams(n_windows=2)
 
     def run_once(profiled):
+        sampler = SamplingProfiler(hz=250.0) if profiled else None
         pipeline, streams = bursty_pipeline(
-            ShedStrategy.DATA_TRIAGE, 3000.0, params, 0
+            ShedStrategy.DATA_TRIAGE,
+            3000.0,
+            params,
+            0,
+            obs=Observability(sampler=sampler) if profiled else None,
         )
-        if profiled:
-            pipeline.prof = SamplingProfiler(hz=250.0)
         try:
             result = pipeline.run(streams)
+            if profiled:
+                assert sampler.running  # run() starts an attached sampler
         finally:
-            if pipeline.prof is not None:
-                pipeline.prof.stop()
+            if profiled:
+                sampler.stop()
+        if profiled:
+            validate_collapsed(sampler.export_collapsed())
         keys = [outcome_key(o) for o in result.windows]
         return keys, result.total_arrived, result.total_kept, result.total_dropped
 
@@ -63,37 +71,13 @@ def test_fig9_run_identical_with_profiling_on_and_off():
     assert plain[3] > 0, "workload must force shedding to be a real test"
 
 
-def test_profile_hz_config_starts_sampler_on_run():
-    params = ExperimentParams(n_windows=2)
-    pipeline, streams = bursty_pipeline(
-        ShedStrategy.DATA_TRIAGE, 2000.0, params, 0
-    )
-    import dataclasses
-
-    pipeline.config = dataclasses.replace(pipeline.config, profile_hz=250.0)
-    try:
-        pipeline.run(streams)
-    finally:
-        if pipeline.prof is not None:
-            pipeline.prof.stop()
-    assert pipeline.prof is not None
-    assert pipeline.prof.samples >= 0
-    validate_collapsed(pipeline.prof.export_collapsed())
-
-
-def test_profile_hz_must_be_positive():
-    with pytest.raises(ValueError):
-        PipelineConfig(window=WindowSpec(width=1.0), profile_hz=0.0)
-
-
 @pytest.mark.parametrize("shards", [1, 2])
 def test_plane_results_identical_with_profiling_on_and_off(shards):
     schedule = workload(seed=23)
 
     def run_once(prof):
-        pipeline = make_pipeline()
+        pipeline = make_pipeline(sampler=prof)
         if prof is not None:
-            pipeline.prof = prof
             prof.start()
         if shards == 1:
             plane = StreamDataPlane(pipeline)
@@ -102,7 +86,7 @@ def test_plane_results_identical_with_profiling_on_and_off(shards):
             finally:
                 if prof is not None:
                     prof.stop()
-        plane = ShardedDataPlane(pipeline, shards, prof=prof)
+        plane = ShardedDataPlane(pipeline, shards)
         try:
             return drive(plane, pipeline, schedule)
         finally:
@@ -121,15 +105,23 @@ def test_plane_results_identical_with_profiling_on_and_off(shards):
 # ---------------------------------------------------------------------------
 def test_sharded_merge_total_equals_sum_of_worker_samples():
     coordinator = SamplingProfiler(hz=97.0)
-    pipeline = make_pipeline()
-    plane = ShardedDataPlane(pipeline, 2, prof=coordinator)
+    pipeline = make_pipeline(sampler=coordinator)
+    shipped = []  # every worker table's own sample count, as it arrives
+    absorb = pipeline.obs.absorb
+    pipeline.obs.absorb = lambda table: (
+        shipped.append(table["prof"]["samples"]),
+        absorb(table),
+    )
+    plane = ShardedDataPlane(pipeline, 2)
     try:
         assert not coordinator.running  # pure merge target, never sampled
-        drive(plane, pipeline, workload())
-        absorbed = plane.prof_sync()
-        absorbed += plane.prof_sync()  # deltas: re-sync never double counts
+        drive(plane, pipeline, workload())  # close replies carry deltas
+        plane.obs_sync()
+        plane.obs_sync()  # deltas: re-sync never double counts
     finally:
         plane.close()
+    absorbed = sum(shipped)
+    assert len(shipped) > 4  # the closes shipped too, not just the syncs
     assert coordinator.samples == absorbed
     header, counts = parse_collapsed(coordinator.export_collapsed())
     assert header["samples"] == absorbed
@@ -176,7 +168,7 @@ def test_server_stats_reply_carries_prof_block():
 
     async def main():
         async with serve(profile_hz=250.0) as server:
-            assert server.prof is not None and server.prof.running
+            assert server.obs.sampler.running
             client = await TriageClient.connect(
                 "127.0.0.1", server.port, client_name="prof-test"
             )
@@ -229,6 +221,6 @@ def test_sharded_server_live_capture_merges_workers():
             # The live capture synced worker deltas over the RPC hop into
             # the server's profiler before exporting.
             assert header["schema"] == "repro-prof/v1"
-            assert server.prof.samples >= header["samples"] >= 0
+            assert server.obs.sampler.samples >= header["samples"] >= 0
 
     asyncio.run(main())

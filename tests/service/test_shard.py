@@ -222,30 +222,22 @@ def test_sharded_plane_facade_and_fresh_start():
 
 
 def test_sharded_close_reaches_metrics_registry():
-    # A real ingest -> advance -> collect cycle must land the shard gauges
-    # and the audit counters in the caller's registry.
-    from repro.obs.audit import DropLedger
-    from repro.obs.metrics import MetricsRegistry
+    # A real ingest -> tick -> close cycle on a sharded server must land
+    # the shard gauges and the audit counters in the server's registry.
+    async def main():
+        async with serve(2, audit=True) as server:
+            for source, rows, stamps in workload(n_windows=1)[0]:
+                server.ingest_rows(source, rows, stamps, now=0.5)
+            server.clock.t = 10.0
+            frames = await server.tick()
+            assert frames
+            return server.metrics.to_dict(), server.plane.assignment, len(frames)
 
-    registry = MetricsRegistry()
-    pipeline = make_pipeline()
-    ledger = DropLedger(seed=0, metrics=registry)
-    plane = ShardedDataPlane(pipeline, 2, metrics=registry, audit=ledger)
-    try:
-        for source, rows, stamps in workload(n_windows=1)[0]:
-            plane.ingest(source, rows, stamps)
-        plane.advance(10.0)
-        due = plane.due_windows(10.0)
-        assert due
-        plane.collect(due)
-        plane.mark_closed(due)
-    finally:
-        plane.close()
-    doc = registry.to_dict()
+    doc, assignment, closed = run(main())
     depth_keys = {tuple(k.split("||")) for k in doc["shard_queue_depth"]["values"]}
-    assert depth_keys == {(str(plane.assignment[s]), s) for s in STREAMS}
+    assert depth_keys == {(str(assignment[s]), s) for s in STREAMS}
     merged = doc["shard_windows_merged_total"]["values"]
-    assert sum(merged.values()) == 2 * len(due)
+    assert sum(merged.values()) == 2 * closed
     assert doc["shard_merge_seconds"]["values"][""]["count"] >= 1
     assert sum(doc["audit_events_total"]["values"].values()) > 0
     assert "audit_windows_attributed_total" in doc
@@ -400,7 +392,7 @@ QUERY = PAPER_QUERY
 
 
 @contextlib.asynccontextmanager
-async def serve(shards):
+async def serve(shards, **service_kwargs):
     class ManualClock:
         def __init__(self):
             self.t = 0.0
@@ -415,7 +407,9 @@ async def serve(shards):
         service_time=0.002,
         compute_ideal=False,
     )
-    service = ServiceConfig(tick_interval=None, clock=clock, shards=shards)
+    service = ServiceConfig(
+        tick_interval=None, clock=clock, shards=shards, **service_kwargs
+    )
     server = TriageServer(paper_catalog(), QUERY, config, service)
     await server.start()
     server.clock = clock
