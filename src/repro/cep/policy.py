@@ -6,47 +6,118 @@ whole shedding machinery unchanged — only victim *selection* becomes
 pattern-aware.  Two signals rank candidates:
 
 * **Protection** (hSPICE/pSPICE lineage): a tuple whose key would extend an
-  active partial match gets a large score bonus.  The engine exposes this
-  as a :class:`~repro.cep.engine.PatternProtection` live view over its run
-  index, maintained incrementally on run transitions — victim selection
-  never walks the run list per candidate.
+  active partial match gets a large score bonus, read off the engine's
+  :class:`~repro.cep.engine.PatternProtection` live view of its run index.
 * **Learned contribution probability** (eSPICE): the
   :class:`~repro.cep.utility.UtilityModel` histogram supplies
   P(contributes to a match | stream, phase-in-window), so among unprotected
   tuples the ones that historically never amount to anything go first.
 
-A small occupancy term (from ``PolicyContext.window_counts``, maintained
-incrementally by the queue) breaks remaining ties toward tuples in crowded
-windows, where each individual tuple is most redundant.  The policy is
-fully deterministic: no RNG, ties resolved by lowest buffer index, and the
-incoming tuple is shed only when *strictly* worse than every buffered one.
+A small occupancy term breaks remaining ties toward crowded windows, where
+a tuple is most redundant.  Fully deterministic: no RNG, ties go to the
+lowest buffer index, the incoming tuple is shed only when *strictly* worse.
 
-Victim selection is the CEP hot path during bursts — every overflow scores
-the whole buffer — so the state-dependent part of each tuple's score
-(probability + protection bonus) is memoized per tuple and invalidated
-against the ``(engine.version, model.version)`` epoch.  Between two engine
-steps nothing that feeds a base score can change, which is the common case
-during a burst: arrivals outpace the service rate, so the queue overflows
-many times per drain.  The occupancy term reads the queue's live counts and
-is recomputed every call.  Scores, and therefore decisions, are bit-equal
-to the uncached formula: the addition order (probability, + bonus,
-+ occupancy) is preserved exactly.
+A decision is a lookup per **score class**, not a pass over the buffer
+(docs/performance.md): in ``P[stream][bin] (+ bonus if protected) + 0.01 /
+(1 + occupancy[window])`` all but the protection bit is fixed at admission,
+so each queue's :class:`_BufferIndex` files its buffer under ``(stream, bin,
+primary window)`` as the queue reports entries and exits, and a decision
+scores each class once and takes its oldest unprotected member.  Float
+expression and addition order are those of a rescan of the whole buffer, so
+scores and decisions are bit-equal to one.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Sequence
+from dataclasses import dataclass, field
+from itertools import islice
 
 from repro.core.policies import DROP_INCOMING, DropPolicy, PolicyContext
 from repro.engine.types import StreamTuple
 
 
+@dataclass(slots=True)
+class _ScoreClass:
+    """The buffered tuples of one (stream, phase bin, window), oldest first."""
+
+    members: deque[StreamTuple] = field(default_factory=deque)
+    #: At engine ``version``, ``members[:n_protected]`` were protected and,
+    #: if ``found``, ``members[n_protected]`` was not.
+    version: int = -1
+    n_protected: int = 0
+    found: bool = False
+
+
+class _BufferIndex:
+    """One queue's buffer filed by score class, kept in step by the queue."""
+
+    def __init__(self, policy: "PatternUtilityPolicy", context: PolicyContext) -> None:
+        self.policy = policy
+        self.stream = context.queue_name or ""
+        self.primary_window = context.window.primary_window
+        #: (stream, phase bin, window id) -> class, and window id -> members.
+        self.classes: dict[tuple, _ScoreClass] = {}
+        self.occupancy: dict[int, int] = {}
+        self.refile(policy.engine, ())
+
+    def refile(self, engine, buffer: Sequence[StreamTuple]) -> None:
+        """File ``buffer`` afresh: the bins belong to ``engine``'s model."""
+        self.engine = engine
+        self.model = None if engine is None else engine.utility
+        self.clear()
+        for tup in buffer:
+            self.add(tup)
+
+    def key(self, tup: StreamTuple) -> tuple:
+        tag = self.policy.stream_tag
+        ts = tup.timestamp
+        model = self.model
+        idx = None
+        if model is not None:
+            # UtilityModel._bin, inlined: this runs per entry and exit.
+            w = model.within
+            b = model.bins
+            idx = int((ts % w) / w * b)
+            if idx >= b:
+                idx = b - 1
+        stream = self.stream if tag is None else tup.row[tag]
+        return stream, idx, self.primary_window(ts)
+
+    def add(self, tup: StreamTuple) -> None:
+        key = self.key(tup)
+        cls = self.classes.get(key)
+        if cls is None:
+            cls = self.classes[key] = _ScoreClass()
+        cls.members.append(tup)
+        self.occupancy[key[2]] = self.occupancy.get(key[2], 0) + 1
+
+    def remove(self, tup: StreamTuple) -> None:
+        key = self.key(tup)
+        cls = self.classes[key]
+        at = cls.members.index(tup)
+        del cls.members[at]
+        if at < cls.n_protected:
+            cls.n_protected -= 1
+        elif at == cls.n_protected:
+            cls.found = False
+        if not cls.members:
+            del self.classes[key]
+        self.occupancy[key[2]] -= 1
+        if not self.occupancy[key[2]]:
+            del self.occupancy[key[2]]
+
+    def clear(self) -> None:
+        self.classes.clear()
+        self.occupancy.clear()
+
+    def __len__(self) -> int:
+        return sum(len(cls.members) for cls in self.classes.values())
+
+
 class PatternUtilityPolicy(DropPolicy):
     """Shed the tuple least likely to contribute to a pattern match."""
-
-    #: Ask the queue to maintain window-occupancy counts (satellite of the
-    #: PolicyContext extension; existing policies leave this False).
-    wants_window_counts = True
 
     #: Victim scoring reads engine state and window occupancy, never the
     #: dropped-tuple synopsis — the queue may defer synopsis inserts.
@@ -59,123 +130,82 @@ class PatternUtilityPolicy(DropPolicy):
         protect_bonus: float = 100.0,
         stream_tag: int | None = None,
     ) -> None:
-        #: The live :class:`~repro.cep.engine.PatternEngine`; may be bound
-        #: after construction (the CLI builds the policy before the engine).
+        #: The live PatternEngine; the CLI builds the policy first and binds.
         self.engine = engine
         self.protect_bonus = protect_bonus
-        #: When the queue multiplexes several streams, ``stream_tag`` is the
-        #: row position holding the stream name (the CEP pipeline's merged
-        #: pattern queue tags rows at position 0).  ``None`` means the queue
-        #: is single-stream and ``PolicyContext.queue_name`` identifies it.
+        #: Row position of the stream name when the queue multiplexes
+        #: streams (the CEP pipeline's merged queue tags rows at 0); ``None``
+        #: for a single-stream queue, named by ``PolicyContext.queue_name``.
         self.stream_tag = stream_tag
-        self._epoch: tuple | None = None
-        #: tuple -> (epoch, base score, window id).  One dict, so scoring a
-        #: cached tuple hashes its row once, not once per sub-cache.  The
-        #: epoch is stored *in* the entry (compared by identity) so an epoch
-        #: flip invalidates every base lazily while the window ids — which
-        #: only depend on the timestamp — survive untouched.
-        self._cache: dict[StreamTuple, tuple] = {}
-        self._window = None
+        #: Decisions taken with no engine bound (head drop, pattern-blind).
+        self.unbound = 0
 
     def bind_engine(self, engine) -> None:
         self.engine = engine
-        self._epoch = None
-        self._cache.clear()
 
-    # ------------------------------------------------------------------
-    def select_victim(
-        self,
-        buffer: Sequence[StreamTuple],
-        incoming: StreamTuple,
-        context: PolicyContext,
-    ) -> int:
+    def make_index(self, context: PolicyContext) -> _BufferIndex:
+        return _BufferIndex(self, context)
+
+    def select_victim(self, buffer, incoming, context) -> int:
         engine = self.engine
         if engine is None:
-            # No pattern state yet: degrade to deterministic head drop.
+            # No pattern state yet: deterministic head drop, counted.
+            self.unbound += 1
             return 0
+        index = context.index
         model = engine.utility
-        epoch = (engine.version, -1 if model is None else model.version)
-        if epoch != self._epoch:
-            self._epoch = epoch
-        epoch = self._epoch
-        cget = self._cache.get
-        entry = self._score_entry
-        counts = context.window_counts
-        window = context.window
-        if counts is not None and window is not None:
-            if window is not self._window:
-                self._window = window
-                self._cache.clear()
-            # Occupancy varies only per *window*, not per tuple: fold the
-            # division into a tiny per-call table so the per-tuple cost is
-            # one cache hit, one int-keyed get, and one add.  0.01 /
-            # (1.0 + n) with the same operands is bit-equal whether
-            # computed here or inline.
-            occ = {w: 0.01 / (1.0 + n) for w, n in counts.items()}
-            oget = occ.get
-            scores = [
-                e[1] + oget(e[2], 0.01)
-                if (e := cget(t)) is not None and e[0] is epoch
-                else (p := entry(t, context))[0] + oget(p[1], 0.01)
-                for t in buffer
-            ]
-            e = cget(incoming)
-            if e is not None and e[0] is epoch:
-                incoming_score = e[1] + oget(e[2], 0.01)
-            else:
-                p = entry(incoming, context)
-                incoming_score = p[0] + oget(p[1], 0.01)
-        else:
-            scores = [
-                e[1]
-                if (e := cget(t)) is not None and e[0] is epoch
-                else entry(t, context)[0]
-                for t in buffer
-            ]
-            e = cget(incoming)
-            if e is not None and e[0] is epoch:
-                incoming_score = e[1]
-            else:
-                incoming_score = entry(incoming, context)[0]
-        if not scores:
-            context.last_score = incoming_score
-            return DROP_INCOMING
+        if index.engine is not engine or index.model is not model:
+            # Tuples admitted before bind_engine were filed without bins.
+            index.refile(engine, buffer)
+        version = engine.version
+        protects = engine.protection_index().protects
+        bonus = self.protect_bonus
+        tag = self.stream_tag
+
+        def protected(stream, tup):
+            row = tup.row  # as the engine sees it: without its stream tag
+            return protects(stream, row if tag is None else row[:tag] + row[tag + 1 :])
+
+        occupancy = index.occupancy
+        scores, candidates = [], []
+        for (stream, idx, wid), cls in index.classes.items():
+            base = 0.0 if model is None else model.probability_row(stream)[idx]
+            occ = 0.01 / (1.0 + occupancy[wid])
+            members = cls.members
+            if cls.version != version:
+                cls.version, cls.n_protected, cls.found = version, 0, False
+            n = cls.n_protected
+            if not cls.found:
+                for member in islice(members, n, None):
+                    if not protected(stream, member):
+                        cls.found = True
+                        break
+                    n += 1
+                cls.n_protected = n
+            if cls.found:
+                scores.append(base + occ)
+                candidates.append(members[n])
+                if (base + bonus) + occ > base + occ:
+                    continue  # its protected members can only score worse
+            # The oldest protected member competes: the class has no other
+            # kind, or a zero, tiny or negative bonus leaves it no worse off.
+            oldest = members[0] if n else next(
+                (m for m in islice(members, 1, None) if protected(stream, m)), None
+            )
+            if oldest is not None:
+                scores.append((base + bonus) + occ)
+                candidates.append(oldest)
+        stream, idx, wid = index.key(incoming)
+        score = 0.0 if model is None else model.probability_row(stream)[idx]
+        if protected(stream, incoming):
+            score += bonus
+        score += 0.01 / (1.0 + occupancy.get(wid, 0))
         best = min(scores)
-        if incoming_score < best:
-            # Score sink for the audit ledger: the shed tuple's utility.
-            context.last_score = incoming_score
+        if score < best:
+            context.last_score = score  # the audit ledger's score sink
             return DROP_INCOMING
         context.last_score = best
-        return scores.index(best)
-
-    # ------------------------------------------------------------------
-    def _score_entry(
-        self, tup: StreamTuple, context: PolicyContext
-    ) -> tuple[float, int | None]:
-        """(probability + protection bonus, window id), cached per epoch."""
-        tag = self.stream_tag
-        if tag is None:
-            stream, row = context.queue_name or "", tup.row
-        else:
-            stream = tup.row[tag]
-            row = tup.row[:tag] + tup.row[tag + 1 :]
-        engine = self.engine
-        model = engine.utility
-        if model is not None:
-            # probability_row()[bin] is bit-equal to probability(); the
-            # bin arithmetic is inlined to keep the rescore path call-free.
-            w = model.within
-            b = model.bins
-            idx = int((tup.timestamp % w) / w * b)
-            s = model.probability_row(stream)[idx if idx < b else b - 1]
-        else:
-            s = 0.0
-        if engine.protection_index().protects(stream, row):
-            s += self.protect_bonus
-        window = self._window
-        wid = None if window is None else window.primary_window(tup.timestamp)
-        try:
-            self._cache[tup] = (self._epoch, s, wid)
-        except TypeError:
-            pass  # unhashable row values: skip caching, stay correct
-        return s, wid
+        if scores.count(best) == 1:
+            return buffer.index(candidates[scores.index(best)])
+        tied = [c for s, c in zip(scores, candidates) if s == best]
+        return min(map(buffer.index, tied))

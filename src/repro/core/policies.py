@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import random
 from collections import Counter
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,12 +40,9 @@ class PolicyContext:
     active window (may be ``None`` early in a window); ``dim_positions``
     maps synopsis dimensions to row positions.  ``queue_name`` identifies
     the offering queue (the source stream, for per-stream queues).
-    ``window_counts`` maps a primary-window id to the number of currently
-    *buffered* tuples in that window — maintained incrementally by the
-    queue (never by rescanning the buffer), but only for policies that set
-    :attr:`DropPolicy.wants_window_counts`; otherwise it is ``None`` and
-    costs nothing.  ``window`` is the queue's window spec, needed to map a
-    candidate tuple's timestamp onto those counts.
+    ``window`` is the queue's window spec.  ``index`` is what the policy's
+    :meth:`DropPolicy.make_index` built for this queue, kept in step with
+    its buffer by the queue — ``None``, and free, for most policies.
 
     ``last_score`` is an optional *score sink*: a policy that ranks
     candidates numerically (e.g. ``PatternUtilityPolicy``) writes the
@@ -59,17 +56,12 @@ class PolicyContext:
     dim_positions: tuple[int, ...] = ()
     queue_name: str | None = None
     window: "WindowSpec | None" = None
-    window_counts: Mapping[int, int] | None = None
+    index: object | None = None
     last_score: float | None = None
 
 
 class DropPolicy(abc.ABC):
     """Chooses which tuple to shed when the triage queue is full."""
-
-    #: Set True to have the queue maintain per-window occupancy counts and
-    #: pass them via ``PolicyContext.window_counts``.  Off by default so
-    #: the existing policies pay nothing.
-    wants_window_counts: bool = False
 
     #: Does this policy read ``PolicyContext.synopsis`` when choosing a
     #: victim?  When False the queue may defer shed-tuple synopsis inserts
@@ -86,6 +78,17 @@ class DropPolicy(abc.ABC):
         context: PolicyContext,
     ) -> int:
         """Index into ``buffer`` to evict, or :data:`DROP_INCOMING`."""
+
+    def make_index(self, context: PolicyContext):
+        """A per-queue index of the buffer, or ``None`` (the default).
+
+        Each queue asks once, with its context, reports every buffer entry
+        and exit exactly once (``index.add(tup)``, ``index.remove(tup)``,
+        ``index.clear()`` on drain) and hands the index back as
+        ``context.index``: a policy can rank from state kept at admission
+        instead of rescanning the buffer per decision.
+        """
+        return None
 
     @property
     def name(self) -> str:
@@ -215,7 +218,7 @@ def make_policy(name: str) -> DropPolicy:
     core package never depends on the CEP tier).  The returned
     pattern-utility policy has no engine bound yet — callers wire one via
     ``bind_engine`` once the pattern is attached; until then it degrades to
-    deterministic head drop.
+    deterministic head drop, counted in its ``unbound``.
     """
     key = name.strip().lower()
     key = POLICY_ALIASES.get(key, key)

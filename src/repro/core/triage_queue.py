@@ -154,27 +154,22 @@ class TriageQueue:
         self._window_synopses: dict[int, Synopsis] = {}
         self._window_counts: dict[int, int] = {}
         self._window_bounds: dict[int, tuple[float, float]] = {}
-        # Buffered-tuple counts per primary window, maintained incrementally
-        # on the offer/poll paths — but only when the policy asks for them
-        # (``DropPolicy.wants_window_counts``), so the default policies pay
-        # nothing.  Decided once here: swapping in an occupancy-hungry
-        # policy after construction is not supported.
-        self._track_occupancy = bool(getattr(policy, "wants_window_counts", False))
-        self._occupancy: dict[int, int] = {}
         # One reusable context per queue: every field but ``synopsis`` is
-        # fixed for the queue's lifetime (``window_counts`` aliases the
-        # occupancy dict, which is mutated in place, never replaced), so
-        # the overflow path stops paying a dataclass construction per
-        # victim decision.  Policies must not retain the context across
-        # calls — none do; it is a per-decision view by contract.
-        self._policy_context = PolicyContext(
+        # fixed for the queue's lifetime (and ``synopsis`` is refreshed per
+        # decision only for a policy that reads it), so the overflow path
+        # pays no dataclass construction per victim decision.  Policies must
+        # not retain the context across calls — none do.
+        self._policy_context = ctx = PolicyContext(
             rng=self._rng,
             synopsis=None,
             dim_positions=self.dim_positions,
             queue_name=name,
             window=window,
-            window_counts=self._occupancy if self._track_occupancy else None,
         )
+        # The policy's own index of this buffer: ``None`` for most, which
+        # then pay one branch per entry/exit.  Asked for once: swapping in
+        # an indexing policy after construction is not supported.
+        self.policy_index = ctx.index = policy.make_index(ctx)
         self.stats = QueueStats()
 
     # ------------------------------------------------------------------
@@ -196,14 +191,17 @@ class TriageQueue:
             self.stats.offered += 1
             if len(self._buffer) < self.capacity:
                 self._buffer.append(tup)
-                if self._track_occupancy:
-                    self._occ_add(tup)
+                if self.policy_index is not None:
+                    self.policy_index.add(tup)
                 self.stats.high_watermark = max(
                     self.stats.high_watermark, len(self._buffer)
                 )
                 return
             self.stats.overflows += 1
-            ctx = self._context(tup)
+            ctx = self._policy_context
+            if self.policy.reads_synopsis:
+                wid = self.window.primary_window(tup.timestamp)
+                ctx.synopsis = self._window_synopses.get(wid)
             auditing = self.audit is not None
             if auditing:
                 ctx.last_score = None
@@ -215,9 +213,9 @@ class TriageQueue:
                 victim = self._buffer[victim_idx]
                 del self._buffer[victim_idx]
                 self._buffer.append(tup)
-                if self._track_occupancy:
-                    self._occ_remove(victim)
-                    self._occ_add(tup)
+                if self.policy_index is not None:
+                    self.policy_index.remove(victim)
+                    self.policy_index.add(tup)
                 self.stats.evict_buffered += 1
             if auditing:
                 self.audit.record(
@@ -270,7 +268,7 @@ class TriageQueue:
             stats = self.stats
             stats.offered += n
             buffer = self._buffer
-            track = self._track_occupancy
+            index = self.policy_index
             dropped = 0
             drop_incoming = 0
             free = self.capacity - len(buffer)
@@ -281,12 +279,9 @@ class TriageQueue:
                 else:
                     admit = batch if k == n else batch[:k]
                 buffer.extend(admit)
-                if track:
-                    occ = self._occupancy
-                    pw = self.window.primary_window
+                if index is not None:
                     for tup in admit:
-                        wid = pw(tup.timestamp)
-                        occ[wid] = occ.get(wid, 0) + 1
+                        index.add(tup)
             if k < n:
                 # The buffer is full for this entire tail: every arrival
                 # overflows and sheds exactly one victim.
@@ -301,8 +296,6 @@ class TriageQueue:
                 select = policy.select_victim
                 needs_syn = policy.reads_synopsis
                 ctx = self._policy_context
-                if not needs_syn:
-                    ctx.synopsis = None
                 synopses = self._window_synopses
                 syn_get = synopses.get
                 counts = self._window_counts
@@ -330,9 +323,9 @@ class TriageQueue:
                         victim = buffer[victim_idx]
                         del buffer[victim_idx]
                         buffer.append(tup)
-                        if track:
-                            self._occ_remove(victim)
-                            self._occ_add(tup)
+                        if index is not None:
+                            index.remove(victim)
+                            index.add(tup)
                     dropped += 1
                     # Inlined _shed: a victim is charged to every
                     # window containing it (one for tumbling specs).
@@ -403,37 +396,9 @@ class TriageQueue:
                 return None
             self.stats.polled += 1
             tup = self._buffer.popleft()
-            if self._track_occupancy:
-                self._occ_remove(tup)
+            if self.policy_index is not None:
+                self.policy_index.remove(tup)
             return tup
-
-    # ------------------------------------------------------------------
-    def _context(self, tup: StreamTuple) -> PolicyContext:
-        """The victim-selection context for one overflow decision.
-
-        Returns the queue's shared context with ``synopsis`` refreshed for
-        the incoming tuple's primary window (skipped when the policy
-        declares it never reads it).
-        """
-        ctx = self._policy_context
-        if self.policy.reads_synopsis:
-            wid = self.window.primary_window(tup.timestamp)
-            ctx.synopsis = self._window_synopses.get(wid)
-        else:
-            ctx.synopsis = None
-        return ctx
-
-    def _occ_add(self, tup: StreamTuple) -> None:
-        wid = self.window.primary_window(tup.timestamp)
-        self._occupancy[wid] = self._occupancy.get(wid, 0) + 1
-
-    def _occ_remove(self, tup: StreamTuple) -> None:
-        wid = self.window.primary_window(tup.timestamp)
-        n = self._occupancy.get(wid, 0) - 1
-        if n <= 0:
-            self._occupancy.pop(wid, None)
-        else:
-            self._occupancy[wid] = n
 
     # ------------------------------------------------------------------
     def _shed(self, victim: StreamTuple) -> None:
@@ -491,5 +456,6 @@ class TriageQueue:
         with self._lock:
             out = list(self._buffer)
             self._buffer.clear()
-            self._occupancy.clear()
+            if self.policy_index is not None:
+                self.policy_index.clear()
             return out

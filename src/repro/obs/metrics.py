@@ -58,6 +58,7 @@ __all__ = [
     "record_hook_error",
     "fold_queue_stats",
     "fold_engine_stats",
+    "POLICY_COUNTERS",
     "shard_instruments",
 ]
 
@@ -594,18 +595,27 @@ _ENGINE_COUNTERS = (
      "Partial matches retired by the pSPICE memory bound", "runs_shed"),
 )
 
+#: Same shape, read off a pattern-aware drop policy instead of the engine.
+POLICY_COUNTERS = (
+    ("cep_policy_unbound_total",
+     "Victim decisions taken pattern-blind (head drop): no engine was bound",
+     "unbound"),
+)
+
 
 def fold_engine_stats(
-    registry: MetricsRegistry, stats, seen: dict[str, int]
+    registry: MetricsRegistry, stats, seen: dict[str, int],
+    counters=_ENGINE_COUNTERS,
 ) -> None:
     """Add what a pattern engine counted since the last fold to ``cep_*_total``.
 
     The engine-side twin of :func:`fold_queue_stats`: ``stats`` is the
     engine's :class:`~repro.cep.engine.EngineStats`, ``seen`` the field
     values already folded (updated in place).  The first call mints the
-    (empty) instruments.
+    (empty) instruments.  With ``counters=POLICY_COUNTERS``, ``stats`` is
+    the pattern-aware drop policy.
     """
-    for name, help, field in _ENGINE_COUNTERS:
+    for name, help, field in counters:
         counter = registry.counter(name, help)
         value = getattr(stats, field)
         delta = value - seen.get(field, 0)

@@ -55,6 +55,7 @@ from repro.obs.metrics import (
     LATENCY_BUCKETS,
     DeltaSnapshotter,
     MetricsRegistry,
+    POLICY_COUNTERS,
     fold_engine_stats,
     fold_queue_stats,
     shard_instruments,
@@ -386,6 +387,13 @@ class TriageServer:
         engine = self.plane.pattern_engine
         if engine is not None:
             fold_engine_stats(self.metrics, engine.stats, self._folded_engine)
+        policy = self.config.policy
+        if hasattr(policy, "bind_engine"):
+            # Pattern-aware policy: with no engine bound (no --pattern) it
+            # sheds pattern-blind; that must show, not pass for utility.
+            fold_engine_stats(
+                self.metrics, policy, self._folded_engine, POLICY_COUNTERS
+            )
 
     # ------------------------------------------------------------------
     # CEP pattern hosting

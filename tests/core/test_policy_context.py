@@ -1,4 +1,6 @@
-"""PolicyContext window-occupancy counts and make_policy resolution."""
+"""The queue-driven policy index contract and make_policy resolution."""
+
+from collections import Counter
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.policies import (
     make_policy,
 )
 from repro.core.triage_queue import TriageQueue
+from repro.engine.columns import ColumnBatch
 from repro.engine.types import StreamTuple
 from repro.engine.window import WindowSpec
 from repro.synopses import SparseHistogramFactory
@@ -31,18 +34,46 @@ def make_queue(policy, capacity=3):
     )
 
 
+class RecordingIndex:
+    """Logs what the queue reports; mirrors the buffer as a list."""
+
+    def __init__(self, window):
+        self.window = window
+        self.log = []
+        self.live = []
+
+    def add(self, tup):
+        self.log.append(("add", tup))
+        self.live.append(tup)
+
+    def remove(self, tup):
+        self.log.append(("remove", tup))
+        self.live.remove(tup)  # ValueError if it was never reported in
+
+    def clear(self):
+        self.log.append(("clear",))
+        self.live.clear()
+
+    def counts(self):
+        return dict(Counter(self.window.primary_window(t.timestamp) for t in self.live))
+
+
 class RecordingPolicy(DropPolicy):
-    """Head drop that snapshots the occupancy counts it was shown."""
+    """Head drop that snapshots the per-window counts of its own index."""
 
-    wants_window_counts = True
-
-    def __init__(self):
+    def __init__(self, victim=0):
+        self.victim = victim
         self.seen = []
 
+    def make_index(self, context):
+        self.index = RecordingIndex(context.window)
+        return self.index
+
     def select_victim(self, buffer, incoming, context):
-        assert context.window is not None
-        self.seen.append(dict(context.window_counts))
-        return 0
+        assert context.index is self.index
+        assert self.index.live == list(buffer)
+        self.seen.append(self.index.counts())
+        return self.victim
 
 
 class TestOccupancyCounts:
@@ -85,12 +116,43 @@ class TestOccupancyCounts:
         queue.offer(StreamTuple(0.4, (4,)))
         assert policy.seen == [{0: 2}]
 
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_every_entry_and_exit_reported_once(self, columnar):
+        # The five reporting sites: offer (free slot, eviction), offer_bulk
+        # (free prefix, overflow tail), poll, drain — and nothing at all
+        # for a tuple that never entered the buffer (DROP_INCOMING).
+        policy = RecordingPolicy()
+        queue = make_queue(policy, capacity=2)
+        t = [StreamTuple(0.1 * i, (i,)) for i in range(8)]
+        queue.offer(t[0])
+        queue.offer(t[1])
+        queue.offer(t[2])  # evicts t0
+        policy.victim = DROP_INCOMING
+        queue.offer(t[3])  # never enters
+        assert queue.poll() == t[1]
+        policy.victim = 0
+        bulk = t[4:7]  # t4 fills the free slot; t5 evicts t2; t6 evicts t4
+        queue.offer_bulk(ColumnBatch.from_stream_tuples(bulk) if columnar else bulk)
+        policy.victim = DROP_INCOMING
+        queue.offer_bulk([t[7]])  # never enters
+        assert queue.drain() == [t[5], t[6]]
+        assert policy.index.log == [
+            ("add", t[0]), ("add", t[1]),
+            ("remove", t[0]), ("add", t[2]),
+            ("remove", t[1]),
+            ("add", t[4]),
+            ("remove", t[2]), ("add", t[5]),
+            ("remove", t[4]), ("add", t[6]),
+            ("clear",),
+        ]
+        assert policy.index.live == []
+
     def test_default_policies_see_none(self):
         class Probe(DropPolicy):
             saw = "unset"
 
             def select_victim(self, buffer, incoming, context):
-                Probe.saw = context.window_counts
+                Probe.saw = context.index
                 return DROP_INCOMING
 
         queue = make_queue(Probe(), capacity=1)
@@ -99,8 +161,8 @@ class TestOccupancyCounts:
         assert Probe.saw is None
 
     def test_existing_policies_do_not_request_counts(self):
-        assert RandomDropPolicy.wants_window_counts is False
-        assert HeadDropPolicy.wants_window_counts is False
+        for policy in (RandomDropPolicy(), HeadDropPolicy()):
+            assert make_queue(policy).policy_index is None
 
 
 class TestMakePolicy:

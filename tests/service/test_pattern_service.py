@@ -58,6 +58,29 @@ class TestAttachPattern:
         engine = server.attach_pattern(DEMO_PATTERN)
         assert policy.engine is engine
 
+    def test_pattern_blind_decisions_are_counted_until_the_engine_is_bound(self):
+        # `serve --drop-policy pattern-utility` without --pattern sheds by
+        # head drop; cep_policy_unbound_total says so instead of hiding it.
+        policy = PatternUtilityPolicy()
+        server = make_server(policy=policy)
+        capacity = server.config.queue_capacity
+
+        def unbound_total():
+            asyncio.run(server.tick())
+            values = server.metrics.to_dict()["cep_policy_unbound_total"]["values"]
+            return values.get("", 0)
+
+        assert unbound_total() == 0  # minted before anything overflowed
+        rows = [[1 + i % 3] for i in range(capacity + 5)]
+        server.ingest_rows("B", rows, now=1000.0)
+        assert unbound_total() == policy.unbound == 5
+        server.attach_pattern(DEMO_PATTERN)
+        server.ingest_rows("B", rows, now=1000.0)
+        assert unbound_total() == 5
+        # The index was filed pattern-blind, then re-filed under the engine.
+        queue = server.plane.queues["B"]
+        assert len(queue.policy_index) == len(queue) == capacity
+
     def test_take_matches_pops(self):
         server = make_server()
         server.attach_pattern(DEMO_PATTERN)
