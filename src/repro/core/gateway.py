@@ -26,7 +26,7 @@ from repro.algebra.multiset import Multiset
 from repro.core.pipeline import DataTriagePipeline, RunResult
 from repro.core.policies import DropPolicy, RandomDropPolicy, TailDropPolicy
 from repro.core.strategies import ShedStrategy
-from repro.core.triage_core import TriageCore, arrivals_per_window, merge_arrivals
+from repro.core.triage_core import TriageCore, merge_arrivals, window_runs
 from repro.core.triage_queue import TriageQueue, WindowSynopsis
 from repro.engine.types import StreamTuple
 from repro.engine.window import WindowSpec
@@ -156,6 +156,9 @@ class TriageGateway:
         max_lag = max(
             (d.delivery_time - d.source_time for d in delivered), default=0.0
         )
+        # A gateway cannot see what the other streams' gateways dropped, so
+        # every kept synopsis is built.
+        kept_rows, kept_synopses = core.take()
         return GatewayOutput(
             delivered=delivered,
             synopses=synopses,
@@ -163,10 +166,8 @@ class TriageGateway:
             offered=self.queue.stats.offered,
             dropped=self.queue.stats.dropped,
             max_delivery_lag=max_lag,
-            kept_rows=core.kept_rows[self.name],
-            kept_synopses=(
-                core.kept_synopses[self.name] if core.kept_synopses else {}
-            ),
+            kept_rows=kept_rows[self.name],
+            kept_synopses=kept_synopses[self.name] if kept_synopses else {},
         )
 
 
@@ -224,7 +225,7 @@ def run_gateway_experiment(
 
     # Assemble per-window structures for the shared evaluator.
     events = merge_arrivals(streams, sources)
-    window_ids, arrived = arrivals_per_window(events, sources, cfg.window)
+    window_ids, arrived, runs = window_runs(events, sources, cfg.window)
     dropped_syn: dict[str, dict[int, Synopsis | None]] = {s: {} for s in sources}
     dropped_counts: dict[str, dict[int, int]] = {s: {} for s in sources}
     for s in sources:
@@ -241,9 +242,7 @@ def run_gateway_experiment(
         dropped_synopses=dropped_syn if summarize else None,
         dropped_counts=dropped_counts,
         arrived=arrived,
-        ideal_inputs=(
-            pipeline._ideal_inputs(events, sources) if cfg.compute_ideal else None
-        ),
+        ideal_inputs=pipeline._ideal_inputs(runs) if cfg.compute_ideal else None,
     )
     total = sum(o.offered for o in outputs.values())
     total_dropped = sum(o.dropped for o in outputs.values())

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.core.pipeline import DataTriagePipeline, RunResult
 from repro.core.strategies import PipelineConfig, ShedStrategy
-from repro.core.triage_core import TriageCore, arrivals_per_window, merge_arrivals
+from repro.core.triage_core import TriageCore, merge_arrivals, window_runs
 from repro.core.triage_queue import TriageQueue
 from repro.engine.catalog import Catalog
 from repro.engine.types import StreamTuple
@@ -123,7 +123,7 @@ class SharedTriageRuntime:
             )
 
         events = merge_arrivals(streams, self.streams_used)
-        window_ids, arrived = arrivals_per_window(
+        window_ids, arrived, runs = window_runs(
             events, self.streams_used, cfg.window
         )
 
@@ -140,7 +140,9 @@ class SharedTriageRuntime:
             queues[stream].offer(tup)
             core.sync(stream_index[stream])
         core.drain()
-        kept_rows, kept_syn = core.kept_rows, core.kept_synopses
+        # Every kept synopsis is built (no ``shed`` hint): the cell
+        # accounting below prices them all, read by a shadow plan or not.
+        kept_rows, kept_syn = core.take(window_ids)
 
         dropped_syn: dict[str, dict[int, Synopsis | None]] = {
             s: {} for s in self.streams_used
@@ -166,7 +168,8 @@ class SharedTriageRuntime:
             * sum(
                 syn.storage_size()
                 for syn in list(kept_syn[s].values())
-                + [x for x in dropped_syn[s].values() if x is not None]
+                + list(dropped_syn[s].values())
+                if syn is not None
             )
             for s in self.streams_used
         )
@@ -176,8 +179,9 @@ class SharedTriageRuntime:
             q_streams = [l.stream_name for l in pipe.plan.chain]
             ideal_inputs = None
             if cfg.compute_ideal:
-                q_events = [e for e in events if e[2] in q_streams]
-                ideal_inputs = pipe._ideal_inputs(q_events, q_streams)
+                ideal_inputs = pipe._ideal_inputs(
+                    {key: run for key, run in runs.items() if key[0] in q_streams}
+                )
             windows = pipe.evaluate_windows(
                 window_ids=window_ids,
                 kept_rows={s: kept_rows[s] for s in q_streams},

@@ -18,9 +18,10 @@ Event model (discrete-event simulation):
   triage queue (or straight into a window synopsis for summarize-only);
 * between arrivals the engine drains the queues — always taking the
   globally oldest queued tuple — charging ``service_time`` per tuple;
-* a processed tuple joins its window's kept bag (windows are assigned by
+* a processed tuple joins its window's kept run (windows are assigned by
   *arrival* time, so backlog processed late still lands in the right
-  window, as in TelegraphCQ's windowed operators);
+  window, as in TelegraphCQ's windowed operators); the run becomes the
+  kept bag and kept synopsis once, when the window is evaluated;
 * after the last arrival the engine drains every queue, so at most one
   queue's worth of tuples per stream escapes dropping at saturation — the
   paper's stated maximum-load condition.
@@ -44,7 +45,7 @@ from repro.core.merge import (
     merge_groups,
 )
 from repro.core.strategies import PipelineConfig, ShedStrategy
-from repro.core.triage_core import TriageCore, arrivals_per_window, merge_arrivals
+from repro.core.triage_core import TriageCore, merge_arrivals, window_runs
 from repro.core.triage_queue import TriageQueue
 from repro.engine.catalog import Catalog
 from repro.engine.executor import QueryExecutor
@@ -298,25 +299,29 @@ class DataTriagePipeline:
             raise ValueError(f"no arrivals supplied for sources {missing}")
 
         events = merge_arrivals(streams, sources)
-        window_ids, arrived = arrivals_per_window(events, sources, cfg.window)
+        # The one walk of the timeline that assigns arrivals to windows:
+        # counts, ideal bags and full synopses are all built from its runs.
+        window_ids, arrived, runs = window_runs(events, sources, cfg.window)
+        ideal_inputs = self._ideal_inputs(runs) if cfg.compute_ideal else None
         if cfg.strategy is ShedStrategy.SUMMARIZE_ONLY:
-            return self._run_summarize_only(events, window_ids, arrived, sources)
-        return self._run_queued(events, window_ids, arrived, sources)
+            return self._run_summarize_only(
+                len(events), window_ids, arrived, runs, ideal_inputs
+            )
+        return self._run_queued(events, window_ids, arrived, ideal_inputs)
 
     # ------------------------------------------------------------------
-    def _run_summarize_only(self, events, window_ids, arrived, sources) -> RunResult:
+    def _run_summarize_only(
+        self, total, window_ids, arrived, runs, ideal_inputs
+    ) -> RunResult:
         cfg = self.config
+        sources = self.sources
         full_syn: dict[str, dict[int, Synopsis]] = {s: {} for s in sources}
-        for ts, _, source, tup in events:
-            for wid in cfg.window.ids(ts):
-                syn = full_syn[source].get(wid)
-                if syn is None:
-                    syn = full_syn[source][wid] = cfg.synopsis_factory.create(
-                        self._dims[source]
-                    )
-                syn.insert([tup.row[p] for p in self._dim_positions[source]])
+        for (source, wid), run in runs.items():
+            syn = full_syn[source][wid] = cfg.synopsis_factory.create(
+                self._dims[source]
+            )
+            syn.insert_bulk(run, self._dim_positions[source])
 
-        ideal_inputs = self._ideal_inputs(events, sources) if cfg.compute_ideal else None
         windows: list[WindowOutcome] = []
         for wid in window_ids:
             result_syn = self.shadow.estimate_full(
@@ -339,7 +344,6 @@ class DataTriagePipeline:
                     lost_synopsis=result_syn,
                 )
             )
-        total = len(events)
         return RunResult(
             windows=windows,
             total_arrived=total,
@@ -349,15 +353,16 @@ class DataTriagePipeline:
         )
 
     # ------------------------------------------------------------------
-    def _run_queued(self, events, window_ids, arrived, sources) -> RunResult:
+    def _run_queued(self, events, window_ids, arrived, ideal_inputs) -> RunResult:
         """Replay ``events`` through the triage core on the virtual clock.
 
-        The loop itself (oldest-first drain, kept-state fold) is
+        The loop itself (oldest-first drain, kept-row runs) is
         :class:`~repro.core.triage_core.TriageCore`; this driver owns the
         arrival replay, the load controllers and the observability around
         each core call.
         """
         cfg = self.config
+        sources = self.sources
         # Observability: `obs is None` is THE fast path — every
         # instrumentation site below is behind that check (or the cheaper
         # booleans derived here), so an unobserved run pays one branch per
@@ -496,23 +501,25 @@ class DataTriagePipeline:
 
         dropped_syn: dict[str, dict[int, Synopsis | None]] = {s: {} for s in sources}
         dropped_counts: dict[str, dict[int, int]] = {s: {} for s in sources}
+        shed: set[int] = set()  # windows whose Q- is not empty
         for s in sources:
             for wid in window_ids:
                 ws = queues[s].release_window(wid)
                 dropped_counts[s][wid] = ws.dropped_count
                 if use_shadow:
                     dropped_syn[s][wid] = ws.synopsis
+                    if ws.synopsis is not None:
+                        shed.add(wid)
 
+        kept_rows, kept_synopses = core.take(window_ids, shed)
         windows = self.evaluate_windows(
             window_ids=window_ids,
-            kept_rows=core.kept_rows,
-            kept_synopses=core.kept_synopses,
+            kept_rows=kept_rows,
+            kept_synopses=kept_synopses,
             dropped_synopses=dropped_syn if use_shadow else None,
             dropped_counts=dropped_counts,
             arrived=arrived,
-            ideal_inputs=(
-                self._ideal_inputs(events, sources) if cfg.compute_ideal else None
-            ),
+            ideal_inputs=ideal_inputs,
         )
         for w in windows:
             _, end = cfg.window.bounds(w.window_id)
@@ -602,10 +609,15 @@ class DataTriagePipeline:
                 result_syn: Synopsis | None = None
                 if dropped_synopses is not None:
                     assert kept_synopses is not None
-                    result_syn = self.shadow.estimate_dropped(
-                        {s: kept_synopses[s].get(wid) for s in sources},
-                        {s: dropped_synopses[s].get(wid) for s in sources},
-                    )
+                    dropped = {s: dropped_synopses[s].get(wid) for s in sources}
+                    # Every term of Q- joins some stream's dropped synopsis:
+                    # a window in which nothing was dropped has none to
+                    # estimate (and its kept synopses were never filled).
+                    if any(syn is not None for syn in dropped.values()):
+                        result_syn = self.shadow.estimate_dropped(
+                            {s: kept_synopses[s].get(wid) for s in sources},
+                            dropped,
+                        )
 
             with phase(wid, "merge"):
                 raw_rows = None
@@ -666,16 +678,12 @@ class DataTriagePipeline:
     # ------------------------------------------------------------------
     # Ideal (no-shedding) reference
     # ------------------------------------------------------------------
-    def _ideal_inputs(self, events, sources):
-        per_window: dict[str, dict[int, Multiset]] = {s: {} for s in sources}
-        ids = self.config.window.ids
-        for ts, _, source, tup in events:
-            bags = per_window[source]
-            for wid in ids(ts):
-                bag = bags.get(wid)
-                if bag is None:
-                    bag = bags[wid] = Multiset()
-                bag.add(tup.row)
+    def _ideal_inputs(self, runs):
+        """``{source: {window id: bag of every arrival}}`` from
+        :func:`~repro.core.triage_core.window_runs`' runs."""
+        per_window: dict[str, dict[int, Multiset]] = {s: {} for s in self.sources}
+        for (source, wid), run in runs.items():
+            per_window[source][wid] = Multiset(run)
         return per_window
 
     def _ideal_for(self, ideal_inputs, wid: int) -> "Groups | None":

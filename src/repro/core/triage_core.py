@@ -17,13 +17,17 @@ next, and what taking it does to window state*.
   consumer time one tuple of that source occupies) or on ``budget`` (a
   tuple count; the core is then untimed).  ``busy_until`` carries the
   consumer's finish time across calls.
-* **Sink.**  With ``fold=True`` a taken tuple joins its windows' kept bag
-  (and kept synopsis, with ``synopses=True``) — windows are assigned by
-  the tuple's own timestamp, so backlog processed late still lands in the
-  right window — and stamps the window's completion time.  Windows at or
-  below ``closed_floor`` are already reported: late backlog for them is
-  consumed but folds into nothing.  Independently, ``drain(polled=[...])``
-  hands the taken tuples back with their finish times.
+* **Sink.**  With ``fold=True`` a taken tuple's row is appended to the run
+  of every window containing it — windows are assigned by the tuple's own
+  timestamp, so backlog processed late still lands in the right window —
+  and stamps the window's completion time.  Runs become state once, when
+  the window is reported: :meth:`TriageCore.take` is the only way kept
+  state leaves the core, and builds each kept bag (and, with
+  ``synopses=True``, each kept synopsis the shadow plan will read) in one
+  bulk pass.  Windows at or below ``closed_floor`` are already reported:
+  late backlog for them is consumed but folds into nothing.
+  Independently, ``drain(polled=[...])`` hands the taken tuples back with
+  their finish times.
 
 The drivers keep only what is genuinely theirs — arrival replay, load
 controllers and tracing (:mod:`repro.core.pipeline`); the budget carry and
@@ -36,6 +40,8 @@ to the link (:mod:`repro.core.gateway`); the idle-engine budget rule
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Container, Iterable
 from heapq import heappop, heappush, heapreplace
 from typing import Sequence
 
@@ -45,14 +51,14 @@ from repro.engine.types import StreamTuple
 from repro.engine.window import WindowSpec
 from repro.synopses.base import Synopsis
 
-__all__ = ["TriageCore", "merge_arrivals", "arrivals_per_window"]
+__all__ = ["TriageCore", "merge_arrivals", "window_runs"]
 
 #: One replayed arrival: (timestamp, per-source sequence, source, tuple).
 Arrival = tuple[float, int, str, StreamTuple]
 
 
 class TriageCore:
-    """Oldest-first drain over a list of triage queues, plus the kept-state fold."""
+    """Oldest-first drain over a list of triage queues, plus the kept-row runs."""
 
     def __init__(
         self,
@@ -68,7 +74,8 @@ class TriageCore:
         ``None`` makes the core untimed (drain by ``budget`` only).  Kept
         synopses are built like each queue's own dropped-tuple synopses
         (same factory, dimensions and row positions), which is what keeps
-        them joinable in the shadow plan.
+        them joinable in the shadow plan.  ``fold=False`` keeps no kept
+        state at all (the consumer reads the ``polled`` hand-back instead).
         """
         self.queues = list(queues)
         self.names = [q.name for q in self.queues]
@@ -79,13 +86,17 @@ class TriageCore:
         self.closed_floor: int | None = None
         #: window id -> finish time of its last kept tuple (timed cores).
         self.completion: dict[int, float] = {}
-        #: ``{source: {window id: kept bag}}`` (None without ``fold``).
-        self.kept_rows: dict[str, dict[int, Multiset]] | None = (
-            {name: {} for name in self.names} if fold else None
+        # Per source (by position): window id -> rows taken so far, in poll
+        # order (None without ``fold``).  :meth:`take` turns a run into state.
+        self._runs: list[dict[int, list]] | None = (
+            [{} for _ in self.queues] if fold else None
         )
-        #: ``{source: {window id: kept synopsis}}`` (None without ``synopses``).
-        self.kept_synopses: dict[str, dict[int, Synopsis]] | None = (
-            {name: {} for name in self.names} if fold and synopses else None
+        # Per source: window id -> the still-empty kept synopsis, created
+        # with the run (seeded factories number their creates, so *when* a
+        # synopsis is created is behaviour) and filled from it by
+        # :meth:`take` (None without ``synopses``).
+        self._synopses: list[dict[int, Synopsis]] | None = (
+            [{} for _ in self.queues] if fold and synopses else None
         )
         # Every queue of one runner shares one window spec (a shard worker
         # that owns no source has none, and never drains).
@@ -138,8 +149,8 @@ class TriageCore:
         names = self.names
         costs = self.costs
         timed = costs is not None
-        kept_rows = self.kept_rows
-        kept_synopses = self.kept_synopses
+        all_runs = self._runs
+        all_synopses = self._synopses
         completion = self.completion
         floor = self.closed_floor
         window_ids = self._window_ids
@@ -174,10 +185,9 @@ class TriageCore:
             n += 1
             if polled is not None:
                 polled.append((names[idx], tup, t))
-            if kept_rows is None:
+            if all_runs is None:
                 continue
-            row = tup.row
-            bags = kept_rows[names[idx]]
+            runs = all_runs[idx]
             for wid in window_ids(tup.timestamp):
                 if floor is not None and wid <= floor:
                     continue  # already reported: don't leak per-window state
@@ -185,20 +195,69 @@ class TriageCore:
                     # Consumer time only moves forward, so t is already the
                     # latest finish seen for this window.
                     completion[wid] = t
-                bag = bags.get(wid)
-                if bag is None:
-                    bag = bags[wid] = Multiset()
-                bag.add(row)
-                if kept_synopses is not None:
-                    synopses = kept_synopses[names[idx]]
-                    syn = synopses.get(wid)
-                    if syn is None:
-                        syn = synopses[wid] = q.synopsis_factory.create(
+                run = runs.get(wid)
+                if run is None:
+                    run = runs[wid] = []
+                    if all_synopses is not None:
+                        all_synopses[idx][wid] = q.synopsis_factory.create(
                             q.dimensions
                         )
-                    syn.insert([row[p] for p in q.dim_positions])
+                run.append(tup.row)
         self.busy_until = t
         return n
+
+    def take(
+        self,
+        wids: Iterable[int] | None = None,
+        shed: Container[int] | None = None,
+    ) -> tuple[
+        dict[str, dict[int, Multiset]],
+        dict[str, dict[int, Synopsis | None]] | None,
+    ]:
+        """Pop the kept state of ``wids``: ``(kept bags, kept synopses)``.
+
+        Both are ``{source: {window id: value}}`` with an entry for every
+        asked window (an empty bag / ``None`` where the source kept
+        nothing); the synopses half is ``None`` for a core built without
+        ``synopses``.  Each bag is one ``Counter`` pass over its run and
+        each synopsis one ``insert_bulk`` in poll order — bit-equal to
+        folding tuple by tuple.  ``wids=None`` takes every window held.
+
+        The shadow plan reads a kept synopsis only inside ``Q-``, which is
+        empty for a window in which no stream dropped anything: a caller
+        that knows which of ``wids`` shed something passes them as
+        ``shed`` and the other windows' synopses are discarded unfilled
+        (``None`` in the result).  ``shed=None`` fills them all — for a
+        caller that cannot know, such as a shard worker owning some of the
+        query's sources.  Nothing of a taken window stays behind.
+        """
+        all_runs = self._runs
+        all_synopses = self._synopses
+        if wids is None:
+            wids = sorted({wid for runs in all_runs for wid in runs})
+        else:
+            wids = list(wids)
+        kept_rows: dict[str, dict[int, Multiset]] = {}
+        kept_synopses: dict[str, dict[int, Synopsis | None]] | None = (
+            None if all_synopses is None else {}
+        )
+        for idx, name in enumerate(self.names):
+            runs = all_runs[idx]
+            taken = [runs.pop(wid, ()) for wid in wids]
+            kept_rows[name] = dict(zip(wids, map(Multiset, taken)))
+            if kept_synopses is None:
+                continue
+            synopses = all_synopses[idx]
+            positions = self.queues[idx].dim_positions
+            built = kept_synopses[name] = {}
+            for wid, run in zip(wids, taken):
+                syn = synopses.pop(wid, None)
+                if syn is not None and (shed is None or wid in shed):
+                    syn.insert_bulk(run, positions)
+                    built[wid] = syn
+                else:
+                    built[wid] = None
+        return kept_rows, kept_synopses
 
     def close(self, wids) -> None:
         """Raise the closed-window floor past ``wids``."""
@@ -223,21 +282,44 @@ def merge_arrivals(
         for source in sources
         for seq, tup in enumerate(streams[source])
     ]
-    events.sort(key=lambda e: (e[0], e[2], e[1]))
+    events.sort(key=operator.itemgetter(0, 2, 1))
     return events
 
 
-def arrivals_per_window(
+def window_runs(
     events: list[Arrival], sources: Sequence[str], window: WindowSpec
-) -> tuple[list[int], dict[str, dict[int, int]]]:
-    """``(sorted window ids, {source: {window id: arrivals}})`` of a timeline."""
+) -> tuple[list[int], dict[str, dict[int, int]], dict[tuple[str, int], list]]:
+    """One walk of a timeline: who arrived in which window.
+
+    Returns ``(sorted window ids, {source: {window id: arrivals}},
+    {(source, window id): rows})``.  A run lists the rows of one source
+    that fall in one window, in timeline order; the runs themselves are in
+    first-arrival order (the order a per-tuple fold would have created
+    per-window state in).  Everything a virtual-clock driver derives from
+    the arrivals — the counts, the ideal bags, summarize-only's full
+    synopses — is built from these in bulk.
+    """
     ids = window.ids
-    wid_set: set[int] = set()
-    arrived: dict[str, dict[int, int]] = {s: {} for s in sources}
-    for ts, _, source, _ in events:
+    runs: dict[tuple[str, int], list] = {}
+    # Arrivals come in timestamp order, so the window set changes rarely:
+    # the runs an arrival joins are looked up once per (window set, source)
+    # and remembered as their bound ``append``s.
+    current: tuple[int, ...] | None = None
+    appends: dict[str, list] = {}
+    for ts, _, source, tup in events:
         wids = ids(ts)
-        wid_set.update(wids)
-        per_window = arrived[source]
-        for wid in wids:
-            per_window[wid] = per_window.get(wid, 0) + 1
-    return sorted(wid_set), arrived
+        if wids != current:
+            current = wids
+            appends = {}
+        joins = appends.get(source)
+        if joins is None:
+            joins = appends[source] = [
+                runs.setdefault((source, wid), []).append for wid in wids
+            ]
+        row = tup.row
+        for append in joins:
+            append(row)
+    arrived: dict[str, dict[int, int]] = {s: {} for s in sources}
+    for (source, wid), run in runs.items():
+        arrived[source][wid] = len(run)
+    return sorted({wid for _, wid in runs}), arrived, runs

@@ -9,8 +9,14 @@ subsystem passes these synopses to the query engine."*
 
 Dropped tuples are folded into a per-window synopsis (windows are assigned
 by arrival timestamp, so a burst that straddles a boundary is attributed
-correctly).  With ``summarize=False`` the same queue implements the
-drop-only baseline — the single-codebase comparison of Section 5.2.1.
+correctly).  The paper reads that summary at the window boundary, so the
+fold happens there too: a victim only joins its windows' pending lists, and
+the drop count, the timestamp bounds and the synopsis (one ``insert_bulk``,
+in victim order) are brought up to date when the window is looked at or
+released — or, for a policy that reads the synopsis while choosing victims,
+before each of its decisions.  With ``summarize=False`` the same queue
+implements the drop-only baseline — the single-codebase comparison of
+Section 5.2.1.
 
 Concurrency contract
 --------------------
@@ -151,6 +157,8 @@ class TriageQueue:
         self._lock = threading.RLock() if thread_safe else nullcontext()
         self._rng = random.Random(seed)
         self._buffer: deque[StreamTuple] = deque()
+        # window id -> victims not yet folded into the three dicts below.
+        self._pending: dict[int, list[StreamTuple]] = {}
         self._window_synopses: dict[int, Synopsis] = {}
         self._window_counts: dict[int, int] = {}
         self._window_bounds: dict[int, tuple[float, float]] = {}
@@ -200,8 +208,7 @@ class TriageQueue:
             self.stats.overflows += 1
             ctx = self._policy_context
             if self.policy.reads_synopsis:
-                wid = self.window.primary_window(tup.timestamp)
-                ctx.synopsis = self._window_synopses.get(wid)
+                ctx.synopsis = self._current_synopsis(tup.timestamp)
             auditing = self.audit is not None
             if auditing:
                 ctx.last_score = None
@@ -242,17 +249,11 @@ class TriageQueue:
         Semantically identical to calling :meth:`offer` once per tuple —
         the same drop decisions (same RNG draw sequence), the same synopsis
         contents, the same :class:`QueueStats` totals — but the batch shape
-        is exploited three ways:
+        is exploited twice:
 
         * **free-prefix admit** — ``offer()`` never consults the policy
           while free space remains, so everything that fits goes in with
           one ``extend`` and zero RNG draws or per-tuple dispatch;
-        * **grouped synopsis flush** — once the buffer is full every
-          remaining tuple sheds exactly one victim; for policies that never
-          read ``PolicyContext.synopsis`` (``reads_synopsis=False``) the
-          per-victim synopsis inserts are deferred and flushed once per
-          window via :meth:`Synopsis.insert_bulk`, preserving per-window
-          insert order (reservoir samples are order/RNG-sensitive);
         * **one stats update per batch** — the decision, summarize and
           shed-byte counters are summed in locals and added to
           :class:`QueueStats` once after the loop; the batch's victims are
@@ -289,30 +290,21 @@ class TriageQueue:
                     batch[k:] if k else batch
                 )
                 stats.overflows += n - k
-                window = self.window
-                ids = window.ids
-                primary = window.primary_window
+                ids = self.window.ids
                 policy = self.policy
                 select = policy.select_victim
                 needs_syn = policy.reads_synopsis
                 ctx = self._policy_context
                 synopses = self._window_synopses
-                syn_get = synopses.get
-                counts = self._window_counts
-                counts_get = counts.get
-                bounds = self._window_bounds
-                bounds_get = bounds.get
                 summarize = self.summarize
-                dpos = self.dim_positions
-                pending: dict[int, list] | None = (
-                    {} if summarize and not needs_syn else None
-                )
+                pending = self._pending
+                pending_get = pending.get
                 audit = self.audit
                 audit_record = audit.record if audit is not None else None
                 policy_name = policy.name if audit is not None else ""
                 for tup in tail:
                     if needs_syn:
-                        ctx.synopsis = syn_get(primary(tup.timestamp))
+                        ctx.synopsis = self._current_synopsis(tup.timestamp)
                     if audit_record is not None:
                         ctx.last_score = None
                     victim_idx = select(buffer, tup, ctx)
@@ -327,11 +319,7 @@ class TriageQueue:
                             index.remove(victim)
                             index.add(tup)
                     dropped += 1
-                    # Inlined _shed: a victim is charged to every
-                    # window containing it (one for tumbling specs).
-                    vts = victim.timestamp
-                    vrow = victim.row
-                    vwids = ids(vts)
+                    vwids = ids(victim.timestamp)
                     if audit_record is not None:
                         audit_record(
                             "drop_incoming" if victim_idx == DROP_INCOMING
@@ -339,49 +327,27 @@ class TriageQueue:
                             policy=policy_name,
                             stream=self.name,
                             windows=vwids,
-                            timestamp=vts,
+                            timestamp=victim.timestamp,
                             depth=len(buffer),
                             score=ctx.last_score,
-                            row=vrow,
+                            row=victim.row,
                         )
+                    # Inlined _shed.
                     for wid in vwids:
-                        counts[wid] = counts_get(wid, 0) + 1
-                        b = bounds_get(wid)
-                        if b is None:
-                            bounds[wid] = (vts, vts)
-                        elif vts < b[0]:
-                            bounds[wid] = (vts, b[1])
-                        elif vts > b[1]:
-                            bounds[wid] = (b[0], vts)
-                        if pending is not None:
-                            rows = pending.get(wid)
-                            if rows is None:
-                                rows = pending[wid] = []
-                            rows.append(vrow)
-                        elif summarize:
-                            syn = syn_get(wid)
-                            if syn is None:
-                                syn = synopses[wid] = (
-                                    self.synopsis_factory.create(self.dimensions)
+                        run = pending_get(wid)
+                        if run is None:
+                            run = pending[wid] = []
+                            if summarize and wid not in synopses:
+                                synopses[wid] = self.synopsis_factory.create(
+                                    self.dimensions
                                 )
-                            syn.insert([vrow[p] for p in dpos])
+                        run.append(victim)
                 stats.dropped += dropped
                 stats.drop_incoming += drop_incoming
                 stats.evict_buffered += dropped - drop_incoming
-                stats.shed_bytes += dropped * sys.getsizeof(vrow)
+                stats.shed_bytes += dropped * sys.getsizeof(victim.row)
                 if summarize:
                     stats.summarized += dropped
-                if pending:
-                    # Flush in first-victim order: synopsis *creation*
-                    # order matches the eager path (factories may vary
-                    # seeds per create), and per-window insert order is
-                    # the victim order.
-                    factory = self.synopsis_factory
-                    for wid, rows in pending.items():
-                        syn = syn_get(wid)
-                        if syn is None:
-                            syn = synopses[wid] = factory.create(self.dimensions)
-                        syn.insert_bulk(rows, dpos)
             # ``high_watermark >= len(buffer)`` holds at every quiescent
             # point (only offers grow the buffer, and they maintain it), so
             # one max at the end equals the per-append updates of offer().
@@ -408,39 +374,61 @@ class TriageQueue:
         if self.summarize:
             stats.summarized += 1
         # A victim is charged to every window containing it — one window
-        # for tumbling specs, several when windows overlap (hopping).
+        # for tumbling specs, several when windows overlap (hopping).  A
+        # window's synopsis is created at its first victim (seeded factories
+        # number their creates); everything else waits for _fold.
+        pending = self._pending
         for wid in self.window.ids(victim.timestamp):
-            self._window_counts[wid] = self._window_counts.get(wid, 0) + 1
-            lo, hi = self._window_bounds.get(
-                wid, (victim.timestamp, victim.timestamp)
+            run = pending.get(wid)
+            if run is None:
+                run = pending[wid] = []
+                if self.summarize and wid not in self._window_synopses:
+                    self._window_synopses[wid] = self.synopsis_factory.create(
+                        self.dimensions
+                    )
+            run.append(victim)
+
+    def _fold(self, window_id: int) -> None:
+        """Bring a window's count, bounds and synopsis up to its last victim."""
+        run = self._pending.pop(window_id, None)
+        if run is None:
+            return
+        self._window_counts[window_id] = (
+            self._window_counts.get(window_id, 0) + len(run)
+        )
+        stamps = [victim.timestamp for victim in run]
+        lo, hi = min(stamps), max(stamps)
+        have = self._window_bounds.get(window_id)
+        if have is not None:
+            lo, hi = min(lo, have[0]), max(hi, have[1])
+        self._window_bounds[window_id] = (lo, hi)
+        if self.summarize:
+            self._window_synopses[window_id].insert_bulk(
+                [victim.row for victim in run], self.dim_positions
             )
-            self._window_bounds[wid] = (
-                min(lo, victim.timestamp),
-                max(hi, victim.timestamp),
-            )
-            if not self.summarize:
-                continue
-            syn = self._window_synopses.get(wid)
-            if syn is None:
-                syn = self._window_synopses[wid] = self.synopsis_factory.create(
-                    self.dimensions
-                )
-            syn.insert([victim.row[p] for p in self.dim_positions])
+
+    def _current_synopsis(self, timestamp: float) -> Synopsis | None:
+        """``PolicyContext.synopsis`` for a policy that reads it."""
+        wid = self.window.primary_window(timestamp)
+        self._fold(wid)
+        return self._window_synopses.get(wid)
 
     # ------------------------------------------------------------------
     def window_synopsis(self, window_id: int) -> WindowSynopsis:
         """The dropped-tuple summary for one window (empty if no drops)."""
-        bounds = self._window_bounds.get(window_id)
-        return WindowSynopsis(
-            window_id=window_id,
-            synopsis=self._window_synopses.get(window_id),
-            dropped_count=self._window_counts.get(window_id, 0),
-            earliest=bounds[0] if bounds else None,
-            latest=bounds[1] if bounds else None,
-        )
+        with self._lock:
+            self._fold(window_id)
+            bounds = self._window_bounds.get(window_id)
+            return WindowSynopsis(
+                window_id=window_id,
+                synopsis=self._window_synopses.get(window_id),
+                dropped_count=self._window_counts.get(window_id, 0),
+                earliest=bounds[0] if bounds else None,
+                latest=bounds[1] if bounds else None,
+            )
 
     def windows_with_drops(self) -> list[int]:
-        return sorted(self._window_counts)
+        return sorted(self._window_counts.keys() | self._pending.keys())
 
     def release_window(self, window_id: int) -> WindowSynopsis:
         """Emit and forget a window's synopsis (the end-of-window hand-off)."""

@@ -69,11 +69,16 @@ class WindowSpec:
     def ids(self, timestamp: float) -> tuple[int, ...]:
         """Memoized :meth:`window_ids` as a tuple.
 
-        The pipeline event loops ask for a tuple's windows 3–4 times on its
-        way through triage (offer, shed, drain, completion accounting); the
-        answer depends only on ``timestamp``, so the hot paths use this
-        cached form.  Delegates to ``window_ids`` for the arithmetic so the
-        two can never disagree.
+        Window state is built once per window from row runs, so what is
+        left of the per-tuple work is this lookup: the arrival walk
+        (:func:`~repro.core.triage_core.window_runs`, or the data plane's
+        admission) asks once per arriving tuple, and the tuple's one exit
+        asks again — :meth:`TriageCore.drain` when it is polled,
+        :meth:`TriageQueue.offer` / ``offer_bulk`` when it is shed.  The
+        answer depends only on ``timestamp``, and the same timestamps come
+        back (each tuple twice, a batch stamped with one ``now``, one input
+        replayed under several strategies), so the memo stays.  Delegates
+        to ``window_ids`` for the arithmetic so the two can never disagree.
         """
         cache = self._ids_cache
         out = cache.get(timestamp)

@@ -4,11 +4,11 @@ This is the state a :class:`~repro.service.server.TriageServer` used to hold
 inline — per-stream :class:`~repro.core.triage_queue.TriageQueue` instances,
 arrival counts, the tuple-budgeted engine emulation (a
 :class:`~repro.core.triage_core.TriageCore`, which also holds the
-per-(source, window) kept bags and synopses), and the window-close
-bookkeeping — factored out so it can run either in the server process
-(``shards=1``, the serial fallback) or once per shard worker process
-(:mod:`repro.service.shard`), each worker owning a disjoint subset of the
-stream sources.
+per-(source, window) kept-row runs until :meth:`collect` takes them), and
+the window-close bookkeeping — factored out so it can run either in the
+server process (``shards=1``, the serial fallback) or once per shard worker
+process (:mod:`repro.service.shard`), each worker owning a disjoint subset
+of the stream sources.
 
 The split point is exactly the paper's: everything *before* window
 evaluation is per-stream and independent (triage, shedding, synopsis
@@ -32,7 +32,6 @@ from __future__ import annotations
 
 from itertools import repeat
 
-from repro.algebra.multiset import Multiset
 from repro.core.merge import WindowPartials
 from repro.core.triage_core import TriageCore
 from repro.core.triage_queue import TriageQueue
@@ -67,6 +66,7 @@ class StreamDataPlane:
             s: pipeline.bound.source(s).schema for s in self.sources
         }
         self.build_kept_syn: bool = self.config.strategy.summarizes_drops
+        self._owns_query = set(self.sources) >= set(pipeline.sources)
         self.queues: dict[str, TriageQueue] = {
             s: pipeline.build_queue(s, thread_safe=thread_safe)
             for s in self.sources
@@ -316,26 +316,27 @@ class StreamDataPlane:
         """Pop the evaluation inputs for a batch of closing windows."""
         use_shadow = self.build_kept_syn
         sources = self.sources
-        kept_rows = self._core.kept_rows
-        kept_syn = self._core.kept_synopses
         released = {
             s: {w: self.queues[s].release_window(w) for w in wids}
             for s in sources
         }
+        # A kept synopsis is read only inside Q-, which needs some stream's
+        # dropped synopsis: a plane that owns every source of the query
+        # knows which windows have one.  A shard worker owns a subset (the
+        # drop may be another worker's), so it builds them all.
+        shed = None
+        if self._owns_query:
+            shed = {
+                w
+                for per_window in released.values()
+                for w, ws in per_window.items()
+                if ws.synopsis is not None
+            }
+        kept_rows, kept_synopses = self._core.take(wids, shed)
         return WindowPartials(
             window_ids=list(wids),
-            kept_rows={
-                s: {w: kept_rows[s].pop(w, None) or Multiset() for w in wids}
-                for s in sources
-            },
-            kept_synopses=(
-                {
-                    s: {w: kept_syn[s].pop(w, None) for w in wids}
-                    for s in sources
-                }
-                if use_shadow
-                else None
-            ),
+            kept_rows=kept_rows,
+            kept_synopses=kept_synopses,
             dropped_synopses=(
                 {
                     s: {w: released[s][w].synopsis for w in wids}

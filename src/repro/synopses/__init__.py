@@ -14,9 +14,16 @@ Implementations of the paper's ``Synopsis`` datatype (Section 5.1):
 :func:`register_synopsis_udfs` installs the paper's user-defined functions
 (``project``, ``union_all``/``union``, ``equijoin``, ``syn_total``) into a
 UDF registry so shadow queries run inside the plain query engine.
+
+The three numpy-backed families (dense grid, count-min, wavelet) and
+:data:`FACTORIES`, which names them, are resolved on first use: they are the
+only ``import numpy`` in the package, and a service or simulation that never
+picks one should not pay for it at start-up.
 """
 
 from __future__ import annotations
+
+import importlib
 
 from repro.engine.udf import UDFRegistry
 from repro.synopses.base import (
@@ -25,9 +32,7 @@ from repro.synopses.base import (
     SynopsisError,
     SynopsisFactory,
 )
-from repro.synopses.cms import CountMinFactory, CountMinSynopsis
 from repro.synopses.endbiased import EndBiasedFactory, EndBiasedHistogram
-from repro.synopses.equiwidth import DenseGridFactory, DenseGridHistogram
 from repro.synopses.join_order import (
     JoinInput,
     aligned_result_size,
@@ -38,7 +43,6 @@ from repro.synopses.join_order import (
 from repro.synopses.mhist import MHist, MHistFactory
 from repro.synopses.sample import ReservoirSampleFactory, ReservoirSampleSynopsis
 from repro.synopses.sparse_hist import SparseCubicHistogram, SparseHistogramFactory
-from repro.synopses.wavelet import WaveletFactory, WaveletSynopsis
 
 __all__ = [
     "Dimension",
@@ -68,16 +72,38 @@ __all__ = [
     "FACTORIES",
 ]
 
-#: Name -> zero-argument factory constructor, for CLI/benchmark selection.
-FACTORIES = {
-    "sparse_hist": SparseHistogramFactory,
-    "mhist": MHistFactory,
-    "dense_grid": DenseGridFactory,
-    "reservoir": ReservoirSampleFactory,
-    "cms": CountMinFactory,
-    "wavelet": WaveletFactory,
-    "end_biased": EndBiasedFactory,
+# Export -> the numpy-backed submodule that defines it.
+_LAZY = {
+    "DenseGridHistogram": "equiwidth",
+    "DenseGridFactory": "equiwidth",
+    "CountMinSynopsis": "cms",
+    "CountMinFactory": "cms",
+    "WaveletSynopsis": "wavelet",
+    "WaveletFactory": "wavelet",
 }
+
+
+def __getattr__(name: str):
+    """Resolve the lazy exports (see the module docstring) on first use."""
+    if name == "FACTORIES":
+        # Name -> zero-argument factory constructor, for CLI/benchmark
+        # selection.
+        value = {
+            "sparse_hist": SparseHistogramFactory,
+            "mhist": MHistFactory,
+            "dense_grid": __getattr__("DenseGridFactory"),
+            "reservoir": ReservoirSampleFactory,
+            "cms": __getattr__("CountMinFactory"),
+            "wavelet": __getattr__("WaveletFactory"),
+            "end_biased": EndBiasedFactory,
+        }
+    elif name in _LAZY:
+        module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+        value = getattr(module, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
 
 
 def register_synopsis_udfs(registry: UDFRegistry) -> None:

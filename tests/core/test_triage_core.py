@@ -3,7 +3,7 @@
 import math
 
 from repro.core import HeadDropPolicy, TailDropPolicy, TriageQueue
-from repro.core.triage_core import TriageCore, arrivals_per_window, merge_arrivals
+from repro.core.triage_core import TriageCore, merge_arrivals, window_runs
 from repro.engine import StreamTuple, WindowSpec
 from repro.synopses import Dimension, SparseHistogramFactory
 
@@ -166,40 +166,70 @@ class TestKeptStateFold:
         core = TriageCore([make_queue("R")], [0.25], synopses=True)
         feed(core, 0, t(0.1, 7), t(0.2, 7), t(1.1, 8))
         core.drain()
-        bags = core.kept_rows["R"]
+        assert core.completion == {0: 0.6, 1: 1.35}
+        kept_rows, kept_synopses = core.take([0, 1])
+        bags = kept_rows["R"]
         assert sorted(bags) == [0, 1]
         assert bags[0].multiplicity((7,)) == 2 and len(bags[1]) == 1
-        assert core.kept_synopses["R"][0].group_counts("R.a") == {7: 2.0}
-        assert core.completion == {0: 0.6, 1: 1.35}
+        assert kept_synopses["R"][0].group_counts("R.a") == {7: 2.0}
+        assert kept_synopses["R"][1].group_counts("R.a") == {8: 1.0}
+
+    def test_take_pops_and_fills_only_the_shed_windows(self):
+        core = TriageCore([make_queue("R"), make_queue("S")], synopses=True)
+        feed(core, 0, t(0.1, 7), t(1.1, 8), t(2.1, 9))
+        feed(core, 1, t(1.2, 5))
+        core.drain()
+        kept_rows, kept_synopses = core.take([0, 1], shed={1})
+        # Every asked window has an entry for every source...
+        assert {s: sorted(per) for s, per in kept_rows.items()} == {
+            "R": [0, 1], "S": [0, 1]
+        }
+        assert len(kept_rows["S"][0]) == 0 and len(kept_rows["S"][1]) == 1
+        # ...but only a window that shed something gets its synopses.
+        assert kept_synopses["R"][0] is None and kept_synopses["S"][0] is None
+        assert kept_synopses["R"][1].group_counts("R.a") == {8: 1.0}
+        assert kept_synopses["S"][1].group_counts("S.a") == {5: 1.0}
+        # Taken windows are gone; the untaken one is whole.
+        assert all(0 not in runs and 1 not in runs for runs in core._runs)
+        assert all(0 not in syn and 1 not in syn for syn in core._synopses)
+        kept_rows, kept_synopses = core.take()  # everything still held
+        assert sorted(kept_rows["R"]) == [2] and len(kept_rows["R"][2]) == 1
+        assert kept_synopses["R"][2].total() == 1.0
+        assert core._runs == [{}, {}] and core._synopses == [{}, {}]
 
     def test_hopping_windows_fold_into_every_containing_window(self):
         hopping = WindowSpec(width=2.0, slide=1.0)
         core = TriageCore([make_queue("R", window=hopping)], [0.1])
         feed(core, 0, t(1.5, 4))
         core.drain()
-        assert sorted(core.kept_rows["R"]) == [0, 1]
+        kept_rows, kept_synopses = core.take()
+        assert sorted(kept_rows["R"]) == [0, 1]
+        assert kept_synopses is None  # built without synopses=True
 
     def test_fold_can_be_switched_off(self):
         core = TriageCore([make_queue("R")], fold=False)
         feed(core, 0, t(0.1, 1))
         assert core.drain() == 1
-        assert core.kept_rows is None and core.kept_synopses is None
+        assert core._runs is None and core._synopses is None
 
     def test_closed_floor_drops_late_backlog_without_leaking_state(self):
         core = TriageCore([make_queue("R")], synopses=True)
         feed(core, 0, t(0.5, 1), t(1.5, 2))
         core.drain()
-        core.kept_rows["R"].pop(0)
-        core.kept_synopses["R"].pop(0)
+        core.take([0])
         core.close([0])
         assert core.closed_floor == 0
         feed(core, 0, t(0.7, 3), t(1.6, 4))  # 0.7 is late for window 0
         polled = []
         assert core.drain(polled=polled) == 2  # consumed all the same...
         assert order(polled) == [("R", 3), ("R", 4)]
-        assert sorted(core.kept_rows["R"]) == [1]  # ...but folded nowhere
-        assert sorted(core.kept_synopses["R"]) == [1]
-        assert len(core.kept_rows["R"][1]) == 2
+        assert sorted(core._runs[0]) == [1]  # ...but folded nowhere
+        assert sorted(core._synopses[0]) == [1]
+        kept_rows, kept_synopses = core.take([0, 1])
+        assert len(kept_rows["R"][0]) == 0 and kept_synopses["R"][0] is None
+        assert len(kept_rows["R"][1]) == 2
+        assert kept_synopses["R"][1].total() == 2.0
+        assert core._runs == [{}] and core._synopses == [{}]
 
     def test_floor_only_rises(self):
         core = TriageCore([make_queue("R")])
@@ -231,8 +261,25 @@ class TestArrivalReplay:
     def test_arrivals_counted_per_source_and_window(self):
         streams = {"R": [t(0.1, 1), t(1.2, 2), t(1.3, 3)], "S": [t(2.5, 4)]}
         events = merge_arrivals(streams, ["R", "S"])
-        window_ids, arrived = arrivals_per_window(
+        window_ids, arrived, runs = window_runs(
             events, ["R", "S"], WindowSpec(width=1.0)
         )
         assert window_ids == [0, 1, 2]
         assert arrived == {"R": {0: 1, 1: 2}, "S": {2: 1}}
+        # Runs: rows in timeline order, keyed in first-arrival order.
+        assert list(runs.items()) == [
+            (("R", 0), [(1,)]),
+            (("R", 1), [(2,), (3,)]),
+            (("S", 2), [(4,)]),
+        ]
+
+    def test_hopping_runs_repeat_a_row_in_every_containing_window(self):
+        streams = {"R": [t(0.5, 1), t(1.5, 2)], "S": [t(1.5, 3)], "T": []}
+        events = merge_arrivals(streams, ["R", "S", "T"])
+        window_ids, arrived, runs = window_runs(
+            events, ["R", "S", "T"], WindowSpec(width=2.0, slide=1.0)
+        )
+        assert window_ids == [0, 1]
+        assert arrived == {"R": {0: 2, 1: 1}, "S": {0: 1, 1: 1}, "T": {}}
+        assert list(runs) == [("R", 0), ("R", 1), ("S", 0), ("S", 1)]
+        assert runs["R", 0] == [(1,), (2,)] and runs["R", 1] == [(2,)]

@@ -125,8 +125,12 @@ class TestCli:
         from repro.obs.prof import validate_collapsed
 
         collapsed = tmp_path / "fig9.collapsed"
+        # The full run, not --quick: the sampler's first wake-up comes a
+        # period plus a GIL hand-off (up to ~9 ms) after the run starts, and
+        # a warm --quick run is over in ~8 ms — `repro prof --svg` rightly
+        # refuses the empty profile that leaves.
         code, text = run_cli(
-            ["trace", "--quick", "--out", str(tmp_path / "t.json"),
+            ["trace", "--out", str(tmp_path / "t.json"),
              "--profile-out", str(collapsed), "--profile-hz", "250"]
         )
         assert code == 0
