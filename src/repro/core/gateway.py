@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 from repro.algebra.multiset import Multiset
+from repro.core.merge import WindowPartials
 from repro.core.pipeline import DataTriagePipeline, RunResult
 from repro.core.policies import DropPolicy, RandomDropPolicy, TailDropPolicy
 from repro.core.strategies import ShedStrategy
@@ -223,7 +224,7 @@ def run_gateway_experiment(
         )
         outputs[s] = gw.run(streams[s])
 
-    # Assemble per-window structures for the shared evaluator.
+    # The engine-side window hand-off, assembled from what crossed the links.
     events = merge_arrivals(streams, sources)
     window_ids, arrived, runs = window_runs(events, sources, cfg.window)
     dropped_syn: dict[str, dict[int, Synopsis | None]] = {s: {} for s in sources}
@@ -232,8 +233,7 @@ def run_gateway_experiment(
         for wid, ws in outputs[s].synopses.items():
             dropped_syn[s][wid] = ws.synopsis
             dropped_counts[s][wid] = ws.dropped_count
-
-    windows = pipeline.evaluate_windows(
+    partials = WindowPartials(
         window_ids=window_ids,
         kept_rows={s: outputs[s].kept_rows for s in sources},
         kept_synopses=(
@@ -242,7 +242,9 @@ def run_gateway_experiment(
         dropped_synopses=dropped_syn if summarize else None,
         dropped_counts=dropped_counts,
         arrived=arrived,
-        ideal_inputs=pipeline._ideal_inputs(runs) if cfg.compute_ideal else None,
+    )
+    windows = pipeline.evaluate_windows(
+        partials, pipeline._ideal_inputs(runs) if cfg.compute_ideal else None
     )
     total = sum(o.offered for o in outputs.values())
     total_dropped = sum(o.dropped for o in outputs.values())

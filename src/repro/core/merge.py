@@ -200,18 +200,21 @@ def merge_groups(exact: Groups, estimated: Groups, spec: MergeSpec) -> Groups:
 
 
 # ---------------------------------------------------------------------------
-# Partial window inputs (sharded evaluation)
+# The window hand-off (and its merge across shards)
 # ---------------------------------------------------------------------------
 @dataclass
 class WindowPartials:
-    """Per-window evaluation inputs, in evaluate_windows' nested shape.
+    """The window hand-off: everything a batch of closing windows leaves.
 
-    One shard's contribution to a batch of closing windows: kept-tuple bags,
-    kept/dropped synopses, and arrival/drop counts, all keyed
-    ``{source: {window_id: value}}``.  A sharded data plane collects one of
-    these per worker and folds them with :func:`merge_partials`; the merged
-    object feeds :meth:`DataTriagePipeline.evaluate_windows` unchanged, which
-    is what keeps sharded results byte-identical to the serial server's.
+    Kept-tuple bags, kept/dropped synopses, and arrival/drop counts, all
+    keyed ``{source: {window_id: value}}``; the synopsis halves are ``None``
+    when the strategy keeps no synopses.  Every runner builds one the same
+    way (:meth:`TriageCore.hand_off`) and
+    :meth:`DataTriagePipeline.evaluate_windows` takes it whole, reading only
+    its own query's sources.  A sharded data plane gets one per worker and
+    folds them with :func:`merge_partials`, which is what keeps sharded
+    results byte-identical to the serial server's.  ``len()`` is the number
+    of windows.
     """
 
     window_ids: list[int] = field(default_factory=list)
@@ -220,6 +223,9 @@ class WindowPartials:
     dropped_synopses: dict | None = None
     dropped_counts: dict = field(default_factory=dict)
     arrived: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.window_ids)
 
 
 def _merge_nested(dst: dict, src: dict, combine) -> None:

@@ -28,7 +28,7 @@ from repro.core.triage_queue import TriageQueue
 from repro.engine.catalog import Catalog
 from repro.engine.types import StreamTuple
 from repro.rewrite.plan import RewriteError
-from repro.synopses.base import Dimension, Synopsis
+from repro.synopses.base import Dimension
 
 
 @dataclass
@@ -140,21 +140,11 @@ class SharedTriageRuntime:
             queues[stream].offer(tup)
             core.sync(stream_index[stream])
         core.drain()
-        # Every kept synopsis is built (no ``shed`` hint): the cell
-        # accounting below prices them all, read by a shadow plan or not.
-        kept_rows, kept_syn = core.take(window_ids)
-
-        dropped_syn: dict[str, dict[int, Synopsis | None]] = {
-            s: {} for s in self.streams_used
-        }
-        dropped_counts: dict[str, dict[int, int]] = {
-            s: {} for s in self.streams_used
-        }
-        for s in self.streams_used:
-            for wid in window_ids:
-                ws = queues[s].release_window(wid)
-                dropped_syn[s][wid] = ws.synopsis
-                dropped_counts[s][wid] = ws.dropped_count
+        # Every kept synopsis is built: the cell accounting below prices
+        # them all, read by a shadow plan or not.
+        partials = core.hand_off(window_ids, arrived, fill_all=True)
+        kept_syn = partials.kept_synopses
+        dropped_syn = partials.dropped_synopses
 
         # Shared-vs-unshared accounting: what per-query synopses would cost.
         shared_cells = sum(
@@ -182,15 +172,7 @@ class SharedTriageRuntime:
                 ideal_inputs = pipe._ideal_inputs(
                     {key: run for key, run in runs.items() if key[0] in q_streams}
                 )
-            windows = pipe.evaluate_windows(
-                window_ids=window_ids,
-                kept_rows={s: kept_rows[s] for s in q_streams},
-                kept_synopses={s: kept_syn[s] for s in q_streams},
-                dropped_synopses={s: dropped_syn[s] for s in q_streams},
-                dropped_counts={s: dropped_counts[s] for s in q_streams},
-                arrived={s: arrived[s] for s in q_streams},
-                ideal_inputs=ideal_inputs,
-            )
+            windows = pipe.evaluate_windows(partials, ideal_inputs)
             q_arrived = sum(
                 1 for e in events if e[2] in q_streams
             )

@@ -40,6 +40,7 @@ from repro.core.controller import LoadController
 from repro.core.merge import (
     Groups,
     MergeSpec,
+    WindowPartials,
     estimate_groups,
     exact_groups,
     merge_groups,
@@ -374,11 +375,10 @@ class DataTriagePipeline:
         trace_on = tracer is not None and tracer.enabled
         tuple_on = trace_on and tracer.tuple_events
         queues = {s: self.build_queue(s) for s in sources}
-        use_shadow = cfg.strategy is ShedStrategy.DATA_TRIAGE
         core = TriageCore(
             [queues[s] for s in sources],
             [cfg.service_time] * len(sources),
-            synopses=use_shadow,
+            synopses=cfg.strategy is ShedStrategy.DATA_TRIAGE,
         )
 
         controllers: dict[str, LoadController] | None = None
@@ -499,27 +499,8 @@ class DataTriagePipeline:
                     if samples:
                         h_depth.observe_many(samples, stream=s)
 
-        dropped_syn: dict[str, dict[int, Synopsis | None]] = {s: {} for s in sources}
-        dropped_counts: dict[str, dict[int, int]] = {s: {} for s in sources}
-        shed: set[int] = set()  # windows whose Q- is not empty
-        for s in sources:
-            for wid in window_ids:
-                ws = queues[s].release_window(wid)
-                dropped_counts[s][wid] = ws.dropped_count
-                if use_shadow:
-                    dropped_syn[s][wid] = ws.synopsis
-                    if ws.synopsis is not None:
-                        shed.add(wid)
-
-        kept_rows, kept_synopses = core.take(window_ids, shed)
         windows = self.evaluate_windows(
-            window_ids=window_ids,
-            kept_rows=kept_rows,
-            kept_synopses=kept_synopses,
-            dropped_synopses=dropped_syn if use_shadow else None,
-            dropped_counts=dropped_counts,
-            arrived=arrived,
-            ideal_inputs=ideal_inputs,
+            core.hand_off(window_ids, arrived), ideal_inputs
         )
         for w in windows:
             _, end = cfg.window.bounds(w.window_id)
@@ -543,22 +524,20 @@ class DataTriagePipeline:
     # ------------------------------------------------------------------
     def evaluate_windows(
         self,
-        window_ids: list[int],
-        kept_rows: dict[str, dict[int, Multiset]],
-        kept_synopses: dict[str, dict[int, Synopsis]] | None,
-        dropped_synopses: dict[str, dict[int, "Synopsis | None"]] | None,
-        dropped_counts: dict[str, dict[int, int]],
-        arrived: dict[str, dict[int, int]],
+        partials: WindowPartials,
         ideal_inputs=None,
         trace_ids: dict[int, list[str]] | None = None,
     ) -> list[WindowOutcome]:
-        """Turn per-window kept rows + synopses into composite answers.
+        """Turn one window hand-off into composite answers.
 
         This is the window-boundary work of Figure 2: execute the exact
         query over the kept bags, run the shadow plan over the synopses
-        (when provided — pass ``None`` for drop-only semantics), and merge.
-        External shedding layers (e.g. the distributed gateway of
-        :mod:`repro.core.gateway`) reuse this after doing their own triage.
+        (when ``partials`` carries them — ``None`` halves mean drop-only
+        semantics), and merge.  Only this query's sources are read, so a
+        hand-off built over more streams (the shared runtime's) serves
+        every query as is.  External shedding layers (e.g. the distributed
+        gateway of :mod:`repro.core.gateway`) build their own
+        :class:`~repro.core.merge.WindowPartials` and reuse this.
 
         ``trace_ids`` maps a window id to the distributed-trace ids of the
         PUBLISH batches that landed in it; the window's ``window_close`` and
@@ -568,6 +547,11 @@ class DataTriagePipeline:
         never recorded on outcomes.
         """
         sources = [link.source_name for link in self.plan.chain]
+        kept_rows = partials.kept_rows
+        kept_synopses = partials.kept_synopses
+        dropped_synopses = partials.dropped_synopses
+        dropped_counts = partials.dropped_counts
+        arrived = partials.arrived
         stream_of = {
             s: self.bound.source(s).stream_name.lower() for s in sources
         }
@@ -583,7 +567,7 @@ class DataTriagePipeline:
         trace_on = tracer is not None and tracer.enabled
         phase = obs.window_phase if obs is not None else _no_phase
         windows: list[WindowOutcome] = []
-        for wid in window_ids:
+        for wid in partials.window_ids:
             wid_traces = trace_ids.get(wid) if trace_ids else None
             if trace_on:
                 if wid_traces:

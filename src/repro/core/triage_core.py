@@ -24,7 +24,11 @@ next, and what taking it does to window state*.
   the window is reported: :meth:`TriageCore.take` is the only way kept
   state leaves the core, and builds each kept bag (and, with
   ``synopses=True``, each kept synopsis the shadow plan will read) in one
-  bulk pass.  Windows at or below ``closed_floor`` are already reported:
+  bulk pass.  :meth:`TriageCore.hand_off` wraps it into the one window
+  hand-off every runner uses: queue releases, kept state and arrival
+  counts as a :class:`~repro.core.merge.WindowPartials`, the input of
+  :meth:`~repro.core.pipeline.DataTriagePipeline.evaluate_windows`.
+  Windows at or below ``closed_floor`` are already reported:
   late backlog for them is consumed but folds into nothing.
   Independently, ``drain(polled=[...])`` hands the taken tuples back with
   their finish times.
@@ -46,6 +50,7 @@ from heapq import heappop, heappush, heapreplace
 from typing import Sequence
 
 from repro.algebra.multiset import Multiset
+from repro.core.merge import WindowPartials
 from repro.core.triage_queue import TriageQueue
 from repro.engine.types import StreamTuple
 from repro.engine.window import WindowSpec
@@ -258,6 +263,65 @@ class TriageCore:
                 else:
                     built[wid] = None
         return kept_rows, kept_synopses
+
+    def hand_off(
+        self,
+        wids: Iterable[int],
+        arrived: dict[str, dict[int, int]],
+        *,
+        fill_all: bool = False,
+    ) -> WindowPartials:
+        """The window hand-off: everything ``wids`` leave, as one bundle.
+
+        Every queue releases its dropped synopses and counts, :meth:`take`
+        turns the runs into kept bags and synopses, and each source's
+        arrival count is popped from the caller's ``arrived``
+        (``{source: {window id: count}}``; 0 where absent).  Nothing of a
+        handed-off window stays behind in the core, its queues or
+        ``arrived``; the synopsis halves are ``None`` for a core built
+        without ``synopses``.
+
+        A caller that owns every source of the query knows which windows
+        shed something (some queue released a dropped synopsis for them), so
+        only those get a filled kept synopsis.  ``fill_all=True`` fills them
+        all: for a caller that owns only some of the sources (a shard
+        worker: the drop may be another worker's) or that prices every
+        synopsis (the shared runtime's cell accounting).
+        """
+        wids = list(wids)
+        released = {
+            name: {w: q.release_window(w) for w in wids}
+            for name, q in zip(self.names, self.queues)
+        }
+        shed = None
+        if not fill_all:
+            shed = {
+                w
+                for per_window in released.values()
+                for w, ws in per_window.items()
+                if ws.synopsis is not None
+            }
+        kept_rows, kept_synopses = self.take(wids, shed)
+        dropped_synopses = None
+        if kept_synopses is not None:
+            dropped_synopses = {
+                name: {w: ws.synopsis for w, ws in per_window.items()}
+                for name, per_window in released.items()
+            }
+        return WindowPartials(
+            window_ids=wids,
+            kept_rows=kept_rows,
+            kept_synopses=kept_synopses,
+            dropped_synopses=dropped_synopses,
+            dropped_counts={
+                name: {w: ws.dropped_count for w, ws in per_window.items()}
+                for name, per_window in released.items()
+            },
+            arrived={
+                name: {w: arrived[name].pop(w, 0) for w in wids}
+                for name in self.names
+            },
+        )
 
     def close(self, wids) -> None:
         """Raise the closed-window floor past ``wids``."""

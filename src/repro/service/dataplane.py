@@ -13,7 +13,8 @@ of the stream sources.
 The split point is exactly the paper's: everything *before* window
 evaluation is per-stream and independent (triage, shedding, synopsis
 build), so it shards cleanly by source; evaluation wants all sources of a
-window together, so the plane stops at :meth:`collect` — a
+window together, so the plane stops at :meth:`collect`, which closes a
+batch of windows and returns their hand-off — a
 :class:`~repro.core.merge.WindowPartials` of kept bags + synopses + counts
 that the coordinator merges (:func:`repro.core.merge.merge_partials`) and
 feeds to :meth:`DataTriagePipeline.evaluate_windows`.
@@ -30,14 +31,43 @@ determinism tests pin down.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import repeat
 
 from repro.core.merge import WindowPartials
 from repro.core.triage_core import TriageCore
 from repro.core.triage_queue import TriageQueue
 from repro.engine.types import SchemaError, StreamTuple
+from repro.engine.window import WindowSpec
 
-__all__ = ["StreamDataPlane"]
+__all__ = ["StreamDataPlane", "due_windows"]
+
+
+def due_windows(
+    known: Iterable[int],
+    heads: Iterable[float | None],
+    window: WindowSpec,
+    now: float,
+    grace: float = 0.0,
+) -> list[int]:
+    """The close rule: known windows whose end (+grace) has passed and
+    whose tuples drained.
+
+    A window stays open while any queue's head still precedes its end —
+    backlogged-but-kept tuples must land in their window first.  Windows
+    are ordered, so the scan stops at the first not-due window.  Both
+    planes apply it, a sharded one to its coordinator's snapshot.
+    """
+    due: list[int] = []
+    heads = [h for h in heads if h is not None]
+    for wid in sorted(known):
+        _, end = window.bounds(wid)
+        if end + grace > now:
+            break
+        if any(h < end for h in heads):
+            break
+        due.append(wid)
+    return due
 
 
 class StreamDataPlane:
@@ -65,7 +95,6 @@ class StreamDataPlane:
         self._schemas = {
             s: pipeline.bound.source(s).schema for s in self.sources
         }
-        self.build_kept_syn: bool = self.config.strategy.summarizes_drops
         self._owns_query = set(self.sources) >= set(pipeline.sources)
         self.queues: dict[str, TriageQueue] = {
             s: pipeline.build_queue(s, thread_safe=thread_safe)
@@ -73,7 +102,8 @@ class StreamDataPlane:
         }
         # Untimed core: the engine is emulated by a tuple budget per tick.
         self._core = TriageCore(
-            list(self.queues.values()), synopses=self.build_kept_syn
+            list(self.queues.values()),
+            synopses=self.config.strategy.summarizes_drops,
         )
         self.arrived: dict[str, dict[int, int]] = {s: {} for s in self.sources}
         self.known_windows: set[int] = set()
@@ -295,70 +325,25 @@ class StreamDataPlane:
     # Window closing
     # ------------------------------------------------------------------
     def due_windows(self, now: float, grace: float = 0.0) -> list[int]:
-        """Windows whose end (+grace) has passed and whose tuples drained.
-
-        A window stays open while any queue's head still precedes its end —
-        backlogged-but-kept tuples must land in their window first.  Windows
-        are ordered, so the scan stops at the first not-due window.
-        """
-        due: list[int] = []
-        heads = [h for h in self.heads().values() if h is not None]
-        for wid in sorted(self.known_windows):
-            _, end = self.config.window.bounds(wid)
-            if end + grace > now:
-                break
-            if any(h < end for h in heads):
-                break
-            due.append(wid)
-        return due
-
-    def collect(self, wids: list[int]) -> WindowPartials:
-        """Pop the evaluation inputs for a batch of closing windows."""
-        use_shadow = self.build_kept_syn
-        sources = self.sources
-        released = {
-            s: {w: self.queues[s].release_window(w) for w in wids}
-            for s in sources
-        }
-        # A kept synopsis is read only inside Q-, which needs some stream's
-        # dropped synopsis: a plane that owns every source of the query
-        # knows which windows have one.  A shard worker owns a subset (the
-        # drop may be another worker's), so it builds them all.
-        shed = None
-        if self._owns_query:
-            shed = {
-                w
-                for per_window in released.values()
-                for w, ws in per_window.items()
-                if ws.synopsis is not None
-            }
-        kept_rows, kept_synopses = self._core.take(wids, shed)
-        return WindowPartials(
-            window_ids=list(wids),
-            kept_rows=kept_rows,
-            kept_synopses=kept_synopses,
-            dropped_synopses=(
-                {
-                    s: {w: released[s][w].synopsis for w in wids}
-                    for s in sources
-                }
-                if use_shadow
-                else None
-            ),
-            dropped_counts={
-                s: {w: released[s][w].dropped_count for w in wids}
-                for s in sources
-            },
-            arrived={
-                s: {w: self.arrived[s].pop(w, 0) for w in wids}
-                for s in sources
-            },
+        """The windows :meth:`collect` may close now (see :func:`due_windows`)."""
+        return due_windows(
+            self.known_windows, self.heads().values(), self.config.window, now, grace
         )
 
-    def mark_closed(self, wids: list[int]) -> None:
-        """Advance the closed-window watermark; later rows for it are late."""
+    def collect(self, wids: list[int]) -> WindowPartials:
+        """Hand off and close a batch of windows.
+
+        Returns their :class:`~repro.core.merge.WindowPartials` and advances
+        the closed-window watermark past them: later rows for them are late.
+        A shard worker owns only some of the query's sources (the drop may
+        be another worker's), so it fills every kept synopsis.
+        """
+        partials = self._core.hand_off(
+            wids, self.arrived, fill_all=not self._owns_query
+        )
         self.known_windows.difference_update(wids)
         self._core.close(wids)
+        return partials
 
     @property
     def last_closed_wid(self) -> int | None:

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -66,6 +67,7 @@ from repro.service import protocol
 from repro.service.dataplane import StreamDataPlane
 from repro.service.protocol import ProtocolError, read_frame
 from repro.service.session import AdmissionError, Session, SessionRegistry
+from repro.service.shard import ShardedDataPlane, ShardError
 from repro.sql.ast import PatternStmt, SelectStmt
 from repro.sql.binder import Binder, BoundPattern, BoundQuery
 from repro.sql.parser import parse_statement
@@ -238,8 +240,6 @@ class TriageServer:
                 "and cannot steer shard workers; use shards=1 with it"
             )
         if self.sharded:
-            from repro.service.shard import ShardedDataPlane
-
             self.plane = ShardedDataPlane(self.pipeline, self.service.shards)
             #: Sharded queues live inside worker processes; the in-process
             #: map is empty and introspection goes through the plane facade.
@@ -293,13 +293,14 @@ class TriageServer:
         """The bundle's sampling profiler (None when profiling is off)."""
         return self.obs.sampler if self.obs is not None else None
 
-    @property
-    def _known_windows(self) -> set[int]:
-        return self.plane.known_windows
-
-    @property
-    def _last_closed_wid(self) -> int | None:
-        return self.plane.last_closed_wid
+    async def _on_plane(self, fn, *args, **kwargs):
+        """``fn(*args, **kwargs)``, off the event loop when it crosses shard
+        pipes (a sharded plane blocks on worker replies)."""
+        if self.sharded:
+            return await asyncio.get_running_loop().run_in_executor(
+                None, functools.partial(fn, *args, **kwargs)
+            )
+        return fn(*args, **kwargs)
 
     # ------------------------------------------------------------------
     # Metrics
@@ -411,13 +412,9 @@ class TriageServer:
         :class:`~repro.cep.policy.PatternUtilityPolicy`), the live engine
         is bound into it so victim selection sees real partial-match state.
         Sharded planes cannot host patterns — a sequence NFA needs one
-        totally-ordered consumer — so ``shards > 1`` is an error.
+        totally-ordered consumer — so with ``shards > 1`` the plane refuses
+        (:meth:`ShardedDataPlane.attach_pattern`).
         """
-        if self.sharded:
-            raise ValueError(
-                "pattern queries need the serial data plane (one ordered "
-                "NFA consumer); re-run with --shards 1"
-            )
         if isinstance(pattern, str):
             pattern = parse_statement(pattern)
         if isinstance(pattern, PatternStmt):
@@ -503,12 +500,7 @@ class TriageServer:
         # Final drain: the engine "catches up" on everything still queued,
         # then every open window is evaluated and flushed to subscribers.
         now = self.now()
-        if self.sharded:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self._final_drain
-            )
-        else:
-            self.plane.drain(None)
+        await self._on_plane(self._final_drain)
         self._fold_queue_stats()
         try:
             await self._close_windows(now, force=True)
@@ -517,9 +509,7 @@ class TriageServer:
                 # events, the workers' last samples) so the final ledger
                 # counts reconcile exactly with plane totals and the merged
                 # profile's total is the fleet total.
-                await asyncio.get_running_loop().run_in_executor(
-                    None, self.plane.obs_sync
-                )
+                await self._on_plane(self.plane.obs_sync)
         except Exception:
             if not self.sharded:
                 raise
@@ -533,14 +523,13 @@ class TriageServer:
             self.plane.close()
 
     def _final_drain(self) -> None:
-        from repro.service.shard import ShardError
-
         # A dead worker must not block shutdown: skip the final drain and
         # close with whatever the coordinator last snapshotted.
         try:
             self.plane.drain(None)
-            # A zero-budget tick refreshes the coordinator's known-window
-            # and head snapshot so the forced close below sees everything.
+            # A zero-budget tick refreshes a sharded coordinator's
+            # known-window and head snapshot so the forced close below sees
+            # everything (on the serial plane it polls nothing).
             self.plane.advance(0.0)
         except ShardError:
             pass
@@ -753,7 +742,8 @@ class TriageServer:
                 # end — validated column-wise and offered to the triage
                 # queue as a ColumnBatch; no coordinator-side pivot to
                 # row tuples (and, sharded, no per-row pickling either).
-                accepted, late, depth, dropped_total = await self._ingest_async(
+                accepted, late, depth, dropped_total = await self._on_plane(
+                    self.ingest_rows,
                     source,
                     cols,
                     columnar=True,
@@ -770,7 +760,8 @@ class TriageServer:
                     # must ack accepted=0 exactly like rows == [].
                     rows = []
                     validate = False
-                accepted, late, depth, dropped_total = await self._ingest_async(
+                accepted, late, depth, dropped_total = await self._on_plane(
+                    self.ingest_rows,
                     source,
                     rows,
                     timestamps=frame.get("timestamps"),
@@ -795,14 +786,6 @@ class TriageServer:
             }
         )
         return True
-
-    async def _ingest_async(self, source: str, batch, **kwargs):
-        """Run an ingest off the event loop when it crosses a shard pipe."""
-        if self.sharded:
-            return await asyncio.get_running_loop().run_in_executor(
-                None, lambda: self.ingest_rows(source, batch, **kwargs)
-            )
-        return self.ingest_rows(source, batch, **kwargs)
 
     def ingest_rows(
         self,
@@ -933,9 +916,7 @@ class TriageServer:
                 if want and self.sharded:
                     # Live capture wants the fleet-wide view: absorb the
                     # workers' sample deltas before exporting.
-                    await asyncio.get_running_loop().run_in_executor(
-                        None, self.plane.obs_sync
-                    )
+                    await self._on_plane(self.plane.obs_sync)
                 reply["prof"] = self._prof_block(live=want)
         await session.send_now(reply)
         return True
@@ -977,18 +958,8 @@ class TriageServer:
                 "slo": self.slo.status(),
             }
         )
-        if self.pattern is not None and not self.sharded:
-            engine = self.plane.pattern_engine
-            stats = engine.stats
-            summary["pattern"] = {
-                "streams": list(self.pattern.streams),
-                "within": self.pattern.within,
-                "active_runs": engine.active_runs,
-                "runs_started": stats.runs_started,
-                "runs_expired": stats.runs_expired,
-                "runs_shed": stats.runs_shed,
-                "matches": stats.matches,
-            }
+        if self.pattern is not None:
+            summary["pattern"]["within"] = self.pattern.within
         return summary
 
     # ------------------------------------------------------------------
@@ -1002,13 +973,7 @@ class TriageServer:
         now = self.now() if now is None else now
         elapsed = max(0.0, now - self._last_tick)
         self._last_tick = now
-        if self.sharded:
-            # Shard ticks block on worker pipes; keep the loop responsive.
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.plane.advance, elapsed
-            )
-        else:
-            self.plane.advance(elapsed)
+        await self._on_plane(self.plane.advance, elapsed)
         self._fold_queue_stats()
 
         for s, depth in self.plane.depths().items():
@@ -1019,10 +984,8 @@ class TriageServer:
                     depth, shard=str(self.plane.assignment[s]), stream=s
                 )
 
-        if self._g_cep_runs is not None and not self.sharded:
-            engine = self.plane.pattern_engine
-            if engine is not None:
-                self._g_cep_runs.set(engine.active_runs)
+        if self._g_cep_runs is not None:
+            self._g_cep_runs.set(self.plane.pattern_engine.active_runs)
 
         if self._controllers is not None and elapsed > 0:
             for s, controller in self._controllers.items():
@@ -1108,7 +1071,7 @@ class TriageServer:
             summary["shards"] = {
                 str(i): d for i, d in self.plane.shard_depths().items()
             }
-        if self.pattern is not None and not self.sharded:
+        if self.pattern is not None:
             engine = self.plane.pattern_engine
             stats = engine.stats
             summary["pattern"] = {
@@ -1136,7 +1099,6 @@ class TriageServer:
         if not due:
             return []
         emitted = await self._evaluate_windows_frames(due, now)
-        self.plane.mark_closed(due)
         for frame in emitted:
             self._c_results.inc(len(self.registry.subscribers()))
             evicted = await self.registry.broadcast(frame)
@@ -1148,22 +1110,19 @@ class TriageServer:
     async def _evaluate_windows_frames(
         self, wids: list[int], now: float
     ) -> list[dict]:
-        """Collect, evaluate, and frame a batch of closing windows.
+        """Close, evaluate, and frame a batch of windows.
 
-        The plane hands back a :class:`~repro.core.merge.WindowPartials`
-        (sharded planes merge one per worker first); evaluation then runs
-        through the same :meth:`DataTriagePipeline.evaluate_windows` at any
-        shard count, which is what keeps results byte-identical.
+        The plane closes them and hands back their
+        :class:`~repro.core.merge.WindowPartials` (sharded planes merge one
+        per worker first); evaluation then runs through the same
+        :meth:`DataTriagePipeline.evaluate_windows` at any shard count,
+        which is what keeps results byte-identical.
         """
+        partials = await self._on_plane(self.plane.collect, list(wids))
         if self.sharded:
-            partials = await asyncio.get_running_loop().run_in_executor(
-                None, self.plane.collect, list(wids)
-            )
             for shard in set(self.plane.assignment.values()):
                 self._shard["merged"].inc(len(wids), shard=str(shard))
             self._shard["merge_seconds"].observe(self.plane.last_merge_seconds)
-        else:
-            partials = self.plane.collect(list(wids))
         trace_ids = None
         if (
             self._window_traces
@@ -1175,43 +1134,38 @@ class TriageServer:
                 for w in wids
                 if w in self._window_traces
             } or None
-        outcomes = self.pipeline.evaluate_windows(
-            trace_ids=trace_ids,
-            window_ids=list(wids),
-            kept_rows=partials.kept_rows,
-            kept_synopses=partials.kept_synopses,
-            dropped_synopses=partials.dropped_synopses,
-            dropped_counts=partials.dropped_counts,
-            arrived=partials.arrived,
-        )
-        frames = [self._frame_outcome(o, now) for o in outcomes]
+        outcomes = self.pipeline.evaluate_windows(partials, None, trace_ids)
+        framed = [self._frame_outcome(o, now) for o in outcomes]
         if self._ledger is not None:
             # Attribution join: sharded planes shipped worker ledger state
             # during collect() above, so by now the coordinator ledger holds
             # every shed decision for these windows at any shard count.
-            self._attribute_closed_windows(wids, now)
-        return frames
+            self._attribute_closed_windows([r for _, r in framed], now)
+        return [frame for frame, _ in framed]
 
-    def _attribute_closed_windows(self, wids: list[int], now: float) -> None:
-        """Join the ledger's per-window shed aggregates against the freshly
-        built :class:`WindowReport` rows, producing quality-cost records.
+    def _attribute_closed_windows(
+        self, reports: list[WindowReport], now: float
+    ) -> None:
+        """Join the ledger's per-window shed aggregates against the
+        :class:`WindowReport` rows this close just built, producing
+        quality-cost records.
 
         The live service has no ideal reference (``rms_error`` is None), so
         the error basis degrades to the window's shed fraction — still a
         meaningful burn signal for the ``attributed_error_burn`` SLO.
         """
-        taken = self._ledger.take_windows(wids)
+        taken = self._ledger.take_windows([r.window_id for r in reports])
         if not taken:
             return
-        recent = list(self._window_reports)[-len(wids):]
-        for record in attribute_reports(taken, recent):
+        for record in attribute_reports(taken, reports):
             self._audit_attributions.append(record)
             if self._telemetry_interval is not None:
                 self._pending_audit.append(record)
                 del self._pending_audit[:-256]  # bound a subscriber-less gap
             self.slo.observe("attributed_error_burn", record["error"], now)
 
-    def _frame_outcome(self, outcome, now: float) -> dict:
+    def _frame_outcome(self, outcome, now: float) -> tuple[dict, WindowReport]:
+        """The RESULT frame of one evaluated window, and its report."""
         wid = outcome.window_id
         start, end = self.config.window.bounds(wid)
         latency = max(0.0, now - end)
@@ -1275,4 +1229,4 @@ class TriageServer:
                     self.obs.tracer.flow(
                         "result", ctx["trace_id"], phase="t", window=wid
                     )
-        return frame
+        return frame, report

@@ -53,6 +53,7 @@ from repro.perf.parallel import (
     fork_context,
     pipeline_payload,
 )
+from repro.service.dataplane import StreamDataPlane, due_windows
 
 __all__ = ["ShardedDataPlane", "ShardError", "shard_of"]
 
@@ -74,8 +75,6 @@ def _worker_main(conn, payload: bytes, owned: list[str], obs_spec) -> None:
     see goes home as one ``{name: delta}`` table on every ``close`` reply
     and on ``obs_ship``.
     """
-    from repro.service.dataplane import StreamDataPlane
-
     # A foreground Ctrl-C signals the whole process group; shutdown must
     # stay coordinator-driven (the "stop" command) or workers die mid-RPC
     # and the coordinator's graceful drain sees a broken pipe.
@@ -128,7 +127,6 @@ def _worker_main(conn, payload: bytes, owned: list[str], obs_spec) -> None:
                     plane.collect(wids),
                     obs.ship(wids) if obs is not None else None,
                 )
-                plane.mark_closed(wids)
             elif op == "obs_ship":
                 reply = obs.ship(msg[1]) if obs is not None else None
             elif op == "stop":
@@ -248,9 +246,9 @@ class ShardedDataPlane:
 
     Duck-type compatible with :class:`~repro.service.dataplane.StreamDataPlane`
     for everything :class:`~repro.service.server.TriageServer` needs —
-    ``ingest``/``advance``/``drain``/``due_windows``/``collect``/
-    ``mark_closed`` plus the introspection facade — so the server picks a
-    plane once at construction and the rest of its code is shard-blind.
+    ``ingest``/``advance``/``drain``/``due_windows``/``collect`` plus the
+    introspection facade — so the server picks a plane once at
+    construction and the rest of its code is shard-blind.
 
     Coordinator-side views (depths, heads, known windows, queue stats) are
     refreshed from tick snapshots and may be one tick stale — the same
@@ -280,7 +278,6 @@ class ShardedDataPlane:
         self.assignment: dict[str, int] = {
             s: shard_of(s, shards) for s in self.sources
         }
-        self.build_kept_syn: bool = self.config.strategy.summarizes_drops
         self.known_windows: set[int] = set()
         self.last_closed_wid: int | None = None
         self._depths: dict[str, int] = {s: 0 for s in self.sources}
@@ -430,29 +427,24 @@ class ShardedDataPlane:
                 self._heads[s] = None if budget is None else self._heads[s]
 
     def due_windows(self, now: float, grace: float = 0.0) -> list[int]:
-        """Serial close rule over the merged snapshot (see StreamDataPlane)."""
-        due: list[int] = []
-        heads = [h for h in self._heads.values() if h is not None]
-        for wid in sorted(self.known_windows):
-            _, end = self.config.window.bounds(wid)
-            if end + grace > now:
-                break
-            if any(h < end for h in heads):
-                break
-            due.append(wid)
-        return due
+        """The serial close rule over the coordinator's snapshot."""
+        return due_windows(
+            self.known_windows, self._heads.values(), self.config.window, now, grace
+        )
 
     def collect(self, wids: list[int]) -> WindowPartials:
-        """Ship + merge partials for a batch of closing windows.
+        """Ship, merge and close a batch of windows.
 
         Workers collect concurrently (close is broadcast before any reply
-        is awaited) and mark the windows closed on their side, so a
-        worker's late-row watermark advances in the same FIFO turn — an
-        ingest racing the close is ordered by the pipe, exactly as the
-        serial plane orders it by the GIL.
+        is awaited) and close the windows on their side, so a worker's
+        late-row watermark advances in the same FIFO turn — an ingest
+        racing the close is ordered by the pipe, exactly as the serial
+        plane orders it by the GIL.  The coordinator's own watermark and
+        head snapshot follow once every reply is in.
         """
+        wids = list(wids)
         for worker in self.workers:
-            worker.submit(("close", list(wids)))
+            worker.submit(("close", wids))
         parts: list[WindowPartials] = []
         for worker in self.workers:
             part, table = _unwrap(_one_reply(worker))
@@ -462,24 +454,18 @@ class ShardedDataPlane:
         t0 = time.perf_counter()
         merged = merge_partials(parts)
         self.last_merge_seconds = time.perf_counter() - t0
-        merged.window_ids = list(wids)
-        return merged
-
-    def mark_closed(self, wids: list[int]) -> None:
-        """Coordinator-side watermark (workers advanced theirs in collect)."""
-        for wid in wids:
-            self.known_windows.discard(wid)
-            self.last_closed_wid = (
-                wid
-                if self.last_closed_wid is None
-                else max(self.last_closed_wid, wid)
-            )
-        for s, h in self._heads.items():
-            # Collected heads were consumed by the close on the worker side.
-            if h is not None and self.last_closed_wid is not None:
-                _, end = self.config.window.bounds(self.last_closed_wid)
-                if h < end:
+        merged.window_ids = wids
+        if wids:
+            self.known_windows.difference_update(wids)
+            last = max(wids)
+            if self.last_closed_wid is None or last > self.last_closed_wid:
+                self.last_closed_wid = last
+            # A head before the watermark's end was consumed worker-side.
+            _, end = self.config.window.bounds(self.last_closed_wid)
+            for s, h in self._heads.items():
+                if h is not None and h < end:
                     self._heads[s] = None
+        return merged
 
     # ------------------------------------------------------------------
     # Introspection facade (StreamDataPlane parity)

@@ -34,3 +34,46 @@ def test_every_wrapped_callable_resolves_on_its_owner(monkeypatch):
         if t.attr not in vars(t.owner)
     ]
     assert missing == []
+
+
+def test_window_hand_off_spans_carry_their_batch_size(monkeypatch):
+    """The harness reads a batch's window count from the call's arguments;
+    a signature change that breaks that read must fail here, not only in
+    the benchmark's smoke run."""
+    from repro.core.pipeline import DataTriagePipeline
+    from repro.core.strategies import PipelineConfig, ShedStrategy
+    from repro.engine import WindowSpec
+    from repro.experiments import (
+        PAPER_QUERY,
+        ExperimentParams,
+        paper_catalog,
+        run_constant_rate,
+    )
+    from repro.service.dataplane import StreamDataPlane
+
+    spans = load_harness_module(monkeypatch, "spans")
+    layers = load_harness_module(monkeypatch, "layers")
+    rec = spans.SpanRecorder()
+    undo = spans.install(rec, layers.targets())
+    try:
+        rec.begin()
+        run_constant_rate(
+            ShedStrategy.DATA_TRIAGE, 1500.0, ExperimentParams(n_windows=2), 0
+        )
+        config = PipelineConfig(window=WindowSpec(width=1.0), compute_ideal=False)
+        pipeline = DataTriagePipeline(paper_catalog(), PAPER_QUERY, config)
+        plane = StreamDataPlane(pipeline)
+        plane.ingest_columns("R", [[1, 2, 3]], [0.1, 1.2, 2.3])
+        plane.advance(10.0)
+        pipeline.evaluate_windows(plane.collect(plane.due_windows(5.0)))
+        rec.end()
+    finally:
+        spans.uninstall(undo)
+    sizes = {
+        name: [s.ident for s in rec.named(name)]
+        for name in ("pipeline.evaluate_windows", "dataplane.collect")
+    }
+    assert len(sizes["pipeline.evaluate_windows"]) == 2  # the run's + the plane's
+    assert sizes["dataplane.collect"] == [3]
+    for idents in sizes.values():
+        assert all(type(n) is int and n > 0 for n in idents), sizes

@@ -203,7 +203,7 @@ class TestPublish:
                 clock["t"] = 51.5
                 await server.tick()
                 await seeder.close()
-                assert server._last_closed_wid == 50
+                assert server.plane.last_closed_wid == 50
 
                 stop = asyncio.Event()
                 holder["port"] = server.port

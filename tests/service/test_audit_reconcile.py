@@ -96,33 +96,11 @@ def drive(plane, pipeline, schedule):
         plane.advance(1000.0)
         due = plane.due_windows(float(w + 1))
         if due:
-            partials = plane.collect(due)
-            outcomes.extend(
-                pipeline.evaluate_windows(
-                    window_ids=due,
-                    kept_rows=partials.kept_rows,
-                    kept_synopses=partials.kept_synopses,
-                    dropped_synopses=partials.dropped_synopses,
-                    dropped_counts=partials.dropped_counts,
-                    arrived=partials.arrived,
-                )
-            )
-            plane.mark_closed(due)
+            outcomes.extend(pipeline.evaluate_windows(plane.collect(due)))
     plane.advance(1000.0)
     leftovers = sorted(plane.known_windows)
     if leftovers:
-        partials = plane.collect(leftovers)
-        outcomes.extend(
-            pipeline.evaluate_windows(
-                window_ids=leftovers,
-                kept_rows=partials.kept_rows,
-                kept_synopses=partials.kept_synopses,
-                dropped_synopses=partials.dropped_synopses,
-                dropped_counts=partials.dropped_counts,
-                arrived=partials.arrived,
-            )
-        )
-        plane.mark_closed(leftovers)
+        outcomes.extend(pipeline.evaluate_windows(plane.collect(leftovers)))
     outcomes.sort(key=lambda o: o.window_id)
     return [outcome_key(o) for o in outcomes], plane.totals()
 
@@ -365,6 +343,40 @@ def test_server_audit_counts_edge_sheds_and_attributes_windows():
             assert "attributed_error_burn" in server.slo.status()
 
     asyncio.run(main())
+
+
+def test_attribution_of_a_close_batch_larger_than_the_report_ring():
+    """A stall closes 135 shed windows in one batch — more than the 128
+    reports the server keeps.  Every window's attribution record must still
+    be charged that window's own drop fraction (it used to find no report
+    for the oldest windows and record an error of 0.0)."""
+    n_windows = 135
+
+    async def main():
+        # The grace holds every window open until the one stalled tick, and
+        # the telemetry interval keeps that tick's records in the pending
+        # batch instead of flushing them to no subscriber.
+        async with serve(
+            queue_capacity=5, audit=True, grace=1000.0, telemetry_interval=1e6
+        ) as server:
+            for w in range(n_windows):
+                n = 6 + w % 7
+                server.ingest_rows(
+                    "R",
+                    [[1 + i % 9] for i in range(n)],
+                    [w + i / n for i in range(n)],
+                    now=w + 0.5,
+                )
+                await server.tick(now=w + 1.0)  # drains, closes nothing
+            frames = await server.tick(now=n_windows + 1001.0)
+            return frames, list(server._pending_audit)
+
+    frames, records = asyncio.run(main())
+    assert len(frames) == n_windows
+    assert len(records) == n_windows  # every window shed something
+    shed_fraction = {f["window"]: round(f["drop_fraction"], 9) for f in frames}
+    assert len(set(shed_fraction.values())) > 1
+    assert {r["window"]: r["error"] for r in records} == shed_fraction
 
 
 def test_server_stats_reply_carries_audit_block():

@@ -78,33 +78,11 @@ def drive(plane, pipeline, schedule, columnar):
         plane.advance(1000.0)
         due = plane.due_windows(float(w + 1))
         if due:
-            partials = plane.collect(due)
-            outcomes.extend(
-                pipeline.evaluate_windows(
-                    window_ids=due,
-                    kept_rows=partials.kept_rows,
-                    kept_synopses=partials.kept_synopses,
-                    dropped_synopses=partials.dropped_synopses,
-                    dropped_counts=partials.dropped_counts,
-                    arrived=partials.arrived,
-                )
-            )
-            plane.mark_closed(due)
+            outcomes.extend(pipeline.evaluate_windows(plane.collect(due)))
     plane.advance(1000.0)
     leftovers = sorted(plane.known_windows)
     if leftovers:
-        partials = plane.collect(leftovers)
-        outcomes.extend(
-            pipeline.evaluate_windows(
-                window_ids=leftovers,
-                kept_rows=partials.kept_rows,
-                kept_synopses=partials.kept_synopses,
-                dropped_synopses=partials.dropped_synopses,
-                dropped_counts=partials.dropped_counts,
-                arrived=partials.arrived,
-            )
-        )
-        plane.mark_closed(leftovers)
+        outcomes.extend(pipeline.evaluate_windows(plane.collect(leftovers)))
     outcomes.sort(key=lambda o: o.window_id)
     keys = [
         (o.window_id, o.merged, o.exact, o.estimated, o.arrived, o.kept, o.dropped)
@@ -155,7 +133,6 @@ def test_columnar_ingest_all_late_batch():
     plane.ingest("R", [[5]], [0.5])
     plane.advance(1000.0)
     plane.collect([0])
-    plane.mark_closed([0])
     # A shared-timestamp (timestamps=None) batch behind the watermark is
     # all-late under both encodings.
     row_ack = plane.ingest("R", [[1], [2]], None, now=0.2)

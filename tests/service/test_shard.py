@@ -112,34 +112,12 @@ def drive(plane, pipeline, schedule):
         plane.advance(1000.0)  # full drain: only shed decisions remain
         due = plane.due_windows(float(w + 1))
         if due:
-            partials = plane.collect(due)
-            outcomes.extend(
-                pipeline.evaluate_windows(
-                    window_ids=due,
-                    kept_rows=partials.kept_rows,
-                    kept_synopses=partials.kept_synopses,
-                    dropped_synopses=partials.dropped_synopses,
-                    dropped_counts=partials.dropped_counts,
-                    arrived=partials.arrived,
-                )
-            )
-            plane.mark_closed(due)
+            outcomes.extend(pipeline.evaluate_windows(plane.collect(due)))
     # Flush whatever the grace rule held back.
     plane.advance(1000.0)
     leftovers = sorted(plane.known_windows)
     if leftovers:
-        partials = plane.collect(leftovers)
-        outcomes.extend(
-            pipeline.evaluate_windows(
-                window_ids=leftovers,
-                kept_rows=partials.kept_rows,
-                kept_synopses=partials.kept_synopses,
-                dropped_synopses=partials.dropped_synopses,
-                dropped_counts=partials.dropped_counts,
-                arrived=partials.arrived,
-            )
-        )
-        plane.mark_closed(leftovers)
+        outcomes.extend(pipeline.evaluate_windows(plane.collect(leftovers)))
     outcomes.sort(key=lambda o: o.window_id)
     return [outcome_key(o) for o in outcomes], plane.totals()
 
@@ -372,7 +350,6 @@ def test_sharded_plane_survives_concurrent_ingest_and_ticks():
         due = plane.due_windows(1000.0)
         assert due
         partials = plane.collect(due)
-        plane.mark_closed(due)
         kept = sum(
             sum(len(bag) for bag in per_window.values())
             for per_window in partials.kept_rows.values()
