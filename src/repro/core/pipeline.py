@@ -237,7 +237,6 @@ class DataTriagePipeline:
         policy=None,
         summarize: bool | None = None,
         seed: int | None = None,
-        thread_safe: bool = False,
     ) -> TriageQueue:
         """A :class:`TriageQueue` for ``source``, configured like the
         pipeline's own (dimensions, window, synopsis factory, the bundle's
@@ -258,7 +257,6 @@ class DataTriagePipeline:
                 cfg.strategy.summarizes_drops if summarize is None else summarize
             ),
             seed=(cfg.seed if seed is None else seed) * 7919 + index,
-            thread_safe=thread_safe,
             audit=self.obs.ledger if self.obs is not None else None,
         )
 

@@ -10,8 +10,8 @@ next, and what taking it does to window state*.
   equal timestamps go to the earlier source in the list.  Queue heads live
   in a heap of ``(head timestamp, source index)`` that is revalidated
   lazily: an entry is checked against the live queue head when it reaches
-  the top, so a head evicted by a drop policy (or by a racing publisher
-  thread) is simply skipped, never consumed out of order.
+  the top, so a head evicted by a drop policy is simply skipped, never
+  consumed out of order.
 * **Clock.**  Not a class: :meth:`TriageCore.drain` stops on ``until``
   (virtual time; needs the per-source ``costs`` vector — seconds of
   consumer time one tuple of that source occupies) or on ``budget`` (a
@@ -165,8 +165,8 @@ class TriageCore:
             ts, idx = heap[0]
             q = queues[idx]
             if q.peek_timestamp() != ts:
-                # Stale: the head this entry described was evicted (drop
-                # policy, racing publisher) since it was registered.
+                # Stale: the head this entry described was evicted by a
+                # drop policy since it was registered.
                 heappop(heap)
                 self.sync(idx)
                 continue
@@ -183,8 +183,6 @@ class TriageCore:
                 heappop(heap)
             else:
                 heapreplace(heap, (nts, idx))
-            if tup is None:  # pragma: no cover - racing publisher thread
-                continue
             if timed:
                 t = start + costs[idx]
             n += 1

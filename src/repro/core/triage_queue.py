@@ -21,27 +21,17 @@ Section 5.2.1.
 Concurrency contract
 --------------------
 
-A ``TriageQueue`` is **single-owner by default**: the virtual-clock
-pipeline, the gateway, and the benchmarks all mutate a queue from exactly
-one thread, so no synchronization is paid.  The network service
-(:mod:`repro.service.server`) shares queues between connection readers and
-the window ticker; although asyncio keeps those on one thread, publisher
-code may legitimately call :meth:`offer` from worker threads (e.g. via
-``loop.run_in_executor``).  Constructing the queue with ``thread_safe=True``
-wraps every state-mutating entry point (``offer``/``poll``/
-``release_window``/``drain``/capacity resize) in an ``RLock`` so concurrent
-publishers cannot corrupt the buffer or the per-window synopses.  Reads of
-``stats`` remain unlocked — counters are monotonic ints and may be a step
-stale, which every consumer here tolerates.
+A ``TriageQueue`` is **single-owner**: the virtual-clock pipeline, the
+gateway, the service's event loop (connection handlers and the window
+ticker take turns on one thread) and each shard worker all mutate their
+queues from exactly one thread, so no synchronization is paid.
 """
 
 from __future__ import annotations
 
 import random
 import sys
-import threading
 from collections import deque
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 from repro.core.policies import DROP_INCOMING, DropPolicy, PolicyContext
@@ -124,15 +114,12 @@ class TriageQueue:
         *,
         summarize: bool = True,
         seed: int = 0,
-        thread_safe: bool = False,
         audit=None,
     ) -> None:
         """``dimensions[i]`` describes row position ``dim_positions[i]``.
 
         ``summarize=False`` turns the queue into the drop-only baseline:
-        victims are counted but not synopsized.  ``thread_safe=True``
-        serializes mutations behind an RLock (see the module docstring's
-        concurrency contract).
+        victims are counted but not synopsized.
         ``audit`` is an optional :class:`~repro.obs.audit.DropLedger`; when
         set, every shed decision is recorded with its kind, window ids,
         queue depth, and the policy's score (``PolicyContext.last_score``).
@@ -154,7 +141,6 @@ class TriageQueue:
         #: Optional DropLedger (assignable post-construction; the service
         #: data plane enables auditing on already-built queues).
         self.audit = audit
-        self._lock = threading.RLock() if thread_safe else nullcontext()
         self._rng = random.Random(seed)
         self._buffer: deque[StreamTuple] = deque()
         # window id -> victims not yet folded into the three dicts below.
@@ -195,51 +181,50 @@ class TriageQueue:
     # ------------------------------------------------------------------
     def offer(self, tup: StreamTuple) -> None:
         """A tuple arrives from the source; shed a victim if full."""
-        with self._lock:
-            self.stats.offered += 1
-            if len(self._buffer) < self.capacity:
-                self._buffer.append(tup)
-                if self.policy_index is not None:
-                    self.policy_index.add(tup)
-                self.stats.high_watermark = max(
-                    self.stats.high_watermark, len(self._buffer)
-                )
-                return
-            self.stats.overflows += 1
-            ctx = self._policy_context
-            if self.policy.reads_synopsis:
-                ctx.synopsis = self._current_synopsis(tup.timestamp)
-            auditing = self.audit is not None
-            if auditing:
-                ctx.last_score = None
-            victim_idx = self.policy.select_victim(self._buffer, tup, ctx)
-            if victim_idx == DROP_INCOMING:
-                victim = tup
-                self.stats.drop_incoming += 1
-            else:
-                victim = self._buffer[victim_idx]
-                del self._buffer[victim_idx]
-                self._buffer.append(tup)
-                if self.policy_index is not None:
-                    self.policy_index.remove(victim)
-                    self.policy_index.add(tup)
-                self.stats.evict_buffered += 1
-            if auditing:
-                self.audit.record(
-                    "drop_incoming" if victim_idx == DROP_INCOMING
-                    else "evict_buffered",
-                    policy=self.policy.name,
-                    stream=self.name,
-                    windows=self.window.ids(victim.timestamp),
-                    timestamp=victim.timestamp,
-                    depth=len(self._buffer),
-                    score=ctx.last_score,
-                    row=victim.row,
-                )
-            self._shed(victim)
+        self.stats.offered += 1
+        if len(self._buffer) < self.capacity:
+            self._buffer.append(tup)
+            if self.policy_index is not None:
+                self.policy_index.add(tup)
+            self.stats.high_watermark = max(
+                self.stats.high_watermark, len(self._buffer)
+            )
+            return
+        self.stats.overflows += 1
+        ctx = self._policy_context
+        if self.policy.reads_synopsis:
+            ctx.synopsis = self._current_synopsis(tup.timestamp)
+        auditing = self.audit is not None
+        if auditing:
+            ctx.last_score = None
+        victim_idx = self.policy.select_victim(self._buffer, tup, ctx)
+        if victim_idx == DROP_INCOMING:
+            victim = tup
+            self.stats.drop_incoming += 1
+        else:
+            victim = self._buffer[victim_idx]
+            del self._buffer[victim_idx]
+            self._buffer.append(tup)
+            if self.policy_index is not None:
+                self.policy_index.remove(victim)
+                self.policy_index.add(tup)
+            self.stats.evict_buffered += 1
+        if auditing:
+            self.audit.record(
+                "drop_incoming" if victim_idx == DROP_INCOMING
+                else "evict_buffered",
+                policy=self.policy.name,
+                stream=self.name,
+                windows=self.window.ids(victim.timestamp),
+                timestamp=victim.timestamp,
+                depth=len(self._buffer),
+                score=ctx.last_score,
+                row=victim.row,
+            )
+        self._shed(victim)
 
     def offer_bulk(self, batch) -> int:
-        """Offer a whole batch under one lock acquisition; returns drops.
+        """Offer a whole batch in one call; returns drops.
 
         ``batch`` is either a sequence of :class:`StreamTuple` or a
         :class:`~repro.engine.columns.ColumnBatch`; column batches are
@@ -265,106 +250,104 @@ class TriageQueue:
         columnar = isinstance(batch, ColumnBatch)
         if not columnar and not isinstance(batch, (list, tuple)):
             batch = list(batch)
-        with self._lock:
-            stats = self.stats
-            stats.offered += n
-            buffer = self._buffer
-            index = self.policy_index
-            dropped = 0
-            drop_incoming = 0
-            free = self.capacity - len(buffer)
-            k = n if free >= n else (free if free > 0 else 0)
-            if k:
-                if columnar:
-                    admit = batch.stream_tuples(0, k)
+        stats = self.stats
+        stats.offered += n
+        buffer = self._buffer
+        index = self.policy_index
+        dropped = 0
+        drop_incoming = 0
+        free = self.capacity - len(buffer)
+        k = n if free >= n else (free if free > 0 else 0)
+        if k:
+            if columnar:
+                admit = batch.stream_tuples(0, k)
+            else:
+                admit = batch if k == n else batch[:k]
+            buffer.extend(admit)
+            if index is not None:
+                for tup in admit:
+                    index.add(tup)
+        if k < n:
+            # The buffer is full for this entire tail: every arrival
+            # overflows and sheds exactly one victim.
+            tail = batch.stream_tuples(k) if columnar else (
+                batch[k:] if k else batch
+            )
+            stats.overflows += n - k
+            ids = self.window.ids
+            policy = self.policy
+            select = policy.select_victim
+            needs_syn = policy.reads_synopsis
+            ctx = self._policy_context
+            synopses = self._window_synopses
+            summarize = self.summarize
+            pending = self._pending
+            pending_get = pending.get
+            audit = self.audit
+            audit_record = audit.record if audit is not None else None
+            policy_name = policy.name if audit is not None else ""
+            for tup in tail:
+                if needs_syn:
+                    ctx.synopsis = self._current_synopsis(tup.timestamp)
+                if audit_record is not None:
+                    ctx.last_score = None
+                victim_idx = select(buffer, tup, ctx)
+                if victim_idx == DROP_INCOMING:
+                    victim = tup
+                    drop_incoming += 1
                 else:
-                    admit = batch if k == n else batch[:k]
-                buffer.extend(admit)
-                if index is not None:
-                    for tup in admit:
+                    victim = buffer[victim_idx]
+                    del buffer[victim_idx]
+                    buffer.append(tup)
+                    if index is not None:
+                        index.remove(victim)
                         index.add(tup)
-            if k < n:
-                # The buffer is full for this entire tail: every arrival
-                # overflows and sheds exactly one victim.
-                tail = batch.stream_tuples(k) if columnar else (
-                    batch[k:] if k else batch
-                )
-                stats.overflows += n - k
-                ids = self.window.ids
-                policy = self.policy
-                select = policy.select_victim
-                needs_syn = policy.reads_synopsis
-                ctx = self._policy_context
-                synopses = self._window_synopses
-                summarize = self.summarize
-                pending = self._pending
-                pending_get = pending.get
-                audit = self.audit
-                audit_record = audit.record if audit is not None else None
-                policy_name = policy.name if audit is not None else ""
-                for tup in tail:
-                    if needs_syn:
-                        ctx.synopsis = self._current_synopsis(tup.timestamp)
-                    if audit_record is not None:
-                        ctx.last_score = None
-                    victim_idx = select(buffer, tup, ctx)
-                    if victim_idx == DROP_INCOMING:
-                        victim = tup
-                        drop_incoming += 1
-                    else:
-                        victim = buffer[victim_idx]
-                        del buffer[victim_idx]
-                        buffer.append(tup)
-                        if index is not None:
-                            index.remove(victim)
-                            index.add(tup)
-                    dropped += 1
-                    vwids = ids(victim.timestamp)
-                    if audit_record is not None:
-                        audit_record(
-                            "drop_incoming" if victim_idx == DROP_INCOMING
-                            else "evict_buffered",
-                            policy=policy_name,
-                            stream=self.name,
-                            windows=vwids,
-                            timestamp=victim.timestamp,
-                            depth=len(buffer),
-                            score=ctx.last_score,
-                            row=victim.row,
-                        )
-                    # Inlined _shed.
-                    for wid in vwids:
-                        run = pending_get(wid)
-                        if run is None:
-                            run = pending[wid] = []
-                            if summarize and wid not in synopses:
-                                synopses[wid] = self.synopsis_factory.create(
-                                    self.dimensions
-                                )
-                        run.append(victim)
-                stats.dropped += dropped
-                stats.drop_incoming += drop_incoming
-                stats.evict_buffered += dropped - drop_incoming
-                stats.shed_bytes += dropped * sys.getsizeof(victim.row)
-                if summarize:
-                    stats.summarized += dropped
-            # ``high_watermark >= len(buffer)`` holds at every quiescent
-            # point (only offers grow the buffer, and they maintain it), so
-            # one max at the end equals the per-append updates of offer().
-            if len(buffer) > stats.high_watermark:
-                stats.high_watermark = len(buffer)
-            return dropped
+                dropped += 1
+                vwids = ids(victim.timestamp)
+                if audit_record is not None:
+                    audit_record(
+                        "drop_incoming" if victim_idx == DROP_INCOMING
+                        else "evict_buffered",
+                        policy=policy_name,
+                        stream=self.name,
+                        windows=vwids,
+                        timestamp=victim.timestamp,
+                        depth=len(buffer),
+                        score=ctx.last_score,
+                        row=victim.row,
+                    )
+                # Inlined _shed.
+                for wid in vwids:
+                    run = pending_get(wid)
+                    if run is None:
+                        run = pending[wid] = []
+                        if summarize and wid not in synopses:
+                            synopses[wid] = self.synopsis_factory.create(
+                                self.dimensions
+                            )
+                    run.append(victim)
+            stats.dropped += dropped
+            stats.drop_incoming += drop_incoming
+            stats.evict_buffered += dropped - drop_incoming
+            stats.shed_bytes += dropped * sys.getsizeof(victim.row)
+            if summarize:
+                stats.summarized += dropped
+        # ``high_watermark >= len(buffer)`` holds at every quiescent
+        # point (only offers grow the buffer, and they maintain it), so
+        # one max at the end equals the per-append updates of offer().
+        if len(buffer) > stats.high_watermark:
+            stats.high_watermark = len(buffer)
+        return dropped
 
     def poll(self) -> StreamTuple | None:
         """The engine pulls the next tuple (FIFO order)."""
-        with self._lock:
-            if not self._buffer:
-                return None
-            self.stats.polled += 1
-            tup = self._buffer.popleft()
-            if self.policy_index is not None:
-                self.policy_index.remove(tup)
-            return tup
+        if not self._buffer:
+            return None
+        self.stats.polled += 1
+        tup = self._buffer.popleft()
+        if self.policy_index is not None:
+            self.policy_index.remove(tup)
+        return tup
 
     # ------------------------------------------------------------------
     def _shed(self, victim: StreamTuple) -> None:
@@ -416,34 +399,31 @@ class TriageQueue:
     # ------------------------------------------------------------------
     def window_synopsis(self, window_id: int) -> WindowSynopsis:
         """The dropped-tuple summary for one window (empty if no drops)."""
-        with self._lock:
-            self._fold(window_id)
-            bounds = self._window_bounds.get(window_id)
-            return WindowSynopsis(
-                window_id=window_id,
-                synopsis=self._window_synopses.get(window_id),
-                dropped_count=self._window_counts.get(window_id, 0),
-                earliest=bounds[0] if bounds else None,
-                latest=bounds[1] if bounds else None,
-            )
+        self._fold(window_id)
+        bounds = self._window_bounds.get(window_id)
+        return WindowSynopsis(
+            window_id=window_id,
+            synopsis=self._window_synopses.get(window_id),
+            dropped_count=self._window_counts.get(window_id, 0),
+            earliest=bounds[0] if bounds else None,
+            latest=bounds[1] if bounds else None,
+        )
 
     def windows_with_drops(self) -> list[int]:
         return sorted(self._window_counts.keys() | self._pending.keys())
 
     def release_window(self, window_id: int) -> WindowSynopsis:
         """Emit and forget a window's synopsis (the end-of-window hand-off)."""
-        with self._lock:
-            out = self.window_synopsis(window_id)
-            self._window_synopses.pop(window_id, None)
-            self._window_counts.pop(window_id, None)
-            self._window_bounds.pop(window_id, None)
-            return out
+        out = self.window_synopsis(window_id)
+        self._window_synopses.pop(window_id, None)
+        self._window_counts.pop(window_id, None)
+        self._window_bounds.pop(window_id, None)
+        return out
 
     def drain(self) -> list[StreamTuple]:
         """Remove and return everything still buffered (end of run)."""
-        with self._lock:
-            out = list(self._buffer)
-            self._buffer.clear()
-            if self.policy_index is not None:
-                self.policy_index.clear()
-            return out
+        out = list(self._buffer)
+        self._buffer.clear()
+        if self.policy_index is not None:
+            self.policy_index.clear()
+        return out

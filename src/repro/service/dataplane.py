@@ -78,14 +78,11 @@ class StreamDataPlane:
         pipeline,
         *,
         sources: list[str] | None = None,
-        thread_safe: bool = False,
     ) -> None:
         """``sources=None`` owns every source of the pipeline's query;
-        a shard worker passes its assigned subset.  ``thread_safe`` is
-        forwarded to the queues (the in-server plane shares them across
-        publisher threads; shard workers are single-threaded).  The
-        ledger of ``pipeline.obs`` (if any) is shared by every owned queue
-        and the hosted pattern engine.
+        a shard worker passes its assigned subset.  The ledger of
+        ``pipeline.obs`` (if any) is shared by every owned queue and the
+        hosted pattern engine.
         """
         self.pipeline = pipeline
         self.config = pipeline.config
@@ -97,8 +94,7 @@ class StreamDataPlane:
         }
         self._owns_query = set(self.sources) >= set(pipeline.sources)
         self.queues: dict[str, TriageQueue] = {
-            s: pipeline.build_queue(s, thread_safe=thread_safe)
-            for s in self.sources
+            s: pipeline.build_queue(s) for s in self.sources
         }
         # Untimed core: the engine is emulated by a tuple budget per tick.
         self._core = TriageCore(

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable
@@ -63,6 +62,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.report import WindowReport, summarize_reports
 from repro.obs.slo import SLOEngine, audit_service_slos, default_service_slos
+from repro.obs.trace import NULL_TRACER
 from repro.service import protocol
 from repro.service.dataplane import StreamDataPlane
 from repro.service.protocol import ProtocolError, read_frame
@@ -245,7 +245,7 @@ class TriageServer:
             #: map is empty and introspection goes through the plane facade.
             self.queues: dict[str, TriageQueue] = {}
         else:
-            self.plane = StreamDataPlane(self.pipeline, thread_safe=True)
+            self.plane = StreamDataPlane(self.pipeline)
             self.queues = self.plane.queues
         for s, capacity in self.plane.capacities().items():
             self._g_capacity.set(capacity, stream=s)
@@ -293,14 +293,11 @@ class TriageServer:
         """The bundle's sampling profiler (None when profiling is off)."""
         return self.obs.sampler if self.obs is not None else None
 
-    async def _on_plane(self, fn, *args, **kwargs):
-        """``fn(*args, **kwargs)``, off the event loop when it crosses shard
-        pipes (a sharded plane blocks on worker replies)."""
-        if self.sharded:
-            return await asyncio.get_running_loop().run_in_executor(
-                None, functools.partial(fn, *args, **kwargs)
-            )
-        return fn(*args, **kwargs)
+    async def _on_plane(self, fn, *args):
+        """``fn(*args)``, awaited on a sharded plane: its RPC methods are
+        coroutines whose worker replies arrive on this loop."""
+        out = fn(*args)
+        return await out if self.sharded else out
 
     # ------------------------------------------------------------------
     # Metrics
@@ -476,9 +473,10 @@ class TriageServer:
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # noqa: BLE001 - ticker must survive
-                # A failed tick (e.g. a shard worker died mid-RPC) must not
-                # kill the ticker: windows would silently stop closing for
-                # every subscriber.  Count it and try again next interval.
+                # A failed tick (e.g. a shard worker lost between the engine
+                # step and the close) must not kill the ticker: windows would
+                # silently stop closing for every subscriber.  Count it and
+                # try again next interval.
                 self._c_tick_errors.inc(error=type(exc).__name__)
 
     async def shutdown(self) -> None:
@@ -500,39 +498,30 @@ class TriageServer:
         # Final drain: the engine "catches up" on everything still queued,
         # then every open window is evaluated and flushed to subscribers.
         now = self.now()
-        await self._on_plane(self._final_drain)
-        self._fold_queue_stats()
         try:
-            await self._close_windows(now, force=True)
-            if self.obs is not None and self.sharded:
-                # Pull what no close reply carried (windowless ledger
-                # events, the workers' last samples) so the final ledger
-                # counts reconcile exactly with plane totals and the merged
-                # profile's total is the fleet total.
-                await self._on_plane(self.plane.obs_sync)
-        except Exception:
-            if not self.sharded:
-                raise
-            # Dead shard workers: the final windows are lost, but the
-            # sessions still deserve their BYE and the ports their close.
-        await self.registry.close_all(farewell={"type": "BYE"})
-        self._g_sessions.set(0)
-        if self._sampler is not None:
-            self._sampler.stop()
-        if self.sharded:
-            self.plane.close()
-
-    def _final_drain(self) -> None:
-        # A dead worker must not block shutdown: skip the final drain and
-        # close with whatever the coordinator last snapshotted.
-        try:
-            self.plane.drain(None)
-            # A zero-budget tick refreshes a sharded coordinator's
-            # known-window and head snapshot so the forced close below sees
-            # everything (on the serial plane it polls nothing).
-            self.plane.advance(0.0)
-        except ShardError:
-            pass
+            try:
+                # A sharded drain also refreshes the coordinator's snapshot,
+                # so the forced close below sees every known window.
+                await self._on_plane(self.plane.drain, None)
+                self._fold_queue_stats()
+                await self._close_windows(now, force=True)
+                if self.obs is not None and self.sharded:
+                    # Pull what no close reply carried (windowless ledger
+                    # events, the workers' last samples) so the final ledger
+                    # counts reconcile exactly with plane totals and the
+                    # merged profile's total is the fleet total.
+                    await self.plane.obs_sync()
+            except ShardError as exc:
+                # A lost shard worker: the final windows are lost with it,
+                # but the sessions still deserve their BYE.
+                self._c_tick_errors.inc(error=type(exc).__name__)
+            await self.registry.close_all(farewell={"type": "BYE"})
+            self._g_sessions.set(0)
+        finally:
+            if self._sampler is not None:
+                self._sampler.stop()
+            if self.sharded:
+                self.plane.close()
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -567,8 +556,14 @@ class TriageServer:
                 if frame is None:
                     return
                 self._c_frames.inc(type=frame["type"])
-                if not await self._dispatch(session, frame):
-                    return
+                try:
+                    if not await self._dispatch(session, frame):
+                        return
+                except ShardError as exc:
+                    # A shard worker this request needs is lost; the session
+                    # (and requests the surviving workers serve) carries on.
+                    err = ProtocolError("shard-unavailable", str(exc))
+                    await session.send_now(err.to_frame())
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -742,8 +737,7 @@ class TriageServer:
                 # end — validated column-wise and offered to the triage
                 # queue as a ColumnBatch; no coordinator-side pivot to
                 # row tuples (and, sharded, no per-row pickling either).
-                accepted, late, depth, dropped_total = await self._on_plane(
-                    self.ingest_rows,
+                accepted, late, depth, dropped_total = await self.ingest_rows(
                     source,
                     cols,
                     columnar=True,
@@ -760,8 +754,7 @@ class TriageServer:
                     # must ack accepted=0 exactly like rows == [].
                     rows = []
                     validate = False
-                accepted, late, depth, dropped_total = await self._on_plane(
-                    self.ingest_rows,
+                accepted, late, depth, dropped_total = await self.ingest_rows(
                     source,
                     rows,
                     timestamps=frame.get("timestamps"),
@@ -787,7 +780,7 @@ class TriageServer:
         )
         return True
 
-    def ingest_rows(
+    async def ingest_rows(
         self,
         source: str,
         rows,
@@ -804,7 +797,8 @@ class TriageServer:
         :class:`SchemaError` (prefixed with the row index) if any row is
         invalid; the batch is rejected atomically.  This is the publish hot
         path behind the PUBLISH handler; the actual work happens in the
-        data plane (in-process, or one shard worker over its pipe).
+        data plane (in-process, or one shard worker over its pipe — the
+        only step that awaits).
 
         ``columnar=True`` means ``rows`` is the ``cols`` encoding (one
         value list per schema column); it is routed to the plane's
@@ -812,62 +806,20 @@ class TriageServer:
         and never pivoted to row tuples coordinator-side.
 
         ``trace`` is a ``{trace_id, parent}`` context from a traced PUBLISH:
-        the batch's queue/window events inherit it (the tracer context is
-        installed for the duration of the ingest), the windows it lands in
-        remember it for the RESULT echo, and a flow *step* is recorded so
-        Perfetto draws the client→server arrow.  Untraced batches
-        (``trace=None``, the common case) skip all of it.
+        see :meth:`_ingest_traced`.  Untraced batches (``trace=None``, the
+        common case) skip all of it.
         """
         now = self.now() if now is None else now
-        ledger = self._ledger
-        tracer = None
-        span_cm = None
-        traced_wids: set[int] | None = None
-        if trace is not None:
-            self._c_traced.inc(stream=source)
-            # Window attribution happens coordinator-side (the plane may be
-            # in another process): the batch's timestamps name its windows.
-            traced_wids = set()
-            ids = self.config.window.ids
-            last_closed = self.plane.last_closed_wid
-            stamps = (now,) if timestamps is None else timestamps
-            for ts in stamps:
-                wids = ids(float(ts))
-                if last_closed is not None and (
-                    not wids or wids[0] <= last_closed
-                ):
-                    continue
-                traced_wids.update(wids)
-            if self.obs is not None and self.obs.tracer.enabled:
-                nrows = (len(rows[0]) if rows else 0) if columnar else len(rows)
-                tracer = self.obs.tracer
-                tracer.set_context(trace["trace_id"], trace.get("parent"))
-                tracer.flow(
-                    "publish", trace["trace_id"], phase="t", source=source
-                )
-                span_cm = tracer.span("ingest", cat="service", source=source,
-                                      rows=nrows)
-                span_cm.__enter__()
-            if ledger is not None:
-                # Exemplars sampled during this batch carry the client's
-                # trace id (mirrors the tracer context lifecycle above).
-                ledger.set_trace(trace["trace_id"])
-        try:
-            if columnar:
-                accepted, late, depth, dropped_total = self.plane.ingest_columns(
-                    source, rows, timestamps, now, validate=validate
-                )
-            else:
-                accepted, late, depth, dropped_total = self.plane.ingest(
-                    source, rows, timestamps, now, validate=validate
-                )
-        finally:
-            if tracer is not None:
-                span_cm.__exit__(None, None, None)
-                tracer.clear_context()
-            if trace is not None and ledger is not None:
-                ledger.set_trace(None)
+        ingest = self.plane.ingest_columns if columnar else self.plane.ingest
+        if trace is None:
+            out = await self._on_plane(ingest, source, rows, timestamps, now, validate)
+        else:
+            out = await self._ingest_traced(
+                ingest, trace, source, rows, timestamps, now, validate, columnar
+            )
+        _, late, depth, _ = out
         if late:
+            ledger = self._ledger
             self._c_late.inc(late, stream=source)
             if ledger is not None:
                 # Edge shedding: rows refused coordinator-side because their
@@ -883,16 +835,56 @@ class TriageServer:
                     count=late,
                     trace_id=trace["trace_id"] if trace is not None else None,
                 )
-        if traced_wids:
-            ctx = {
-                "trace_id": trace["trace_id"],
-                "parent": trace.get("parent") or trace["trace_id"],
-            }
-            for wid in traced_wids:
-                contexts = self._window_traces.setdefault(wid, [])
-                if len(contexts) < MAX_WINDOW_TRACES and ctx not in contexts:
-                    contexts.append(ctx)
-        return accepted, late, depth, dropped_total
+        return out
+
+    async def _ingest_traced(
+        self, ingest, trace, source, rows, timestamps, now, validate, columnar
+    ) -> tuple[int, int, int, int]:
+        """:meth:`ingest_rows` for a traced PUBLISH: the batch's queue events
+        inherit the trace, a flow *step* draws the client→server arrow, an
+        ``ingest`` span times the call, and the batch's windows remember the
+        context for the RESULT echo.  The tracer context and the ledger's
+        trace id wrap the synchronous plane call only — never an await,
+        across which another connection's events would inherit them."""
+        self._c_traced.inc(stream=source)
+        trace_id, parent = trace["trace_id"], trace.get("parent")
+        ledger = self._ledger
+        tracer = self.obs.tracer if self.obs is not None else NULL_TRACER
+        tracer.set_context(trace_id, parent)
+        tracer.flow("publish", trace_id, phase="t", source=source)
+        start = tracer.now()
+        if ledger is not None:
+            ledger.set_trace(trace_id)
+        try:
+            try:
+                out = ingest(source, rows, timestamps, now, validate)
+            finally:
+                tracer.clear_context()
+                if ledger is not None:
+                    ledger.set_trace(None)
+            if self.sharded:
+                out = await out
+        finally:
+            nrows = (len(rows[0]) if rows else 0) if columnar else len(rows)
+            tracer.set_context(trace_id, parent)
+            tracer.complete("ingest", start, cat="service", source=source, rows=nrows)
+            tracer.clear_context()
+        # Window attribution happens coordinator-side (the plane may be in
+        # another process): the batch's timestamps name its windows.
+        ids = self.config.window.ids
+        last_closed = self.plane.last_closed_wid
+        traced_wids: set[int] = set()
+        for ts in (now,) if timestamps is None else timestamps:
+            wids = ids(float(ts))
+            if last_closed is not None and (not wids or wids[0] <= last_closed):
+                continue
+            traced_wids.update(wids)
+        ctx = {"trace_id": trace_id, "parent": parent or trace_id}
+        for wid in traced_wids:
+            contexts = self._window_traces.setdefault(wid, [])
+            if len(contexts) < MAX_WINDOW_TRACES and ctx not in contexts:
+                contexts.append(ctx)
+        return out
 
     async def _handle_stats(self, session: Session, frame: dict) -> bool:
         self._fold_queue_stats()
@@ -916,7 +908,7 @@ class TriageServer:
                 if want and self.sharded:
                     # Live capture wants the fleet-wide view: absorb the
                     # workers' sample deltas before exporting.
-                    await self._on_plane(self.plane.obs_sync)
+                    await self.plane.obs_sync()
                 reply["prof"] = self._prof_block(live=want)
         await session.send_now(reply)
         return True
@@ -968,12 +960,18 @@ class TriageServer:
     async def tick(self, now: float | None = None) -> list[dict]:
         """One engine step: drain within budget, close due windows.
 
-        Returns the RESULT frames emitted this tick (tests use this).
+        Returns the RESULT frames emitted this tick (tests use this).  A
+        tick whose engine step finds a shard worker lost emits nothing and
+        counts ``service_tick_errors_total{error="ShardError"}``.
         """
         now = self.now() if now is None else now
         elapsed = max(0.0, now - self._last_tick)
         self._last_tick = now
-        await self._on_plane(self.plane.advance, elapsed)
+        try:
+            await self._on_plane(self.plane.advance, elapsed)
+        except ShardError as exc:
+            self._c_tick_errors.inc(error=type(exc).__name__)
+            return []
         self._fold_queue_stats()
 
         for s, depth in self.plane.depths().items():

@@ -18,8 +18,7 @@ misbehaving peer cannot take the service down a different way:
   drop-not-buffer discipline.
 
 The registry is asyncio-native: all mutation happens on the event loop, so
-no locking is needed here (the triage queues the server shares across
-producers have their own lock; see :mod:`repro.core.triage_queue`).
+no locking is needed here (nor in the triage queues the loop owns).
 """
 
 from __future__ import annotations

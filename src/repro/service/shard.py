@@ -23,27 +23,25 @@ each source's global chain position, so a worker owning only ``S`` sheds
 exactly what the serial server would.
 
 Wire discipline: one pipe per worker, strictly one reply per command, FIFO.
-That gives RPC semantics without a framing layer and guarantees a
-worker's ``close`` reply reflects every ingest sent before it.
-
-Coordinator threads share workers: publisher executor threads run
-:meth:`ShardedDataPlane.ingest` (a synchronous :meth:`_ShardWorker.call`)
-while the server's ticker runs ``advance``/``collect`` (a broadcast
-``submit`` followed by a ``flush``) in another executor thread.  Reply
-routing therefore cannot assume a conversation owns the pipe: a ``call``
-that lands between another thread's submit and flush will receive that
-conversation's replies first (FIFO).  :class:`_ShardWorker` keeps those
-early replies in a per-worker backlog instead of discarding them, so the
-interleaved flush still collects every reply it is owed — no tick, close,
-or ingest ack is ever lost to a concurrent RPC.
+That gives RPC semantics with no request ids and guarantees a worker's
+``close`` reply reflects every ingest sent before it.  The coordinator
+speaks it from the event loop and nowhere else: the plane's RPC methods
+are coroutines awaiting futures that a reader callback on each pipe
+resolves, oldest first, so conversations from different connections and
+the ticker interleave freely on one pipe.  See :class:`_ShardWorker`.
 """
 
 from __future__ import annotations
 
+import asyncio
+import os
+import pickle
+import select
 import signal
-import threading
+import struct
 import time
 import zlib
+from collections import deque
 
 from repro.core.merge import WindowPartials, merge_partials
 from repro.core.triage_queue import QueueStats
@@ -97,30 +95,22 @@ def _worker_main(conn, payload: bytes, owned: list[str], obs_spec) -> None:
             break
         op = msg[0]
         try:
-            if op == "ingest":
-                _, source, rows, timestamps, now, validate = msg
-                reply = plane.ingest(
-                    source, rows, timestamps, now, validate=validate
-                )
-            elif op == "ingest_cols":
-                _, source, cols, timestamps, now, validate = msg
-                reply = plane.ingest_columns(
-                    source, cols, timestamps, now, validate=validate
-                )
-            elif op == "tick":
-                _, elapsed = msg
-                if elapsed > 0:
-                    plane.advance(elapsed)
+            if op in ("ingest", "ingest_cols"):
+                _, source, data, timestamps, now, validate = msg
+                ingest = plane.ingest if op == "ingest" else plane.ingest_columns
+                reply = ingest(source, data, timestamps, now, validate=validate)
+            elif op in ("tick", "drain"):
+                _, arg = msg
+                if op == "drain":
+                    plane.drain(arg)
+                elif arg > 0:
+                    plane.advance(arg)
                 reply = {
                     "depths": plane.depths(),
                     "heads": plane.heads(),
                     "stats": plane.stats_snapshot(),
                     "known": sorted(plane.known_windows),
                 }
-            elif op == "drain":
-                _, budget = msg
-                plane.drain(budget)
-                reply = plane.depths()
             elif op == "close":
                 wids = list(msg[1])
                 reply = (
@@ -144,16 +134,31 @@ def _worker_main(conn, payload: bytes, owned: list[str], obs_spec) -> None:
     conn.close()
 
 
-class _ShardWorker:
-    """Coordinator-side handle: process, pipe, and reply bookkeeping.
+#: The frame header :class:`multiprocessing.connection.Connection` writes:
+#: a signed 32-bit body length (longer frames never occur here).
+_HEADER = struct.Struct("!i")
+#: Bytes per read; larger buffers cost an mmap per call.
+_READ_CHUNK = 1 << 16
 
-    The pipe is FIFO with exactly one reply per command, but coordinator
-    threads interleave conversations on it: a publisher's synchronous
-    :meth:`call` can land between the ticker's :meth:`submit` and its
-    :meth:`flush`.  The lock pairs each send with its drain; the
-    ``_backlog`` keeps replies a :meth:`call` had to read past (they
-    belong to the open submit/flush conversation) so the later flush
-    still receives them — nothing is ever discarded.
+
+class _ShardWorker:
+    """Coordinator-side handle: process, pipe, and the replies it is owed.
+
+    :meth:`request` is the one way to talk to a worker: it queues the
+    command, appends a loop future to ``waiting`` and returns it.  The
+    worker answers every command once, in order, so the oldest future owns
+    the next reply; a cancelled future keeps its place, so its reply is
+    dropped instead of being handed to the next conversation.
+
+    The coordinator's pipe end is non-blocking and framed here, in the
+    worker's ``Connection`` format: a writer callback drains queued
+    commands as the pipe takes them, and a reader callback cuts replies out
+    of whatever has arrived.  Neither a large command nor a large reply
+    ever parks the loop, so a worker writing a big reply while commands
+    pile up for it cannot deadlock against the coordinator.  The reader is
+    installed by the first request, on that request's loop.  EOF or
+    ``OSError`` on the pipe marks the worker lost: every waiting future
+    fails with :class:`ShardError`, and so does every later request.
     """
 
     def __init__(self, index: int, sources: list[str], process, conn) -> None:
@@ -161,73 +166,130 @@ class _ShardWorker:
         self.sources = sources
         self.process = process
         self.conn = conn
-        #: Sends whose replies have not been read off the pipe yet.
-        self.pending = 0
-        #: Replies read past by an interleaved call(), owed to a flush().
-        self._backlog: list = []
-        # Serializes send/recv pairing when publisher executor threads and
-        # the ticker talk to the same worker concurrently.
-        self.lock = threading.Lock()
+        self.fd = conn.fileno()
+        os.set_blocking(self.fd, False)
+        #: Futures of sent commands, oldest first; each owns one reply.
+        self.waiting: deque[asyncio.Future] = deque()
+        #: Why this worker can no longer answer (None while it can).
+        self.lost: str | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._out = bytearray()  # framed commands the pipe has not taken
+        self._in = bytearray()  # reply bytes short of a whole frame
 
-    def submit(self, msg: tuple) -> None:
-        """Send without waiting; the reply is owed (FIFO) to a later flush."""
-        with self.lock:
-            self.conn.send(msg)
-            self.pending += 1
-
-    def flush(self) -> list:
-        """Collect every owed reply, oldest first.
-
-        Includes replies an interleaved :meth:`call` already read off the
-        pipe on this conversation's behalf (the backlog), then whatever is
-        still in flight.
-        """
-        with self.lock:
-            replies = self._backlog
-            self._backlog = []
-            replies.extend(self._drain())
-            return replies
-
-    def call(self, msg: tuple):
-        """Synchronous RPC: send, then wait; returns *this* command's reply.
-
-        FIFO means any replies owed to an open submit/flush conversation
-        arrive first; they are parked in the backlog for that
-        conversation's flush, never dropped.
-        """
-        with self.lock:
-            owed = self.pending
-            self.conn.send(msg)
-            self.pending += 1
-            replies = self._drain()
-            self._backlog.extend(replies[:owed])
-            return replies[owed]
-
-    def _drain(self) -> list:
-        replies = []
-        while self.pending:
+    def request(self, msg: tuple) -> asyncio.Future:
+        """Send ``msg``; the returned future resolves to the worker's reply."""
+        if self.lost is not None:
+            raise ShardError(self.lost)
+        if self._loop is None:
+            self._loop = asyncio.get_running_loop()
+            self._loop.add_reader(self.fd, self._on_readable)
+        idle = not self._out
+        self._queue(msg)
+        if idle:
             try:
-                replies.append(self.conn.recv())
-            except (EOFError, OSError) as exc:
-                self.pending = 0
-                raise ShardError(
-                    f"shard {self.index} died mid-conversation"
-                ) from exc
-            self.pending -= 1
-        return replies
+                self._write()
+            except OSError as exc:
+                self.fail(f"shard {self.index} is gone: {exc}")
+                raise ShardError(self.lost) from exc
+            if self._out:
+                self._loop.add_writer(self.fd, self._on_writable)
+        future = self._loop.create_future()
+        self.waiting.append(future)
+        return future
 
+    def _queue(self, msg: tuple) -> None:
+        body = pickle.dumps(msg, pickle.HIGHEST_PROTOCOL)
+        self._out += _HEADER.pack(len(body))
+        self._out += body
 
-def _one_reply(worker: _ShardWorker):
-    """The reply to a one-command broadcast conversation (submit → flush).
+    def _write(self) -> None:
+        """Hand the pipe as much queued output as it takes right now."""
+        try:
+            del self._out[: os.write(self.fd, self._out)]
+        except BlockingIOError:
+            pass
 
-    Raises :class:`ShardError` instead of an ``IndexError`` if the worker
-    produced nothing (it died and a concurrent RPC already reaped the
-    error), so callers see the same failure either way.
-    """
-    replies = worker.flush()
-    if not replies:
-        raise ShardError(f"shard {worker.index} returned no reply")
-    return replies[-1]
+    def _on_writable(self) -> None:
+        try:
+            self._write()
+        except OSError as exc:
+            self.fail(f"shard {self.index} is gone: {exc}")
+            return
+        if not self._out:
+            self._loop.remove_writer(self.fd)
+
+    def _on_readable(self) -> None:
+        """Reader callback: take what the pipe holds, resolve whole replies."""
+        try:
+            chunk = os.read(self.fd, _READ_CHUNK)
+        except BlockingIOError:
+            return
+        except OSError:
+            chunk = b""
+        if not chunk:
+            self.fail(f"shard {self.index} died mid-conversation")
+            return
+        buf = self._in
+        buf += chunk
+        while len(buf) >= 4 and len(buf) >= (end := 4 + _HEADER.unpack_from(buf)[0]):
+            try:
+                reply = pickle.loads(buf[4:end])
+            except Exception as exc:  # noqa: BLE001 - a torn or foreign frame
+                self.fail(f"shard {self.index} sent an unreadable reply: {exc}")
+                return
+            del buf[:end]
+            if not self.waiting:
+                self.fail(f"shard {self.index} answered a command never sent")
+                return
+            future = self.waiting.popleft()
+            if not future.done():
+                future.set_result(reply)
+
+    def fail(self, reason: str) -> None:
+        """Mark the worker lost and fail every conversation waiting on it."""
+        self.detach()
+        self.lost = reason
+        waiting, self.waiting = self.waiting, deque()
+        for future in waiting:
+            if not future.done():
+                future.set_exception(ShardError(reason))
+
+    def detach(self) -> None:
+        """Stop watching the pipe (a closed loop needs no detaching)."""
+        if self._loop is not None:
+            self._loop.remove_reader(self.fd)
+            self._loop.remove_writer(self.fd)
+
+    def stop(self, timeout: float = 5.0) -> None:
+        """Stop the worker and reap it, synchronously: no loop needed.
+
+        ``stop`` goes out behind whatever the worker is still owed, written
+        while the pipe is read to EOF (replies to abandoned conversations,
+        then the stop's, all dropped) so neither side waits on the other.
+        """
+        self.detach()
+        self._queue(("stop",))
+        poller = select.poll()  # not select(): fds past 1024 are routine
+        poller.register(self.fd)
+        deadline = time.monotonic() + timeout
+        try:
+            while (left := deadline - time.monotonic()) > 0:
+                want = select.POLLOUT if self._out else 0
+                poller.modify(self.fd, select.POLLIN | want)
+                events = poller.poll(left * 1000)
+                mask = events[0][1] if events else 0
+                if mask & select.POLLOUT:
+                    self._write()
+                if mask & ~select.POLLOUT and not os.read(self.fd, _READ_CHUNK):
+                    break
+        except OSError:
+            pass
+        self.fail("the shard plane is closed")
+        self.conn.close()
+        self.process.join(timeout=timeout)
+        if self.process.is_alive():  # pragma: no cover - hung worker
+            self.process.terminate()
+            self.process.join(timeout=1)
 
 
 def _unwrap(reply):
@@ -248,11 +310,12 @@ class ShardedDataPlane:
     for everything :class:`~repro.service.server.TriageServer` needs —
     ``ingest``/``advance``/``drain``/``due_windows``/``collect`` plus the
     introspection facade — so the server picks a plane once at
-    construction and the rest of its code is shard-blind.
+    construction and the rest of its code is shard-blind, except that the
+    RPC methods (``ingest``, ``ingest_columns``, ``advance``, ``drain``,
+    ``collect``, ``obs_sync``) are coroutines, to be awaited on the loop.
 
     Coordinator-side views (depths, heads, known windows, queue stats) are
-    refreshed from tick snapshots and may be one tick stale — the same
-    staleness tolerance the queues' unlocked stats reads already have.
+    refreshed from tick snapshots and may be one tick stale.
     """
 
     def __init__(self, pipeline, shards: int) -> None:
@@ -294,11 +357,7 @@ class ShardedDataPlane:
         for i in range(shards):
             owned = [s for s in self.sources if self.assignment[s] == i]
             parent_conn, child_conn = ctx.Pipe()
-            spec = (
-                self._obs.worker_spec(seed=i + 1)
-                if self._obs is not None
-                else None
-            )
+            spec = self._obs.worker_spec(seed=i + 1) if self._obs is not None else None
             proc = ctx.Process(
                 target=_worker_main,
                 args=(child_conn, payload, owned, spec),
@@ -319,15 +378,10 @@ class ShardedDataPlane:
         return None
 
     def attach_pattern(self, pattern, **kwargs):
-        """Always refuses: a sequence NFA needs one ordered consumer.
-
-        Hash-partitioned shards each drain their own sources concurrently,
-        so no shard observes the totally-ordered event sequence a
-        ``PATTERN SEQ(...)`` NFA requires.  Raise the actionable error here
-        too — not just at the server door — so embedders driving the plane
-        directly get told about the ``--shards`` restriction instead of an
-        ``AttributeError``.
-        """
+        """Always refuses: a ``PATTERN SEQ(...)`` NFA needs the totally
+        ordered event sequence no hash-partitioned shard observes; the
+        error names the ``--shards`` restriction for whoever drives the
+        plane."""
         raise ValueError(
             f"pattern queries are not supported on a sharded data plane "
             f"(shards={self.nshards}): a PATTERN SEQ NFA needs one "
@@ -338,31 +392,37 @@ class ShardedDataPlane:
     # ------------------------------------------------------------------
     # Observability channel
     # ------------------------------------------------------------------
-    def obs_sync(self) -> None:
-        """Pull everything the workers' local parts still hold.
-
-        Closing windows already bring their deltas home on the ``close``
-        reply; this is for what no close carries — windowless ledger
+    async def obs_sync(self) -> None:
+        """Pull what no ``close`` reply carried home — windowless ledger
         events, samples since the last close — at shutdown and for a live
-        profile capture.  Deltas are additive, so syncing any number of
-        times never double counts.
-        """
+        profile capture.  Deltas are additive: re-syncing never double
+        counts."""
         if self._obs is None:
             return
-        for worker in self.workers:
-            worker.submit(("obs_ship", None))
-        for worker in self.workers:
-            table = _unwrap(_one_reply(worker))
+        for table in await self._broadcast(("obs_ship", None)):
             if table is not None:
                 self._obs.absorb(table)
+
+    async def _broadcast(self, msg: tuple) -> list:
+        """Send ``msg`` to every worker, then await their replies in order.
+        A worker known lost fails the broadcast before any send, so no
+        survivor acts on a command whose reply nobody would read."""
+        for worker in self.workers:
+            if worker.lost is not None:
+                raise ShardError(worker.lost)
+        futures = [worker.request(msg) for worker in self.workers]
+        return [_unwrap(reply) for reply in await asyncio.gather(*futures)]
 
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def _worker_for(self, source: str) -> _ShardWorker:
-        return self.workers[self.assignment[source]]
+    async def _ingest(self, source: str, msg: tuple) -> tuple[int, int, int, int]:
+        reply = await self.workers[self.assignment[source]].request(msg)
+        accepted, late, depth, dropped = _unwrap(reply)
+        self._depths[source] = depth
+        return accepted, late, depth, dropped
 
-    def ingest(
+    async def ingest(
         self,
         source: str,
         rows,
@@ -370,15 +430,12 @@ class ShardedDataPlane:
         now: float = 0.0,
         validate: bool = True,
     ) -> tuple[int, int, int, int]:
-        """Synchronous routed ingest; same ack quad as the serial plane."""
-        reply = self._worker_for(source).call(
-            ("ingest", source, rows, timestamps, now, validate)
+        """Routed ingest; same ack quad as the serial plane."""
+        return await self._ingest(
+            source, ("ingest", source, rows, timestamps, now, validate)
         )
-        accepted, late, depth, dropped = _unwrap(reply)
-        self._depths[source] = depth
-        return accepted, late, depth, dropped
 
-    def ingest_columns(
+    async def ingest_columns(
         self,
         source: str,
         cols,
@@ -390,41 +447,32 @@ class ShardedDataPlane:
         as-is (column lists pickle as a handful of large objects instead of
         one tuple per row) and the worker offers it without ever pivoting
         to rows — see :meth:`StreamDataPlane.ingest_columns`."""
-        reply = self._worker_for(source).call(
-            ("ingest_cols", source, cols, timestamps, now, validate)
+        return await self._ingest(
+            source, ("ingest_cols", source, cols, timestamps, now, validate)
         )
-        accepted, late, depth, dropped = _unwrap(reply)
-        self._depths[source] = depth
-        return accepted, late, depth, dropped
 
     # ------------------------------------------------------------------
     # Engine emulation + window close
     # ------------------------------------------------------------------
-    def advance(self, elapsed: float) -> None:
+    async def advance(self, elapsed: float) -> None:
         """Tick every shard concurrently; refresh the coordinator's view.
 
         Each worker drains with the *full* ``elapsed / service_time``
         budget: a shard is one core's worth of engine, so N shards are an
         N-times-wider standard path (documented in docs/performance.md).
         """
-        for worker in self.workers:
-            worker.submit(("tick", elapsed))
-        for worker in self.workers:
-            snap = _unwrap(_one_reply(worker))
+        self._refresh(await self._broadcast(("tick", elapsed)))
+
+    async def drain(self, budget: int | None) -> None:
+        """Explicit drain (shutdown path); each shard gets the full budget."""
+        self._refresh(await self._broadcast(("drain", budget)))
+
+    def _refresh(self, snapshots: list[dict]) -> None:
+        for snap in snapshots:
             self._depths.update(snap["depths"])
             self._heads.update(snap["heads"])
             self._stats.update(snap["stats"])
             self.known_windows.update(snap["known"])
-
-    def drain(self, budget: int | None) -> None:
-        """Explicit drain (shutdown path); each shard gets the full budget."""
-        for worker in self.workers:
-            worker.submit(("drain", budget))
-        for worker in self.workers:
-            depths = _unwrap(_one_reply(worker))
-            self._depths.update(depths)
-            for s in depths:
-                self._heads[s] = None if budget is None else self._heads[s]
 
     def due_windows(self, now: float, grace: float = 0.0) -> list[int]:
         """The serial close rule over the coordinator's snapshot."""
@@ -432,22 +480,17 @@ class ShardedDataPlane:
             self.known_windows, self._heads.values(), self.config.window, now, grace
         )
 
-    def collect(self, wids: list[int]) -> WindowPartials:
+    async def collect(self, wids: list[int]) -> WindowPartials:
         """Ship, merge and close a batch of windows.
 
-        Workers collect concurrently (close is broadcast before any reply
-        is awaited) and close the windows on their side, so a worker's
-        late-row watermark advances in the same FIFO turn — an ingest
-        racing the close is ordered by the pipe, exactly as the serial
-        plane orders it by the GIL.  The coordinator's own watermark and
-        head snapshot follow once every reply is in.
+        Workers collect and close concurrently, so a worker's late-row
+        watermark advances in the same FIFO turn: an ingest racing the close
+        is ordered by the pipe, as the serial plane orders it by the loop.
+        The coordinator's watermark and head snapshot follow the replies.
         """
         wids = list(wids)
-        for worker in self.workers:
-            worker.submit(("close", wids))
         parts: list[WindowPartials] = []
-        for worker in self.workers:
-            part, table = _unwrap(_one_reply(worker))
+        for part, table in await self._broadcast(("close", wids)):
             parts.append(part)
             if table is not None:
                 self._obs.absorb(table)
@@ -500,28 +543,14 @@ class ShardedDataPlane:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop workers and reap processes; idempotent."""
+        """Stop workers and reap processes; idempotent.  Synchronous, so it
+        runs at shutdown, from ``__del__`` and with no loop at all (see
+        :meth:`_ShardWorker.stop`)."""
         if self._closed:
             return
         self._closed = True
         for worker in self.workers:
-            try:
-                worker.submit(("stop",))
-            except (OSError, ValueError, BrokenPipeError):
-                pass
-        for worker in self.workers:
-            try:
-                worker.flush()
-            except (ShardError, OSError):
-                pass
-            try:
-                worker.conn.close()
-            except OSError:
-                pass
-            worker.process.join(timeout=5)
-            if worker.process.is_alive():  # pragma: no cover - hung worker
-                worker.process.terminate()
-                worker.process.join(timeout=1)
+            worker.stop()
 
     def __del__(self) -> None:  # pragma: no cover - GC-order dependent
         try:

@@ -17,6 +17,7 @@ The check is installed on ``TriageCore.hand_off`` itself before any shard
 worker forks, so it also runs inside the workers.
 """
 
+import asyncio
 import contextlib
 import random
 from unittest import mock
@@ -33,6 +34,7 @@ from repro.experiments import PAPER_QUERY, paper_catalog
 from repro.service.dataplane import StreamDataPlane
 from repro.service.shard import ShardedDataPlane
 from repro.sources.generators import paper_row_generators
+from tests.service.test_audit_reconcile import settle
 
 STREAMS = ("R", "S", "T")
 WINDOWS = {
@@ -128,13 +130,13 @@ def checked_hand_off(handed):
         yield
 
 
-def drive_plane(plane, batches):
+async def drive_plane(plane, batches):
     """Ingest / tick (advance, then close what is due) / final forced close;
     returns every collected hand-off."""
     collected = []
 
-    def close(wids):
-        partials = plane.collect(wids)
+    async def close(wids):
+        partials = await settle(plane.collect(wids))
         assert partials.window_ids == wids
         assert_conserved(partials)
         assert not plane.known_windows & set(wids)
@@ -148,17 +150,17 @@ def drive_plane(plane, batches):
         if op[0] == "ingest":
             _, source, rows, stamps = op
             cols = [list(c) for c in zip(*rows)] if rows else []
-            plane.ingest_columns(source, cols, stamps, now)
+            await settle(plane.ingest_columns(source, cols, stamps, now))
         else:
             now += op[1]
-            plane.advance(op[1])
+            await settle(plane.advance(op[1]))
             due = plane.due_windows(now)
             if due:
-                close(due)
-    plane.drain(None)
-    plane.advance(0.0)  # refreshes a sharded coordinator's snapshot
+                await close(due)
+    await settle(plane.drain(None))
+    await settle(plane.advance(0.0))  # refreshes a sharded coordinator's snapshot
     if plane.known_windows:
-        close(sorted(plane.known_windows))
+        await close(sorted(plane.known_windows))
     assert not plane.known_windows
     wids = [w for p in collected for w in p.window_ids]
     assert len(wids) == len(set(wids))  # no window closes twice
@@ -173,7 +175,7 @@ def test_serial_plane(window, ops, seed):
     with checked_hand_off(handed):
         pipeline = DataTriagePipeline(paper_catalog(), PAPER_QUERY, config(window))
         plane = StreamDataPlane(pipeline)
-        collected = drive_plane(plane, script(ops, seed))
+        collected = asyncio.run(drive_plane(plane, script(ops, seed)))
     assert len(handed) == len(collected)
     assert all(plane.arrived[s] == {} for s in STREAMS)
 
@@ -186,7 +188,7 @@ def test_sharded_plane(window, ops, seed):
         pipeline = DataTriagePipeline(paper_catalog(), PAPER_QUERY, config(window))
         plane = ShardedDataPlane(pipeline, 2)
     try:
-        drive_plane(plane, script(ops, seed))
+        asyncio.run(drive_plane(plane, script(ops, seed)))
     finally:
         plane.close()
 

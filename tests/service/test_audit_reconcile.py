@@ -16,6 +16,7 @@ Three contracts, each at every shard count:
 
 import asyncio
 import contextlib
+import inspect
 import random
 
 import pytest
@@ -87,20 +88,27 @@ def outcome_key(outcome):
     )
 
 
-def drive(plane, pipeline, schedule):
+async def settle(result):
+    """A plane call's value: a sharded plane's RPC methods are coroutines."""
+    return await result if inspect.isawaitable(result) else result
+
+
+async def drive(plane, pipeline, schedule):
     """Ingest/drain/close the schedule; returns (outcome keys, totals)."""
     outcomes = []
     for w, batches in enumerate(schedule):
         for source, rows, stamps in batches:
-            plane.ingest(source, rows, stamps)
-        plane.advance(1000.0)
+            await settle(plane.ingest(source, rows, stamps))
+        await settle(plane.advance(1000.0))
         due = plane.due_windows(float(w + 1))
         if due:
-            outcomes.extend(pipeline.evaluate_windows(plane.collect(due)))
-    plane.advance(1000.0)
+            partials = await settle(plane.collect(due))
+            outcomes.extend(pipeline.evaluate_windows(partials))
+    await settle(plane.advance(1000.0))
     leftovers = sorted(plane.known_windows)
     if leftovers:
-        outcomes.extend(pipeline.evaluate_windows(plane.collect(leftovers)))
+        partials = await settle(plane.collect(leftovers))
+        outcomes.extend(pipeline.evaluate_windows(partials))
     outcomes.sort(key=lambda o: o.window_id)
     return [outcome_key(o) for o in outcomes], plane.totals()
 
@@ -123,7 +131,7 @@ def test_serial_ledger_reconciles_with_observer_counters():
     ledger = DropLedger(seed=0)
     pipeline = make_pipeline(ledger=ledger)
     plane = StreamDataPlane(pipeline)
-    _, (offered, dropped) = drive(plane, pipeline, workload())
+    _, (offered, dropped) = asyncio.run(drive(plane, pipeline, workload()))
     assert dropped > 0, "workload must force shedding to be a real test"
 
     decisions = folded_counters(plane)["triage_policy_decisions_total"]
@@ -144,8 +152,8 @@ def test_ledger_reconciles_at_every_shard_count(shards):
     reference = DropLedger(seed=0)
     ref_pipeline = make_pipeline(ledger=reference)
     ref_plane = StreamDataPlane(ref_pipeline)
-    ref_outcomes, (ref_offered, ref_dropped) = drive(
-        ref_plane, ref_pipeline, schedule
+    ref_outcomes, (ref_offered, ref_dropped) = asyncio.run(
+        drive(ref_plane, ref_pipeline, schedule)
     )
     ref_counters = folded_counters(ref_plane)
     assert ref_dropped > 0
@@ -157,9 +165,14 @@ def test_ledger_reconciles_at_every_shard_count(shards):
         ledger = DropLedger(seed=0)
         pipeline = make_pipeline(ledger=ledger)
         plane = ShardedDataPlane(pipeline, shards)
+
+        async def session():
+            out = await drive(plane, pipeline, schedule)
+            await plane.obs_sync()
+            return out
+
         try:
-            outcomes, (_, dropped) = drive(plane, pipeline, schedule)
-            plane.obs_sync()
+            outcomes, (_, dropped) = asyncio.run(session())
             counters = folded_counters(plane)
         finally:
             plane.close()
@@ -182,9 +195,13 @@ def test_sharded_attribution_partitions_events(shards):
     ledger = DropLedger(seed=0)
     pipeline = make_pipeline(ledger=ledger)
     plane = ShardedDataPlane(pipeline, shards)
+
+    async def session():
+        await drive(plane, pipeline, workload())
+        await plane.obs_sync()
+
     try:
-        drive(plane, pipeline, workload())
-        plane.obs_sync()
+        asyncio.run(session())
     finally:
         plane.close()
     taken = ledger.take_windows(ledger.pending_windows())
@@ -206,10 +223,10 @@ def test_audit_is_invisible_to_results(shards):
     def run_once(audit):
         pipeline = make_pipeline(ledger=audit)
         if shards == 1:
-            return drive(StreamDataPlane(pipeline), pipeline, schedule)
+            return asyncio.run(drive(StreamDataPlane(pipeline), pipeline, schedule))
         plane = ShardedDataPlane(pipeline, shards)
         try:
-            return drive(plane, pipeline, schedule)
+            return asyncio.run(drive(plane, pipeline, schedule))
         finally:
             plane.close()
 
@@ -286,7 +303,7 @@ def test_server_counters_match_plane_and_ledger(shards):
     async def main():
         async with serve(queue_capacity=5, shards=shards, audit=True) as server:
             rows = [[i % 9 + 1] for i in range(40)]
-            server.ingest_rows("R", rows, [i / 100 for i in range(40)], now=0.5)
+            await server.ingest_rows("R", rows, [i / 100 for i in range(40)], now=0.5)
             server.clock.t = 0.9
             await server.tick()
             values = {
@@ -303,7 +320,7 @@ def test_server_counters_match_plane_and_ledger(shards):
             assert server.plane.stats_snapshot()["R"][:5] == (40, 35, 5, 35, 5)
             assert server.plane.totals() == (40, 35)
             if shards > 1:
-                server.plane.obs_sync()
+                await server.plane.obs_sync()
             assert sum(
                 server.obs.ledger.counts.get(k, 0) for k in DROP_KINDS
             ) == 35
@@ -325,7 +342,7 @@ def test_server_audit_counts_edge_sheds_and_attributes_windows():
         async with serve(audit=True) as server:
             rows = [[1] for _ in range(120)]
             ts = [i / 120 for i in range(120)]
-            server.ingest_rows("R", rows, ts, now=0.5)
+            await server.ingest_rows("R", rows, ts, now=0.5)
             server.clock.t = 2.0
             await server.tick()
             # The window is closed: its ledger bucket became an attribution.
@@ -334,7 +351,7 @@ def test_server_audit_counts_edge_sheds_and_attributes_windows():
             assert record["basis"] == "shed_fraction"
             assert server.obs.ledger.pending_windows() == []
             # Rows for the closed window are edge sheds in the ledger.
-            _, late, _, _ = server.ingest_rows("R", [[2]], [0.1], now=2.0)
+            _, late, _, _ = await server.ingest_rows("R", [[2]], [0.1], now=2.0)
             assert late == 1
             assert server.obs.ledger.counts.get("edge_shed") == 1
             (loose,) = server.obs.ledger.unattributed()
@@ -361,7 +378,7 @@ def test_attribution_of_a_close_batch_larger_than_the_report_ring():
         ) as server:
             for w in range(n_windows):
                 n = 6 + w % 7
-                server.ingest_rows(
+                await server.ingest_rows(
                     "R",
                     [[1 + i % 9] for i in range(n)],
                     [w + i / n for i in range(n)],
@@ -386,7 +403,7 @@ def test_server_stats_reply_carries_audit_block():
         async with serve(audit=True) as server:
             rows = [[1] for _ in range(80)]
             ts = [i / 80 for i in range(80)]
-            server.ingest_rows("R", rows, ts, now=0.5)
+            await server.ingest_rows("R", rows, ts, now=0.5)
             server.clock.t = 2.0
             await server.tick()
             client = await TriageClient.connect(

@@ -8,6 +8,7 @@ batches — at shards 1, 2, and 4, with NULLs, empty batches, late rows,
 and mid-batch ``DROP_INCOMING`` decisions in play.
 """
 
+import asyncio
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from repro.experiments import PAPER_QUERY, paper_catalog
 from repro.service.dataplane import StreamDataPlane
 from repro.service.shard import ShardedDataPlane
 from repro.sources.generators import paper_row_generators
+from tests.service.test_audit_reconcile import settle
 
 STREAMS = ("R", "S", "T")
 
@@ -64,7 +66,7 @@ def fuzz_schedule(seed, n_windows=3, with_nulls=False):
     return schedule
 
 
-def drive(plane, pipeline, schedule, columnar):
+async def drive(plane, pipeline, schedule, columnar):
     """Ingest/drain/close the schedule; return every observable output."""
     acks = []
     outcomes = []
@@ -72,17 +74,19 @@ def drive(plane, pipeline, schedule, columnar):
         for source, rows, stamps in batches:
             if columnar:
                 cols = [list(c) for c in zip(*rows)] if rows else []
-                acks.append(plane.ingest_columns(source, cols, stamps))
+                acks.append(await settle(plane.ingest_columns(source, cols, stamps)))
             else:
-                acks.append(plane.ingest(source, rows, stamps))
-        plane.advance(1000.0)
+                acks.append(await settle(plane.ingest(source, rows, stamps)))
+        await settle(plane.advance(1000.0))
         due = plane.due_windows(float(w + 1))
         if due:
-            outcomes.extend(pipeline.evaluate_windows(plane.collect(due)))
-    plane.advance(1000.0)
+            partials = await settle(plane.collect(due))
+            outcomes.extend(pipeline.evaluate_windows(partials))
+    await settle(plane.advance(1000.0))
     leftovers = sorted(plane.known_windows)
     if leftovers:
-        outcomes.extend(pipeline.evaluate_windows(plane.collect(leftovers)))
+        partials = await settle(plane.collect(leftovers))
+        outcomes.extend(pipeline.evaluate_windows(partials))
     outcomes.sort(key=lambda o: o.window_id)
     keys = [
         (o.window_id, o.merged, o.exact, o.estimated, o.arrived, o.kept, o.dropped)
@@ -95,10 +99,10 @@ def run_plane(shards, schedule, columnar, strategy=ShedStrategy.DATA_TRIAGE):
     pipeline = make_pipeline(strategy)
     if shards == 1:
         plane = StreamDataPlane(pipeline)
-        return drive(plane, pipeline, schedule, columnar)
+        return asyncio.run(drive(plane, pipeline, schedule, columnar))
     plane = ShardedDataPlane(pipeline, shards)
     try:
-        return drive(plane, pipeline, schedule, columnar)
+        return asyncio.run(drive(plane, pipeline, schedule, columnar))
     finally:
         plane.close()
 
@@ -166,21 +170,25 @@ def test_timestamps_length_mismatch_is_rejected_before_accounting(shards, stamps
         plane = StreamDataPlane(pipeline)
     else:
         plane = ShardedDataPlane(pipeline, shards)
-    try:
+
+    async def main():
         with pytest.raises(SchemaError, match="timestamps length"):
-            plane.ingest("R", [[1], [2], [3]], stamps)
+            await settle(plane.ingest("R", [[1], [2], [3]], stamps))
         with pytest.raises(SchemaError, match="timestamps length"):
-            plane.ingest_columns("R", [[1, 2, 3]], stamps)
-        plane.advance(0.0)  # refreshes the sharded coordinator's view
+            await settle(plane.ingest_columns("R", [[1, 2, 3]], stamps))
+        await settle(plane.advance(0.0))  # refreshes the sharded coordinator's view
         assert plane.known_windows == set()
         assert plane.stats_snapshot()["R"][0] == 0  # QueueStats.offered
         # The plane (and its worker) still serves a well-formed batch, and
         # the window's arrival count holds nothing from the rejected ones.
-        ack = plane.ingest_columns("R", [[1, 2, 3]], [0.1, 0.2, 0.3])
+        ack = await settle(plane.ingest_columns("R", [[1, 2, 3]], [0.1, 0.2, 0.3]))
         assert ack[:2] == (3, 0)
-        plane.advance(0.0)
+        await settle(plane.advance(0.0))
         assert plane.known_windows == {0}
-        assert plane.collect([0]).arrived["R"] == {0: 3}
+        assert (await settle(plane.collect([0]))).arrived["R"] == {0: 3}
+
+    try:
+        asyncio.run(main())
     finally:
         if shards > 1:
             plane.close()

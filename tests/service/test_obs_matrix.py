@@ -122,7 +122,7 @@ def cell(kind, shards):
                 for source in STREAMS:
                     rows = [list(gens[source].draw(rng)) for _ in range(90)]
                     stamps = [w + i * 0.004 for i in range(90)]
-                    server.ingest_rows(source, rows, stamps, now=w + 0.5)
+                    await server.ingest_rows(source, rows, stamps, now=w + 0.5)
                 server.clock.t = float(w + 1)
                 frames += await server.tick()
             server.clock.t = 10.0
@@ -217,10 +217,14 @@ def test_cep_counters_fold_to_the_callback_counts():
     engine = server.attach_pattern(DEMO_PATTERN, max_runs=8)
     minted = server.metrics.to_dict()
     assert minted["cep_matches_total"]["values"] == {}  # minted at attach
-    for stream, tup in bursty_pattern_workload(n_events=800, seed=0):
-        server.ingest_rows(
-            stream, [list(tup.row)], [tup.timestamp], now=tup.timestamp
-        )
+
+    async def publish():
+        for stream, tup in bursty_pattern_workload(n_events=800, seed=0):
+            await server.ingest_rows(
+                stream, [list(tup.row)], [tup.timestamp], now=tup.timestamp
+            )
+
+    asyncio.run(publish())
     server.plane.drain(None)
     server._fold_queue_stats()
     server._fold_queue_stats()  # a second fold adds nothing
@@ -251,7 +255,7 @@ def test_controller_gauges_are_set_from_the_estimate():
             query="SELECT a, COUNT(*) AS n FROM R GROUP BY a;",
             adaptive_staleness=0.5,
         ) as server:
-            server.ingest_rows(
+            await server.ingest_rows(
                 "R", [[i % 9 + 1] for i in range(200)],
                 [i / 400 for i in range(200)], now=0.5,
             )

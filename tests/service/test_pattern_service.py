@@ -29,10 +29,14 @@ class TestAttachPattern:
     def test_matches_and_metrics_flow(self):
         server = make_server()
         engine = server.attach_pattern(DEMO_PATTERN)
-        for stream, tup in bursty_pattern_workload(n_events=800, seed=0):
-            server.ingest_rows(
-                stream, [list(tup.row)], [tup.timestamp], now=tup.timestamp
-            )
+
+        async def publish():
+            for stream, tup in bursty_pattern_workload(n_events=800, seed=0):
+                await server.ingest_rows(
+                    stream, [list(tup.row)], [tup.timestamp], now=tup.timestamp
+                )
+
+        asyncio.run(publish())
         server.plane.drain(None)
         matches = server.take_matches()
         assert matches
@@ -72,10 +76,10 @@ class TestAttachPattern:
 
         assert unbound_total() == 0  # minted before anything overflowed
         rows = [[1 + i % 3] for i in range(capacity + 5)]
-        server.ingest_rows("B", rows, now=1000.0)
+        asyncio.run(server.ingest_rows("B", rows, now=1000.0))
         assert unbound_total() == policy.unbound == 5
         server.attach_pattern(DEMO_PATTERN)
-        server.ingest_rows("B", rows, now=1000.0)
+        asyncio.run(server.ingest_rows("B", rows, now=1000.0))
         assert unbound_total() == 5
         # The index was filed pattern-blind, then re-filed under the engine.
         queue = server.plane.queues["B"]

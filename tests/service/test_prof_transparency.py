@@ -82,13 +82,13 @@ def test_plane_results_identical_with_profiling_on_and_off(shards):
         if shards == 1:
             plane = StreamDataPlane(pipeline)
             try:
-                return drive(plane, pipeline, schedule)
+                return asyncio.run(drive(plane, pipeline, schedule))
             finally:
                 if prof is not None:
                     prof.stop()
         plane = ShardedDataPlane(pipeline, shards)
         try:
-            return drive(plane, pipeline, schedule)
+            return asyncio.run(drive(plane, pipeline, schedule))
         finally:
             if prof is not None:
                 prof.stop()
@@ -113,11 +113,15 @@ def test_sharded_merge_total_equals_sum_of_worker_samples():
         absorb(table),
     )
     plane = ShardedDataPlane(pipeline, 2)
+
+    async def session():
+        await drive(plane, pipeline, workload())  # close replies carry deltas
+        await plane.obs_sync()
+        await plane.obs_sync()  # deltas: re-sync never double counts
+
     try:
         assert not coordinator.running  # pure merge target, never sampled
-        drive(plane, pipeline, workload())  # close replies carry deltas
-        plane.obs_sync()
-        plane.obs_sync()  # deltas: re-sync never double counts
+        asyncio.run(session())
     finally:
         plane.close()
     absorbed = sum(shipped)
@@ -207,7 +211,7 @@ def test_sharded_server_live_capture_merges_workers():
         async with serve(profile_hz=250.0, shards=2) as server:
             rows = [[1] for _ in range(80)]
             ts = [i / 80 for i in range(80)]
-            server.ingest_rows("R", rows, ts, now=0.5)
+            await server.ingest_rows("R", rows, ts, now=0.5)
             server.clock.t = 2.0
             await server.tick()
             client = await TriageClient.connect(

@@ -11,7 +11,11 @@ the row encoding is.
 
 import asyncio
 import contextlib
+import multiprocessing
+import os
 import random
+import signal
+import socket
 import threading
 
 import pytest
@@ -27,10 +31,12 @@ from repro.service.protocol import (
     ProtocolError,
     decode_frame,
     encode_frame,
+    read_frame,
     validate_frame,
 )
 from repro.service.shard import ShardedDataPlane, shard_of
 from repro.sources.generators import paper_row_generators
+from tests.service.test_audit_reconcile import settle
 
 STREAMS = ("R", "S", "T")
 
@@ -103,21 +109,23 @@ def outcome_key(outcome):
     )
 
 
-def drive(plane, pipeline, schedule):
+async def drive(plane, pipeline, schedule):
     """Ingest/drain/close the schedule; returns (outcome keys, totals)."""
     outcomes = []
     for w, batches in enumerate(schedule):
         for source, rows, stamps in batches:
-            plane.ingest(source, rows, stamps)
-        plane.advance(1000.0)  # full drain: only shed decisions remain
+            await settle(plane.ingest(source, rows, stamps))
+        await settle(plane.advance(1000.0))  # full drain: only shed decisions remain
         due = plane.due_windows(float(w + 1))
         if due:
-            outcomes.extend(pipeline.evaluate_windows(plane.collect(due)))
+            partials = await settle(plane.collect(due))
+            outcomes.extend(pipeline.evaluate_windows(partials))
     # Flush whatever the grace rule held back.
-    plane.advance(1000.0)
+    await settle(plane.advance(1000.0))
     leftovers = sorted(plane.known_windows)
     if leftovers:
-        outcomes.extend(pipeline.evaluate_windows(plane.collect(leftovers)))
+        partials = await settle(plane.collect(leftovers))
+        outcomes.extend(pipeline.evaluate_windows(partials))
     outcomes.sort(key=lambda o: o.window_id)
     return [outcome_key(o) for o in outcomes], plane.totals()
 
@@ -125,7 +133,7 @@ def drive(plane, pipeline, schedule):
 def serial_reference(schedule):
     pipeline = make_pipeline()
     plane = StreamDataPlane(pipeline)
-    return drive(plane, pipeline, schedule)
+    return run(drive(plane, pipeline, schedule))
 
 
 @pytest.mark.parametrize("shards", [2, 4])
@@ -139,7 +147,7 @@ def test_sharded_plane_matches_serial(shards):
     pipeline = make_pipeline()
     plane = ShardedDataPlane(pipeline, shards)
     try:
-        outcomes, totals = drive(plane, pipeline, schedule)
+        outcomes, totals = run(drive(plane, pipeline, schedule))
     finally:
         plane.close()
     assert outcomes == ref_outcomes
@@ -164,7 +172,7 @@ def test_sharded_plane_matches_serial_bursty_seed():
     pipeline = make_pipeline()
     plane = ShardedDataPlane(pipeline, 2)
     try:
-        outcomes, totals = drive(plane, pipeline, schedule)
+        outcomes, totals = run(drive(plane, pipeline, schedule))
     finally:
         plane.close()
     assert outcomes == ref_outcomes
@@ -180,10 +188,14 @@ def test_sharded_plane_requires_two_shards():
 def test_sharded_plane_facade_and_fresh_start():
     pipeline = make_pipeline(queue_capacity=50)
     plane = ShardedDataPlane(pipeline, 2)
+
+    async def ingest_two():
+        await plane.ingest("R", [[1]], [0.1])
+        await plane.ingest("S", [[2, 3]], [0.1])
+
     try:
         assert plane.capacities() == {s: 50 for s in STREAMS}
-        plane.ingest("R", [[1]], [0.1])
-        plane.ingest("S", [[2, 3]], [0.1])
+        run(ingest_two())
         assert plane.depths()["R"] == 1
         assert sum(plane.shard_depths().values()) == 2
         kept, dropped = plane.totals()
@@ -205,7 +217,7 @@ def test_sharded_close_reaches_metrics_registry():
     async def main():
         async with serve(2, audit=True) as server:
             for source, rows, stamps in workload(n_windows=1)[0]:
-                server.ingest_rows(source, rows, stamps, now=0.5)
+                await server.ingest_rows(source, rows, stamps, now=0.5)
             server.clock.t = 10.0
             frames = await server.tick()
             assert frames
@@ -226,12 +238,16 @@ def test_sharded_plane_propagates_schema_errors():
 
     pipeline = make_pipeline()
     plane = ShardedDataPlane(pipeline, 2)
-    try:
+
+    async def main():
         with pytest.raises(SchemaError):
-            plane.ingest("S", [["not-an-int", None]], [0.1])
+            await plane.ingest("S", [["not-an-int", None]], [0.1])
         # The worker survives a rejected batch.
-        accepted, late, depth, dropped = plane.ingest("S", [[1, 2]], [0.1])
+        accepted, late, depth, dropped = await plane.ingest("S", [[1, 2]], [0.1])
         assert accepted == 1 and depth == 1
+
+    try:
+        run(main())
     finally:
         plane.close()
 
@@ -256,100 +272,162 @@ def test_ingest_mid_batch_schema_error_leaves_no_accounting_residue():
 
 
 # ---------------------------------------------------------------------------
-# RPC reply routing under coordinator-thread concurrency
+# RPC reply routing: one FIFO of futures per worker pipe
 # ---------------------------------------------------------------------------
-class _StubConn:
-    """Pipe double: every send immediately queues one canned FIFO reply."""
-
-    def __init__(self):
-        self.sent = []
-        self._replies = []
-
-    def send(self, msg):
-        self.sent.append(msg)
-        self._replies.append(("ok", f"reply-{len(self.sent)}-{msg[0]}"))
-
-    def recv(self):
-        return self._replies.pop(0)
-
-
-def test_shard_worker_call_does_not_steal_pipelined_replies():
-    # Regression: a publisher's synchronous call() landing between the
-    # ticker's submit() and flush() used to drain the tick/close reply off
-    # the pipe and discard it; the ticker's flush() then came back empty
-    # (IndexError on flush()[-1]) and, for close, the window's partials
-    # were lost.  Early replies must be parked for the owed flush instead.
+@contextlib.contextmanager
+def piped_worker():
+    """A coordinator-side worker handle whose far end the test plays."""
     from repro.service.shard import _ShardWorker
 
-    worker = _ShardWorker(0, ["R"], process=None, conn=_StubConn())
-    worker.submit(("tick", 1.0))  # reply owed to the ticker's later flush
-    reply = worker.call(("ingest", "R", [], None, 0.0, True))
-    assert reply == ("ok", "reply-2-ingest")  # call gets *its* reply
-    assert worker.flush() == [("ok", "reply-1-tick")]  # ticker still paid
-    assert worker.flush() == []  # drained clean: no pending, no backlog
+    parent, child = multiprocessing.Pipe()
+    worker = _ShardWorker(0, ["R"], process=None, conn=parent)
+    try:
+        yield worker, child
+    finally:
+        worker.detach()
+        parent.close()
+        child.close()
 
 
-def test_shard_worker_call_parks_multiple_owed_replies_in_order():
-    from repro.service.shard import _ShardWorker
+def answer(child, n):
+    """Play the worker: reply to ``n`` commands, in order, naming each."""
+    for _ in range(n):
+        child.send(("ok", f"reply-{child.recv()[0]}"))
 
-    worker = _ShardWorker(0, ["R"], process=None, conn=_StubConn())
-    worker.submit(("ingest", "R", [], None, 0.0, True))
-    worker.submit(("ingest", "R", [], None, 0.0, True))
-    assert worker.call(("tick", 0.5)) == ("ok", "reply-3-tick")
-    assert worker.flush() == [
-        ("ok", "reply-1-ingest"),
-        ("ok", "reply-2-ingest"),
-    ]
+
+def test_shard_worker_interleaved_requests_get_their_own_replies():
+    # A publisher's ingest landing between the ticker's tick broadcast and
+    # its reply: the pipe answers in send order, so each future resolves
+    # to its own command's reply, whichever conversation awaits first.
+    async def main():
+        with piped_worker() as (worker, child):
+            tick = worker.request(("tick", 1.0))
+            ingest = worker.request(("ingest", "R", [], None, 0.0, True))
+            answer(child, 2)
+            assert await ingest == ("ok", "reply-ingest")
+            assert await tick == ("ok", "reply-tick")
+            assert not worker.waiting
+
+    run(main())
+
+
+def test_shard_worker_cancelled_conversation_keeps_its_place():
+    # A conversation that gave up still owns the next reply on the pipe:
+    # that reply is read and dropped, never handed to the one behind it.
+    async def main():
+        with piped_worker() as (worker, child):
+            abandoned = worker.request(("tick", 1.0))
+            abandoned.cancel()
+            close = worker.request(("close", [0]))
+            answer(child, 2)
+            assert await close == ("ok", "reply-close")
+            assert not worker.waiting
+
+    run(main())
+
+
+def test_shard_worker_eof_fails_every_waiting_conversation_at_once():
+    from repro.service.shard import ShardError
+
+    async def main():
+        with piped_worker() as (worker, child):
+            first = worker.request(("tick", 1.0))
+            second = worker.request(("close", [0]))
+            child.close()  # the worker dies with both replies owed
+            for future in (first, second):
+                with pytest.raises(ShardError, match="died"):
+                    await asyncio.wait_for(future, timeout=5.0)
+            with pytest.raises(ShardError):
+                worker.request(("tick", 0.0))  # lost for good, no send
+
+    run(main())
+
+
+def test_shard_worker_never_blocks_the_loop_on_a_full_pipe():
+    # The worker is writing a close reply several times the pipe's socket
+    # buffer and reads no command until it is out, while publishers queue
+    # megabyte ingests behind the close.  A blocking send would wedge the
+    # loop, and with it the reader that drains the reply: neither side
+    # could move.  Every conversation must get its own reply instead.
+    reply = b"r" * (4 << 20)
+    blob = b"b" * (1 << 20)
+    n_ingests = 4
+
+    def far_end(child):
+        try:
+            child.recv()  # the close
+            child.send(("ok", reply))
+            for _ in range(n_ingests):
+                child.send(("ok", len(child.recv()[2])))
+        except OSError:
+            pass  # the watchdog cut the pipe
+
+    async def main(worker):
+        close = worker.request(("close", [0]))
+        ingests = [
+            worker.request(("ingest", "R", blob, None, 0.0, True))
+            for _ in range(n_ingests)
+        ]
+        return await asyncio.wait_for(asyncio.gather(close, *ingests), 30.0)
+
+    with piped_worker() as (worker, child):
+
+        def cut():
+            # A wedged loop never reaches wait_for's timeout: shutting the
+            # pipe down fails the blocked send instead of hanging the test.
+            with socket.socket(fileno=os.dup(child.fileno())) as sock:
+                sock.shutdown(socket.SHUT_RDWR)
+
+        peer = threading.Thread(target=far_end, args=(child,), daemon=True)
+        watchdog = threading.Timer(30.0, cut)
+        peer.start()
+        watchdog.start()
+        try:
+            replies = run(main(worker))
+        finally:
+            watchdog.cancel()
+            peer.join(timeout=5.0)
+    assert replies[0] == ("ok", reply)
+    assert replies[1:] == [("ok", len(blob))] * n_ingests
 
 
 def test_sharded_plane_survives_concurrent_ingest_and_ticks():
-    # The live version of the race above: publisher threads ingest through
-    # worker pipes while the "ticker" advances the same workers.  Before
-    # the backlog fix this raised (tick replies stolen by ingest calls) or
-    # lost window partials; now every reply reaches its conversation.
+    # The live version of the interleaving above: publisher tasks ingest
+    # through worker pipes while a ticker task advances the same workers;
+    # every reply must reach its own conversation and no window partial
+    # may be lost.
     rng = random.Random(3)
     gens = paper_row_generators()
     pipeline = make_pipeline(queue_capacity=10_000)  # no drops: exact totals
     plane = ShardedDataPlane(pipeline, 2)
     n_batches, batch_rows = 30, 10
     accepted_counts = []
-    errors = []
-    lock = threading.Lock()
-
-    def publisher(source, rows_by_batch):
-        try:
-            for b, rows in enumerate(rows_by_batch):
-                stamps = [0.1 + b * 0.01 + i * 0.001 for i in range(len(rows))]
-                accepted, late, _, _ = plane.ingest(source, rows, stamps)
-                with lock:
-                    accepted_counts.append(accepted + late)
-        except Exception as exc:  # noqa: BLE001 - reported to the main thread
-            errors.append(exc)
-
-    threads = []
-    for source in STREAMS:
-        batches = [
+    batches = {
+        source: [
             [list(gens[source].draw(rng)) for _ in range(batch_rows)]
             for _ in range(n_batches)
         ]
-        threads.append(
-            threading.Thread(target=publisher, args=(source, batches))
-        )
-    try:
-        for t in threads:
-            t.start()
-        while any(t.is_alive() for t in threads):
-            plane.advance(0.001)  # the ticker's submit/flush conversation
-        for t in threads:
-            t.join()
-        assert not errors
+        for source in STREAMS
+    }
+
+    async def publisher(source):
+        for b, rows in enumerate(batches[source]):
+            stamps = [0.1 + b * 0.01 + i * 0.001 for i in range(len(rows))]
+            accepted, late, _, _ = await plane.ingest(source, rows, stamps)
+            accepted_counts.append(accepted + late)
+
+    async def main():
+        publishers = asyncio.gather(*(publisher(s) for s in STREAMS))
+        while not publishers.done():
+            await plane.advance(0.001)  # the ticker's broadcast
+        await publishers
         expected = len(STREAMS) * n_batches * batch_rows
         assert sum(accepted_counts) == expected
         # The plane still closes windows cleanly after the contention.
-        plane.advance(1000.0)
+        await plane.advance(1000.0)
         due = plane.due_windows(1000.0)
         assert due
-        partials = plane.collect(due)
+        partials = await plane.collect(due)
         kept = sum(
             sum(len(bag) for bag in per_window.values())
             for per_window in partials.kept_rows.values()
@@ -358,6 +436,9 @@ def test_sharded_plane_survives_concurrent_ingest_and_ticks():
         assert offered == expected
         assert dropped == 0
         assert kept == expected
+
+    try:
+        run(main())
     finally:
         plane.close()
 
@@ -456,6 +537,124 @@ def test_sharded_server_rejects_adaptive_staleness():
             config,
             ServiceConfig(tick_interval=None, shards=2),
         )
+
+
+# ---------------------------------------------------------------------------
+# A lost worker, and a loop that never leaves its thread
+# ---------------------------------------------------------------------------
+async def raw_subscriber(server):
+    """A bare SUBSCRIBE connection, so the test sees the BYE frame itself."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    for frame in ({"type": "HELLO", "version": 1}, {"type": "SUBSCRIBE"}):
+        writer.write(encode_frame(frame))
+        await writer.drain()
+        await read_frame(reader, sender="server")
+    return reader, writer
+
+
+def test_lost_worker_is_an_error_frame_not_a_dropped_connection():
+    from repro.service import ServiceError
+
+    async def main():
+        tick_errors = None
+        frames = []
+        async with serve(2, profile_hz=200.0) as server:
+            reader, writer = await raw_subscriber(server)
+            client = await TriageClient.connect("127.0.0.1", server.port)
+            for source in STREAMS:
+                await client.declare(source)
+            victim, survivor = server.plane.workers
+            os.kill(victim.process.pid, signal.SIGKILL)
+            victim.process.join(timeout=5)
+
+            with pytest.raises(ServiceError) as err:
+                await asyncio.wait_for(
+                    client.publish(victim.sources[0], [[1]], timestamps=[0.1]),
+                    timeout=5.0,
+                )
+            assert err.value.code == "shard-unavailable"
+            # A live profile needs every worker's samples: same answer.
+            with pytest.raises(ServiceError) as err:
+                await asyncio.wait_for(client.stats(profile=True), timeout=5.0)
+            assert err.value.code == "shard-unavailable"
+            # Same session, a stream of the surviving worker: still acked.
+            stream = survivor.sources[0]
+            width = len(server.pipeline.bound.source(stream).schema.columns)
+            ack = await asyncio.wait_for(
+                client.publish(stream, [[1] * width], timestamps=[0.1]),
+                timeout=5.0,
+            )
+            assert ack["accepted"] == 1
+
+            server.clock.t = 10.0
+            assert await asyncio.wait_for(server.tick(), timeout=5.0) == []
+            tick_errors = server.metrics.to_dict()[
+                "service_tick_errors_total"
+            ]["values"]
+            await client.close()
+        # shutdown() returned; the subscriber got its goodbye.
+        while line := await asyncio.wait_for(reader.readline(), timeout=5.0):
+            frames.append(decode_frame(line)["type"])
+        writer.close()
+        return tick_errors, frames
+
+    tick_errors, frames = run(main())
+    assert tick_errors == {"ShardError": 1}
+    assert frames[-1] == "BYE"
+
+
+def test_sharded_shutdown_propagates_a_real_bug_and_still_closes_workers(
+    monkeypatch,
+):
+    async def main():
+        server = TriageServer(
+            paper_catalog(),
+            QUERY,
+            make_pipeline().config,
+            ServiceConfig(tick_interval=None, clock=lambda: 0.5, shards=2),
+        )
+        await server.start()
+        await server.ingest_rows("R", [[1]], [0.1])
+
+        def broken(*args, **kwargs):
+            raise ValueError("evaluation bug")
+
+        monkeypatch.setattr(server.pipeline, "evaluate_windows", broken)
+        with pytest.raises(ValueError, match="evaluation bug"):
+            await server.shutdown()
+        return server
+
+    server = run(main())
+    assert server.plane._closed
+    assert not any(w.process.is_alive() for w in server.plane.workers)
+
+
+def test_sharded_session_never_leaves_the_event_loop(monkeypatch):
+    # Publish, tick, close, a live profile capture and shutdown on a
+    # 2-shard server: every worker conversation runs on the loop thread.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a shard conversation went to the executor")
+
+    monkeypatch.setattr(asyncio.BaseEventLoop, "run_in_executor", refuse)
+
+    async def main():
+        async with serve(2, profile_hz=200.0) as server:
+            client = await TriageClient.connect("127.0.0.1", server.port)
+            await client.subscribe()
+            for source in STREAMS:
+                await client.declare(source)
+            for source, rows, stamps in workload(n_windows=1)[0]:
+                ack = await client.publish(source, rows, timestamps=stamps)
+                assert ack["accepted"] == len(rows)
+            server.clock.t = 10.0
+            await server.tick()
+            result = await client.next_result(timeout=5.0)
+            assert result["window"] == 0
+            stats = await client.stats(profile=True)
+            assert "collapsed" in stats["prof"]
+            await client.close()
+
+    run(main())
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,11 @@ class ManualClock:
         return self.t
 
 
-def publish(server, start, step, counts, stride):
+async def publish(server, start, step, counts, stride):
     for stream, width in (("R", 1), ("S", 2), ("T", 1)):
         n = counts[stream]
         rows = [[1 + (i * stride) % 5] * width for i in range(n)]
-        server.ingest_rows(stream, rows, [start + step * i for i in range(n)])
+        await server.ingest_rows(stream, rows, [start + step * i for i in range(n)])
 
 
 def test_unshed_window_frame_is_the_parents_and_runs_no_shadow_plan(monkeypatch):
@@ -72,13 +72,13 @@ def test_unshed_window_frame_is_the_parents_and_runs_no_shadow_plan(monkeypatch)
         await server.start()
         try:
             # Window 0: six rows per stream, under the capacity of eight.
-            publish(server, 0.1, 0.1, {"R": 6, "S": 6, "T": 6}, stride=7)
+            await publish(server, 0.1, 0.1, {"R": 6, "S": 6, "T": 6}, stride=7)
             clock.t = 1.0
             unshed = await server.tick()
             assert calls == []
             # Window 1: S and T overflow; R drops nothing, yet its kept
             # synopsis is needed (the R_kept x S_dropped term) and is built.
-            publish(server, 1.05, 0.04, {"R": 6, "S": 20, "T": 20}, stride=3)
+            await publish(server, 1.05, 0.04, {"R": 6, "S": 20, "T": 20}, stride=3)
             clock.t = 2.5
             shed = await server.tick()
             clock.t = 4.0

@@ -45,17 +45,17 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def publish_two_windows(server):
+async def publish_two_windows(server):
     """20 rows into window 0 (some shed at capacity 10), 5 into window 1."""
-    server.ingest_rows("R", [[1]] * 20, timestamps=[i / 20 for i in range(20)], now=0.0)
-    server.ingest_rows("R", [[2]] * 5, timestamps=[1.0 + i / 10 for i in range(5)], now=1.0)
+    await server.ingest_rows("R", [[1]] * 20, timestamps=[i / 20 for i in range(20)], now=0.0)
+    await server.ingest_rows("R", [[2]] * 5, timestamps=[1.0 + i / 10 for i in range(5)], now=1.0)
 
 
 class TestWindowReports:
     def test_reports_accumulate_as_windows_close(self):
         async def scenario():
             async with serve(queue_capacity=10) as server:
-                publish_two_windows(server)
+                await publish_two_windows(server)
                 server.clock.t = 5.0
                 await server.tick()
                 reports = list(server._window_reports)
@@ -78,7 +78,7 @@ class TestWindowReports:
                     "127.0.0.1", server.port, client_name="t"
                 )
                 await client.declare("R")
-                publish_two_windows(server)
+                await publish_two_windows(server)
                 server.clock.t = 5.0
                 await server.tick()
                 stats = await client.stats()
@@ -99,7 +99,7 @@ class TestWindowReports:
             obs = Observability()
             async with serve(queue_capacity=10, obs=obs) as server:
                 assert server.metrics is obs.registry  # one shared snapshot
-                publish_two_windows(server)
+                await publish_two_windows(server)
                 server.clock.t = 5.0
                 await server.tick()
                 reports = list(server._window_reports)
