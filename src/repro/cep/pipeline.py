@@ -180,8 +180,7 @@ class PatternPipeline:
                 budget -= whole
                 if drain_batch(whole) < whole:
                     budget = 0.0  # idle engine cannot bank work
-            queue.offer(StreamTuple(ts, (stream,) + tup.row))
-            core.sync(0)
+            core.offer(0, (StreamTuple(ts, (stream,) + tup.row),))
         drain_batch(None)  # end of input: catch up fully
 
         return PatternRunResult(

@@ -137,8 +137,7 @@ class SharedTriageRuntime:
         stream_index = {s: i for i, s in enumerate(self.streams_used)}
         for ts, _, stream, tup in events:
             core.drain(ts)
-            queues[stream].offer(tup)
-            core.sync(stream_index[stream])
+            core.offer(stream_index[stream], (tup,))
         core.drain()
         # Every kept synopsis is built: the cell accounting below prices
         # them all, read by a shadow plan or not.

@@ -18,6 +18,10 @@ before each of its decisions.  With ``summarize=False`` the same queue
 implements the drop-only baseline — the single-codebase comparison of
 Section 5.2.1.
 
+:meth:`TriageQueue.offer_bulk` is the one way in, and
+:class:`~repro.core.triage_core.TriageCore`, which stages every driver's
+arrivals, is its one caller.
+
 Concurrency contract
 --------------------
 
@@ -179,70 +183,29 @@ class TriageQueue:
         return self._buffer[0].timestamp if self._buffer else None
 
     # ------------------------------------------------------------------
-    def offer(self, tup: StreamTuple) -> None:
-        """A tuple arrives from the source; shed a victim if full."""
-        self.stats.offered += 1
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(tup)
-            if self.policy_index is not None:
-                self.policy_index.add(tup)
-            self.stats.high_watermark = max(
-                self.stats.high_watermark, len(self._buffer)
-            )
-            return
-        self.stats.overflows += 1
-        ctx = self._policy_context
-        if self.policy.reads_synopsis:
-            ctx.synopsis = self._current_synopsis(tup.timestamp)
-        auditing = self.audit is not None
-        if auditing:
-            ctx.last_score = None
-        victim_idx = self.policy.select_victim(self._buffer, tup, ctx)
-        if victim_idx == DROP_INCOMING:
-            victim = tup
-            self.stats.drop_incoming += 1
-        else:
-            victim = self._buffer[victim_idx]
-            del self._buffer[victim_idx]
-            self._buffer.append(tup)
-            if self.policy_index is not None:
-                self.policy_index.remove(victim)
-                self.policy_index.add(tup)
-            self.stats.evict_buffered += 1
-        if auditing:
-            self.audit.record(
-                "drop_incoming" if victim_idx == DROP_INCOMING
-                else "evict_buffered",
-                policy=self.policy.name,
-                stream=self.name,
-                windows=self.window.ids(victim.timestamp),
-                timestamp=victim.timestamp,
-                depth=len(self._buffer),
-                score=ctx.last_score,
-                row=victim.row,
-            )
-        self._shed(victim)
-
     def offer_bulk(self, batch) -> int:
-        """Offer a whole batch in one call; returns drops.
+        """Arrivals from the source, in arrival order; returns drops.
 
-        ``batch`` is either a sequence of :class:`StreamTuple` or a
-        :class:`~repro.engine.columns.ColumnBatch`; column batches are
-        consumed natively — the only per-row Python objects materialized
-        are the StreamTuples the buffer actually stores.
+        ``batch`` is a sequence of :class:`StreamTuple` or a
+        :class:`~repro.engine.columns.ColumnBatch`, consumed natively: the
+        only per-row objects built are the StreamTuples the buffer keeps.
 
-        Semantically identical to calling :meth:`offer` once per tuple —
-        the same drop decisions (same RNG draw sequence), the same synopsis
-        contents, the same :class:`QueueStats` totals — but the batch shape
-        is exploited twice:
+        Any split of an arrival sequence into batches is equivalent — same
+        drop decisions (same RNG draws), synopses and :class:`QueueStats`:
+        a tuple is admitted while space remains, and once the buffer is
+        full each arrival sheds exactly one victim (itself or a buffered
+        tuple the policy picks).  The batch shape is exploited twice:
 
-        * **free-prefix admit** — ``offer()`` never consults the policy
-          while free space remains, so everything that fits goes in with
-          one ``extend`` and zero RNG draws or per-tuple dispatch;
+        * **free-prefix admit** — everything that fits goes in with one
+          ``extend`` and zero RNG draws or per-tuple dispatch;
         * **one stats update per batch** — the decision, summarize and
           shed-byte counters are summed in locals and added to
           :class:`QueueStats` once after the loop; the batch's victims are
           priced with a single ``sys.getsizeof``.
+
+        A victim joins the pending list of every window containing it; a
+        window's synopsis is created at its first victim (seeded factories
+        number their creates), everything else waits for :meth:`_fold`.
         """
         n = len(batch)
         if n == 0:
@@ -316,7 +279,6 @@ class TriageQueue:
                         score=ctx.last_score,
                         row=victim.row,
                     )
-                # Inlined _shed.
                 for wid in vwids:
                     run = pending_get(wid)
                     if run is None:
@@ -334,7 +296,7 @@ class TriageQueue:
                 stats.summarized += dropped
         # ``high_watermark >= len(buffer)`` holds at every quiescent
         # point (only offers grow the buffer, and they maintain it), so
-        # one max at the end equals the per-append updates of offer().
+        # one max at the end equals a max after every append.
         if len(buffer) > stats.high_watermark:
             stats.high_watermark = len(buffer)
         return dropped
@@ -350,27 +312,6 @@ class TriageQueue:
         return tup
 
     # ------------------------------------------------------------------
-    def _shed(self, victim: StreamTuple) -> None:
-        stats = self.stats
-        stats.dropped += 1
-        stats.shed_bytes += sys.getsizeof(victim.row)
-        if self.summarize:
-            stats.summarized += 1
-        # A victim is charged to every window containing it — one window
-        # for tumbling specs, several when windows overlap (hopping).  A
-        # window's synopsis is created at its first victim (seeded factories
-        # number their creates); everything else waits for _fold.
-        pending = self._pending
-        for wid in self.window.ids(victim.timestamp):
-            run = pending.get(wid)
-            if run is None:
-                run = pending[wid] = []
-                if self.summarize and wid not in self._window_synopses:
-                    self._window_synopses[wid] = self.synopsis_factory.create(
-                        self.dimensions
-                    )
-            run.append(victim)
-
     def _fold(self, window_id: int) -> None:
         """Bring a window's count, bounds and synopsis up to its last victim."""
         run = self._pending.pop(window_id, None)

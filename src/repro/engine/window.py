@@ -74,7 +74,7 @@ class WindowSpec:
         (:func:`~repro.core.triage_core.window_runs`, or the data plane's
         admission) asks once per arriving tuple, and the tuple's one exit
         asks again — :meth:`TriageCore.drain` when it is polled,
-        :meth:`TriageQueue.offer` / ``offer_bulk`` when it is shed.  The
+        :meth:`TriageQueue.offer_bulk` when it is shed.  The
         answer depends only on ``timestamp``, and the same timestamps come
         back (each tuple twice, a batch stamped with one ``now``, one input
         replayed under several strategies), so the memo stays.  Delegates

@@ -44,8 +44,8 @@ def shed(policy, buffer, incoming, name="pattern"):
     """Fill a queue with ``buffer``, offer ``incoming``; the tuple shed."""
     queue = make_queue(policy, name, capacity=len(buffer))
     for tup in buffer:
-        queue.offer(tup)
-    queue.offer(incoming)
+        queue.offer_bulk([tup])
+    queue.offer_bulk([incoming])
     kept = queue.drain()
     (victim,) = [t for t in [*buffer, incoming] if t not in kept]
     return victim
@@ -123,11 +123,11 @@ class TestSelectVictim:
         # the B that extends the open run on key 7.
         policy = PatternUtilityPolicy(make_engine([("A", 0.1, 7)]))
         a, b = make_queue(policy, "A", 1), make_queue(policy, "B", 2)
-        a.offer(StreamTuple(0.5, (7,)))
-        a.offer(StreamTuple(0.6, (1,)))  # overflow: A scores (0.5, (7,))
-        b.offer(StreamTuple(0.5, (7,)))
-        b.offer(StreamTuple(0.6, (8,)))
-        b.offer(StreamTuple(0.7, (9,)))
+        a.offer_bulk([StreamTuple(0.5, (7,))])
+        a.offer_bulk([StreamTuple(0.6, (1,))])  # overflow: A scores (0.5, (7,))
+        b.offer_bulk([StreamTuple(0.5, (7,))])
+        b.offer_bulk([StreamTuple(0.6, (8,))])
+        b.offer_bulk([StreamTuple(0.7, (9,))])
         assert StreamTuple(0.5, (7,)) in b.drain()
 
     def test_late_bind_refiles_admitted_tuples(self):
@@ -136,9 +136,9 @@ class TestSelectVictim:
         # engine's model once it arrives.
         policy = PatternUtilityPolicy(stream_tag=0)
         queue = make_queue(policy, "pattern", 2)
-        queue.offer(StreamTuple(0.2, ("B", 7)))
-        queue.offer(StreamTuple(0.3, ("B", 8)))
+        queue.offer_bulk([StreamTuple(0.2, ("B", 7))])
+        queue.offer_bulk([StreamTuple(0.3, ("B", 8))])
         policy.bind_engine(make_engine([("A", 0.1, 7)]))
-        queue.offer(StreamTuple(0.4, ("B", 9)))
+        queue.offer_bulk([StreamTuple(0.4, ("B", 9))])
         assert StreamTuple(0.2, ("B", 7)) in queue.drain()
         assert policy.unbound == 0

@@ -142,7 +142,7 @@ class TestAgainstBruteForce:
         for op in ops:
             if op[0] == "offer":
                 queue, tup = arrive(*op[1])
-                queue.offer(tup)
+                queue.offer_bulk([tup])
             elif op[0] == "bulk":
                 # Untagged queues hold one stream: the batch takes its first.
                 stream = op[1][0][0]

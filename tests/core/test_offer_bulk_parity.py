@@ -1,4 +1,9 @@
-"""offer_bulk must equal an offer loop even when DROP_INCOMING fires mid-batch."""
+"""One batch must equal one-tuple batches even when DROP_INCOMING fires mid-batch.
+
+The reference is a loop of one-tuple ``offer_bulk`` calls: the queue has no
+other intake.  ``test_batch_split_property.py`` generalizes this to any
+split and to every built-in policy.
+"""
 
 import dataclasses
 import sys
@@ -15,7 +20,7 @@ class AlternatingPolicy(DropPolicy):
     """Deterministically alternates DROP_INCOMING with head eviction.
 
     Stateful on purpose: the decision sequence depends only on how many
-    overflows happened, so the offer loop and offer_bulk face identical
+    overflows happened, so the one-tuple loop and one batch face identical
     decision streams and any divergence in bookkeeping shows up.
     """
 
@@ -54,7 +59,7 @@ class TestOfferBulkParity:
 
         batch = workload()
         for tup in batch:
-            loop_q.offer(tup)
+            loop_q.offer_bulk([tup])
         dropped = bulk_q.offer_bulk(batch)
 
         # The whole QueueStats, decision / summarize / byte counters included.
@@ -73,7 +78,7 @@ class TestOfferBulkParity:
         bulk_q = make_queue()
         batch = workload()
         for tup in batch:
-            loop_q.offer(tup)
+            loop_q.offer_bulk([tup])
         bulk_q.offer_bulk(batch)
         assert loop_q.windows_with_drops() == bulk_q.windows_with_drops()
         for wid in loop_q.windows_with_drops():
@@ -93,7 +98,7 @@ class TestOfferBulkParity:
         bulk_q = make_queue()
         tuples = workload()
         for tup in tuples:
-            loop_q.offer(tup)
+            loop_q.offer_bulk([tup])
         dropped = bulk_q.offer_bulk(ColumnBatch.from_stream_tuples(tuples))
         assert dropped == loop_q.stats.dropped
         assert dataclasses.asdict(loop_q.stats) == dataclasses.asdict(

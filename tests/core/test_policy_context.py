@@ -82,19 +82,19 @@ class TestOccupancyCounts:
         queue = make_queue(policy, capacity=3)
         # Windows [0,1) x2 and [1,2) x1, then overflow with a [2,3) arrival.
         for ts in (0.1, 0.5, 1.5):
-            queue.offer(StreamTuple(ts, (1,)))
-        queue.offer(StreamTuple(2.5, (2,)))
+            queue.offer_bulk([StreamTuple(ts, (1,))])
+        queue.offer_bulk([StreamTuple(2.5, (2,))])
         assert policy.seen == [{0: 2, 1: 1}]
 
     def test_poll_and_drop_maintain_counts(self):
         policy = RecordingPolicy()
         queue = make_queue(policy, capacity=2)
-        queue.offer(StreamTuple(0.1, (1,)))
-        queue.offer(StreamTuple(0.2, (2,)))
+        queue.offer_bulk([StreamTuple(0.1, (1,))])
+        queue.offer_bulk([StreamTuple(0.2, (2,))])
         assert queue.poll() is not None  # removes one [0,1) tuple
-        queue.offer(StreamTuple(1.1, (3,)))
-        queue.offer(StreamTuple(1.2, (4,)))  # overflow: head (0.2) evicted
-        queue.offer(StreamTuple(1.3, (5,)))  # overflow again
+        queue.offer_bulk([StreamTuple(1.1, (3,))])
+        queue.offer_bulk([StreamTuple(1.2, (4,))])  # overflow: head (0.2) evicted
+        queue.offer_bulk([StreamTuple(1.3, (5,))])  # overflow again
         assert policy.seen[0] == {0: 1, 1: 1}
         assert policy.seen[1] == {1: 2}
 
@@ -109,26 +109,26 @@ class TestOccupancyCounts:
     def test_drain_clears_counts(self):
         policy = RecordingPolicy()
         queue = make_queue(policy, capacity=2)
-        queue.offer(StreamTuple(0.1, (1,)))
+        queue.offer_bulk([StreamTuple(0.1, (1,))])
         queue.drain()
-        queue.offer(StreamTuple(0.2, (2,)))
-        queue.offer(StreamTuple(0.3, (3,)))
-        queue.offer(StreamTuple(0.4, (4,)))
+        queue.offer_bulk([StreamTuple(0.2, (2,))])
+        queue.offer_bulk([StreamTuple(0.3, (3,))])
+        queue.offer_bulk([StreamTuple(0.4, (4,))])
         assert policy.seen == [{0: 2}]
 
     @pytest.mark.parametrize("columnar", [False, True])
     def test_every_entry_and_exit_reported_once(self, columnar):
-        # The five reporting sites: offer (free slot, eviction), offer_bulk
-        # (free prefix, overflow tail), poll, drain — and nothing at all
+        # The four reporting sites: offer_bulk (free prefix, overflow
+        # tail, one-tuple batches included), poll, drain — and nothing at all
         # for a tuple that never entered the buffer (DROP_INCOMING).
         policy = RecordingPolicy()
         queue = make_queue(policy, capacity=2)
         t = [StreamTuple(0.1 * i, (i,)) for i in range(8)]
-        queue.offer(t[0])
-        queue.offer(t[1])
-        queue.offer(t[2])  # evicts t0
+        queue.offer_bulk([t[0]])
+        queue.offer_bulk([t[1]])
+        queue.offer_bulk([t[2]])  # evicts t0
         policy.victim = DROP_INCOMING
-        queue.offer(t[3])  # never enters
+        queue.offer_bulk([t[3]])  # never enters
         assert queue.poll() == t[1]
         policy.victim = 0
         bulk = t[4:7]  # t4 fills the free slot; t5 evicts t2; t6 evicts t4
@@ -156,8 +156,8 @@ class TestOccupancyCounts:
                 return DROP_INCOMING
 
         queue = make_queue(Probe(), capacity=1)
-        queue.offer(StreamTuple(0.1, (1,)))
-        queue.offer(StreamTuple(0.2, (2,)))
+        queue.offer_bulk([StreamTuple(0.1, (1,))])
+        queue.offer_bulk([StreamTuple(0.2, (2,))])
         assert Probe.saw is None
 
     def test_existing_policies_do_not_request_counts(self):

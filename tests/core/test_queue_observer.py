@@ -43,7 +43,7 @@ class TestUnitEvents:
     def test_exactly_once_per_tuple(self):
         q = make_queue(capacity=2)
         for i in range(5):
-            q.offer(t(0.1 * i, i + 1))
+            q.offer_bulk([t(0.1 * i, i + 1)])
         while q.poll() is not None:
             pass
         stats = q.stats
@@ -65,38 +65,37 @@ class TestUnitEvents:
             return s.offered == s.polled + s.dropped + len(q)
 
         for i in range(60):
-            q.offer(t(0.01 * i, i % 7 + 1))
+            core.offer(0, [t(0.01 * i, i % 7 + 1)])
+            core.flush()
             assert conserved()
             if i % 5 == 4:
-                core.sync_all()
                 core.drain(budget=2)
                 assert conserved()
-        core.sync_all()
         core.drain()
         assert conserved() and len(q) == 0
         assert q.stats.evict_buffered == q.stats.dropped > 0
 
     def test_policy_decision_events(self):
         q = make_queue(capacity=1, policy=HeadDropPolicy())
-        q.offer(t(0.0, 1))
-        q.offer(t(0.1, 2))  # head (1) evicted, incoming buffered
+        q.offer_bulk([t(0.0, 1)])
+        q.offer_bulk([t(0.1, 2)])  # head (1) evicted, incoming buffered
         assert (q.stats.evict_buffered, q.stats.drop_incoming) == (1, 0)
         q2 = make_queue(capacity=1, policy=TailDropPolicy())
-        q2.offer(t(0.0, 1))
-        q2.offer(t(0.1, 2))  # TailDrop sheds the incoming tuple
+        q2.offer_bulk([t(0.0, 1)])
+        q2.offer_bulk([t(0.1, 2)])  # TailDrop sheds the incoming tuple
         assert (q2.stats.evict_buffered, q2.stats.drop_incoming) == (0, 1)
 
     def test_shed_bytes_carries_row_size(self):
         q = make_queue(capacity=1)
-        q.offer(t(0.0, 1))
+        q.offer_bulk([t(0.0, 1)])
         assert q.stats.shed_bytes == 0
-        q.offer(t(0.1, 2))
+        q.offer_bulk([t(0.1, 2)])
         assert q.stats.shed_bytes == sys.getsizeof((2,))
 
     def test_no_summarize_event_when_summarize_off(self):
         q = make_queue(capacity=1, summarize=False)
-        q.offer(t(0.0, 1))
-        q.offer(t(0.1, 2))
+        q.offer_bulk([t(0.0, 1)])
+        q.offer_bulk([t(0.1, 2)])
         assert q.stats.dropped == 1
         assert q.stats.summarized == 0
 
@@ -107,12 +106,12 @@ class TestFold:
         seen: dict = {}
         q = make_queue(capacity=2, policy=HeadDropPolicy())
         for i in range(4):
-            q.offer(t(0.1 * i, i + 1))
+            q.offer_bulk([t(0.1 * i, i + 1)])
         for _ in range(3):  # folding an unchanged snapshot adds nothing
             fold_queue_stats(reg, {"R": q.stats.snapshot()}, seen)
         assert reg.get("triage_offered_total").value(stream="R") == 4.0
         assert reg.get("triage_drops_total").value(stream="R") == 2.0
-        q.offer(t(0.5, 9))
+        q.offer_bulk([t(0.5, 9)])
         q.poll()
         fold_queue_stats(reg, {"R": q.stats.snapshot()}, seen)
         assert reg.get("triage_offered_total").value(stream="R") == 5.0

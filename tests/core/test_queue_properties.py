@@ -42,7 +42,7 @@ class TestQueueInvariants:
                 q.poll()
             else:
                 t += 0.01
-                q.offer(StreamTuple(t, (op[1],)))
+                q.offer_bulk([StreamTuple(t, (op[1],))])
             s = q.stats
             assert s.offered == s.polled + s.dropped + len(q)
             assert len(q) <= q.capacity
@@ -58,7 +58,7 @@ class TestQueueInvariants:
                 q.poll()
             else:
                 t += 0.01
-                q.offer(StreamTuple(t, (op[1],)))
+                q.offer_bulk([StreamTuple(t, (op[1],))])
         total_synopsized = sum(
             q.window_synopsis(w).synopsis.total()
             for w in q.windows_with_drops()
@@ -80,6 +80,6 @@ class TestQueueInvariants:
                     polled.append(out.timestamp)
             else:
                 t += 0.01
-                q.offer(StreamTuple(t, (op[1],)))
+                q.offer_bulk([StreamTuple(t, (op[1],))])
         polled.extend(x.timestamp for x in q.drain())
         assert polled == sorted(polled)

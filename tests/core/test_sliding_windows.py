@@ -90,8 +90,8 @@ class TestSlidingWindows:
             synopsis_factory=SparseHistogramFactory(bucket_width=1),
             window=HOPPING,
         )
-        q.offer(StreamTuple(1.4, (9,)))
-        q.offer(StreamTuple(1.5, (42,)))  # dropped; lives in windows 0 and 1
+        q.offer_bulk([StreamTuple(1.4, (9,))])
+        q.offer_bulk([StreamTuple(1.5, (42,))])  # dropped; lives in windows 0 and 1
         for wid in (0, 1):
             ws = q.window_synopsis(wid)
             assert ws.dropped_count == 1

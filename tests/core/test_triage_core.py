@@ -1,10 +1,21 @@
 """Tests for the shared triage engine loop (:mod:`repro.core.triage_core`)."""
 
 import math
+import random
 
-from repro.core import HeadDropPolicy, TailDropPolicy, TriageQueue
+from repro.core import (
+    DataTriagePipeline,
+    HeadDropPolicy,
+    PipelineConfig,
+    ShedStrategy,
+    TailDropPolicy,
+    TriageQueue,
+)
 from repro.core.triage_core import TriageCore, merge_arrivals, window_runs
 from repro.engine import StreamTuple, WindowSpec
+from repro.obs import Observability
+from repro.obs.metrics import Histogram
+from repro.sources import SteadyArrival, generate_stream, paper_row_generators
 from repro.synopses import Dimension, SparseHistogramFactory
 
 
@@ -21,14 +32,20 @@ def make_queue(name, capacity=10, policy=None, window=None):
     )
 
 
+QUERY = (
+    "SELECT a, COUNT(*) AS n FROM R, S, T "
+    "WHERE R.a = S.b AND S.c = T.d GROUP BY a;"
+)
+
+
 def t(ts, v):
     return StreamTuple(ts, (v,))
 
 
 def feed(core, idx, *tuples):
     for tup in tuples:
-        core.queues[idx].offer(tup)
-        core.sync(idx)
+        core.offer(idx, [tup])
+    core.flush()
 
 
 def order(polled):
@@ -53,7 +70,7 @@ class TestOrder:
         assert order(polled) == [("R", 1), ("S", 9)]
 
     def test_same_timestamp_successor_is_re_registered(self):
-        # sync()'s change test cannot see a successor with the head's own
+        # _sync()'s change test cannot see a successor with the head's own
         # timestamp; the drain must re-push it itself.
         core = TriageCore([make_queue("R"), make_queue("S")])
         feed(core, 0, t(0.3, 1), t(0.3, 2), t(0.3, 3))
@@ -90,13 +107,13 @@ class TestStaleEntries:
         assert order(polled) == [("S", 9), ("R", 2), ("R", 3)]
 
     def test_eviction_without_sync_is_caught_on_pop(self):
-        # A publisher that offers behind the core's back (the service data
-        # plane, a racing thread): the live-head check still skips it.
+        # An offer behind the core's back (only tests do that): the
+        # live-head check still skips the evicted head.
         r = make_queue("R", capacity=2, policy=HeadDropPolicy())
         core = TriageCore([r, make_queue("S")])
         feed(core, 0, t(0.1, 1), t(0.3, 2))
         feed(core, 1, t(0.2, 9))
-        r.offer(t(0.5, 3))  # evicts 0.1; no sync
+        r.offer_bulk([t(0.5, 3)])  # evicts 0.1; no sync
         polled = []
         core.drain(polled=polled)
         assert order(polled) == [("S", 9), ("R", 2), ("R", 3)]
@@ -109,12 +126,117 @@ class TestStaleEntries:
         assert len(core._heap) == entries
         assert core.drain() == 3
 
-    def test_sync_all_picks_up_unannounced_offers(self):
+    def test_staged_offers_reach_the_queue_at_the_next_flush(self):
         core = TriageCore([make_queue("R"), make_queue("S")])
-        core.queues[1].offer(t(0.4, 9))
-        assert core.drain() == 0  # nobody told the core
-        core.sync_all()
-        assert core.drain() == 1
+        core.offer(1, [t(0.4, 9)])
+        core.offer(1, [t(0.5, 8)])
+        assert len(core.queues[1]) == 0  # staged, not offered
+        offered = []
+        core.flush(offered)
+        assert [(s, depth, len(batch)) for s, depth, batch in offered] == [
+            ("S", 0, 2)  # one batch per source
+        ]
+        assert len(core.queues[1]) == 2
+        assert core.drain() == 2
+
+
+class TestIntake:
+    def test_a_busy_consumer_leaves_the_queues_untouched(self):
+        core = TriageCore([make_queue("R", capacity=2), make_queue("S")], [1.0, 1.0])
+        feed(core, 0, t(0.0, 1))
+        assert core.drain(until=0.5) == 1  # busy until 1.0
+        core.offer(0, [t(0.6, 2), t(0.7, 3), t(0.8, 4)])  # one too many for R
+        core.offer(1, [t(0.9, 5)])
+        before = [(q.stats.snapshot(), len(q)) for q in core.queues]
+        assert core.drain(until=0.95) == 0
+        assert [(q.stats.snapshot(), len(q)) for q in core.queues] == before
+        assert before == [((1, 0, 1, 0, 1, 0, 0, 0, 0), 0), ((0,) * 9, 0)]
+
+    def test_the_next_drain_that_can_start_sees_every_staged_arrival(self):
+        core = TriageCore([make_queue("R", capacity=2), make_queue("S")], [1.0, 1.0])
+        feed(core, 0, t(0.0, 1))
+        core.drain(until=0.5)
+        core.offer(0, [t(0.6, 2)])
+        core.offer(1, [t(0.9, 5)])
+        core.offer(0, [t(0.7, 3), t(0.8, 4)])
+        assert core.drain(until=0.95) == 0
+        polled = []
+        assert core.drain(until=1.5, polled=polled) == 1
+        r, s = core.queues
+        # All four arrivals reached their queues: R's third was shed.
+        assert (r.stats.offered, r.stats.dropped, len(r)) == (4, 1, 1)
+        assert (s.stats.offered, len(s)) == (1, 1)
+        assert order(polled) == [("R", 2)]
+        assert core.drain(polled=polled) == 2
+        assert order(polled) == [("R", 2), ("R", 3), ("S", 5)]
+
+    def test_hand_off_conserves_staged_arrivals(self):
+        core = TriageCore([make_queue("R", capacity=2)], [0.1], synopses=True)
+        core.offer(0, [t(0.1, 1), t(0.2, 2), t(0.3, 3)])
+        partials = core.hand_off([0], {"R": {0: 3}})
+        kept = len(partials.kept_rows["R"][0])
+        dropped = partials.dropped_counts["R"][0]
+        queued = len(core.queues[0])
+        assert (kept, dropped, queued) == (0, 1, 2)
+        assert partials.arrived["R"][0] == kept + dropped + queued
+        assert partials.dropped_synopses["R"][0].group_counts("R.a") == {3: 1.0}
+
+    def test_observed_depth_samples_survive_a_capacity_cut(
+        self, paper_catalog, monkeypatch
+    ):
+        # 5000 tuples/s per stream into a 500/s engine behind huge queues:
+        # the first control step cuts capacity far below the backlog, and
+        # every later arrival sheds at a depth above capacity.
+        rng = random.Random(1)
+        gens = paper_row_generators()
+        streams = {
+            name: generate_stream(300, SteadyArrival(5000.0), gens[name], None, rng)
+            for name in ("R", "S", "T")
+        }
+        config = PipelineConfig(
+            strategy=ShedStrategy.DATA_TRIAGE,
+            window=WindowSpec(width=0.02),
+            queue_capacity=100_000,
+            service_time=1 / 500,
+            adaptive_staleness=0.2,
+        )
+        # The truth: every batch re-offered one tuple at a time, with the
+        # depth after each arrival (any split is equivalent).
+        truth: dict[str, list[int]] = {}
+        cut: set[str] = set()
+        real_offer = TriageQueue.offer_bulk
+
+        def one_at_a_time(queue, batch):
+            if len(queue) > queue.capacity:
+                cut.add(queue.name)
+            dropped = 0
+            for tup in batch:
+                dropped += real_offer(queue, [tup])
+                truth.setdefault(queue.name, []).append(len(queue))
+            return dropped
+
+        samples: dict[str, list[int]] = {}
+        real_observe = Histogram.observe_many
+
+        def record(hist, values, **labels):
+            if hist.name == "triage_queue_depth":
+                samples[labels["stream"]] = list(values)
+            return real_observe(hist, values, **labels)
+
+        monkeypatch.setattr(TriageQueue, "offer_bulk", one_at_a_time)
+        monkeypatch.setattr(Histogram, "observe_many", record)
+        pipeline = DataTriagePipeline(
+            paper_catalog, QUERY, config, obs=Observability(trace=True)
+        )
+        result = pipeline.run(streams)
+        assert cut == {"R", "S", "T"}
+        assert samples == truth
+        assert all(len(samples[s]) == 300 for s in streams)
+        # ...and one verdict per arrival, shed exactly as often as dropped.
+        events = pipeline.obs.tracer.events()
+        verdicts = [e["name"] for e in events if e["name"] in ("enqueue", "shed")]
+        assert len(verdicts) == 900
+        assert verdicts.count("shed") == result.total_dropped > 0
 
 
 class TestStopConditions:
@@ -240,7 +362,7 @@ class TestKeptStateFold:
     def test_a_core_without_queues_never_drains(self):
         core = TriageCore([])  # a shard worker that owns no source
         assert core.drain() == 0
-        core.sync_all()
+        core.flush()
         core.close([0])
 
 
