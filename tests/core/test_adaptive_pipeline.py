@@ -83,3 +83,29 @@ class TestAdaptiveCapacity:
         result = DataTriagePipeline(paper_catalog, QUERY, config).run(streams)
         assert result.total_dropped == 0
         assert run_rms(result) == pytest.approx(0.0)
+
+    def test_a_quiet_gap_is_charged_in_full(self, paper_catalog):
+        # Control interval 0.1 s.  Ten arrivals per stream by 0.05 s, one at
+        # 0.1 s (first step: 10 arrivals in 0.1 s, EWMA 0.5 * 100 = 50/s)
+        # and one at 0.95 s: the second step covers the eight intervals that
+        # passed since, so it folds 1 arrival / 0.8 s, not 1 / 0.1 s.
+        from repro.engine import StreamTuple
+        from repro.obs import Observability
+
+        rows = {"R": (1,), "S": (1, 1), "T": (1,)}
+        stamps = [i * 0.005 for i in range(10)] + [0.1, 0.95]
+        streams = {
+            name: [StreamTuple(ts, row) for ts in stamps]
+            for name, row in rows.items()
+        }
+        config = PipelineConfig(
+            strategy=ShedStrategy.DATA_TRIAGE,
+            window=WindowSpec(width=1.0),
+            service_time=0.002,
+            adaptive_staleness=0.4,
+        )
+        obs = Observability()
+        DataTriagePipeline(paper_catalog, QUERY, config, obs=obs).run(streams)
+        rate = obs.registry.get("controller_arrival_rate")
+        for name in rows:
+            assert rate.value(stream=name) == pytest.approx(0.5 * 1.25 + 0.5 * 50)
