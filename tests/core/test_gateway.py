@@ -129,6 +129,18 @@ class TestGatewayExperiment:
             == result.run.total_arrived
         )
 
+    def test_every_drop_is_shipped_in_its_window(self, setup):
+        # A window's synopsis ships only once its queued tuples are gone:
+        # a later eviction of one of them must still land in what shipped.
+        pipeline, streams, links = setup
+        result = run_gateway_experiment(pipeline, streams, links, queue_capacity=20)
+        for name, out in result.outputs.items():
+            shipped = sum(ws.dropped_count for ws in out.synopses.values())
+            assert shipped == out.dropped > 0, name
+        for w in result.run.windows:
+            for s in ("R", "S", "T"):
+                assert w.arrived[s] == w.kept[s] + w.dropped[s], (w.window_id, s)
+
     def test_lag_reported(self, setup):
         pipeline, streams, links = setup
         result = run_gateway_experiment(pipeline, streams, links, queue_capacity=20)
