@@ -524,8 +524,12 @@ def cmd_trace(args, out) -> int:
 
     tracer = obs.tracer
     if args.format == "chrome":
-        validate_chrome_trace(tracer.to_chrome())
-    tracer.write(args.out, fmt=args.format)
+        # Built once: each build expands the run's deferred events again.
+        doc = tracer.to_chrome()
+        validate_chrome_trace(doc)
+        write_chrome(args.out, doc)
+    else:
+        tracer.write(args.out, fmt=args.format)
     reports = build_window_reports(
         result, pipeline.config.window, phase_seconds=obs.phase_seconds
     )
@@ -566,19 +570,24 @@ def cmd_trace(args, out) -> int:
     return 0
 
 
-def cmd_trace_merge(args, out) -> int:
-    """``repro trace --merge a.jsonl b.jsonl``: one clock-aligned document."""
+def write_chrome(path, doc: dict) -> None:
+    """Write a Chrome trace document as :meth:`Tracer.write` does."""
     import json
 
+    with open(path, "w", encoding="utf-8") as fp:
+        json.dump(doc, fp, indent=1)
+        fp.write("\n")
+
+
+def cmd_trace_merge(args, out) -> int:
+    """``repro trace --merge a.jsonl b.jsonl``: one clock-aligned document."""
     from repro.obs.trace import merge_jsonl_traces
 
     labels = (
         [x.strip() for x in args.labels.split(",")] if args.labels else None
     )
     doc = merge_jsonl_traces(args.merge, labels=labels)
-    with open(args.out, "w", encoding="utf-8") as fp:
-        json.dump(doc, fp, indent=1)
-        fp.write("\n")
+    write_chrome(args.out, doc)
     offsets = doc["otherData"]["clock_offsets_us"]
     out.write(
         f"merged {len(args.merge)} traces "

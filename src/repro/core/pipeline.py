@@ -33,6 +33,8 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING
 
 from repro.algebra.multiset import Multiset
@@ -68,6 +70,96 @@ _UNOBSERVED = nullcontext()
 def _no_phase(window_id: int, phase: str):
     """``Observability.window_phase`` for a pipeline without a bundle."""
     return _UNOBSERVED
+
+
+def _depth_samples(offered, sources) -> dict[str, list[int]]:
+    """Each arrival's queue depth after its offer, per stream, in order.
+
+    Derived from the flush hand-backs ``(source, depth before, batch,
+    shed)``: the first ``k = len(batch) - shed`` arrivals were admitted at
+    depths ``depth+1 … depth+k`` and each shed one left the queue at
+    ``depth+k``.
+    """
+    samples: dict[str, list[int]] = {s: [] for s in sources}
+    for source, depth, batch, shed in offered:
+        k = len(batch) - shed
+        out = samples[source]
+        out.extend(range(depth + 1, depth + k + 1))
+        if shed:
+            out.extend([depth + k] * shed)
+    return samples
+
+
+def _replay_trace(offered, marks, polled, tail_clock: float, tuple_events: bool):
+    """The replay's trace as one deferred record: ``(expand, n)``.
+
+    Per drain step that took something, in replay order: an ``ingest`` and
+    an ``enqueue``-or-``shed`` per arrival offered since the previous step
+    (stamped at the step's start), a ``poll`` per tuple it took (stamped at
+    its end; ``polled`` holds every step's hand-back, in order) and its
+    ``drain`` span.  Arrivals no later step took anything after are stamped
+    ``tail_clock``.  ``tuple_events=False`` keeps only the spans.  Nothing
+    is built until the tracer's ring is read, and steps the ring has
+    evicted whole are not built then either.
+    """
+    n = len(marks)
+    if tuple_events:
+        arrived = sum(map(len, map(itemgetter(2), offered)))
+        n += 2 * arrived + sum(map(itemgetter(2), marks))
+
+    def expand(tuple_event, complete, skip: int) -> list:
+        records: list = []
+        append = records.append
+
+        def verdicts(entries, clock) -> None:
+            for source, _, batch, shed in entries:
+                k = len(batch) - shed
+                for i, tup in enumerate(batch):
+                    ts = tup.timestamp
+                    verdict = "enqueue" if i < k else "shed"
+                    append(tuple_event("ingest", source, ts, clock))
+                    append(tuple_event(verdict, source, ts, clock))
+
+        # Steps the ring has evicted whole are not built: walk back from the
+        # end to the first step still holding a retained event.
+        want = n - skip
+        start, done, took, held = 0, 0, 0, n
+        if skip:
+            start, done, held = len(marks), len(offered), 0
+            took = len(polled) if tuple_events else 0
+        while held < want:
+            # Count the arrivals offered after step ``start - 1``, then, if
+            # still short, that step's polls and span.
+            upto = marks[start - 1][4] if start else 0
+            if tuple_events:
+                while done > upto:
+                    done -= 1
+                    held += 2 * len(offered[done][2])
+            if held >= want:
+                break
+            start -= 1
+            held += 1
+            if tuple_events:
+                took -= marks[start][2]
+                held += marks[start][2]
+        inf = math.inf
+        for t0, t1, taken, until, upto in marks[start:]:
+            if tuple_events:
+                verdicts(offered[done:upto], t0)
+                for source, tup, _ in polled[took : took + taken]:
+                    append(tuple_event("poll", source, tup.timestamp, t1))
+            done = upto
+            took += taken
+            if until == inf:
+                append(complete("drain", t0, t1, polled=taken, final=True))
+            else:
+                append(complete("drain", t0, t1, polled=taken, until=until))
+        if tuple_events:
+            verdicts(offered[done:], tail_clock)
+        del records[: held - want]
+        return records
+
+    return expand, n
 
 
 @dataclass
@@ -363,15 +455,11 @@ class DataTriagePipeline:
         cfg = self.config
         sources = self.sources
         # Observability: `obs is None` is THE fast path — every
-        # instrumentation site below is behind that check (or the cheaper
-        # booleans derived here), so an unobserved run pays one branch per
-        # arrival and nothing per polled tuple.  An observed run keeps its
-        # per-tuple work to list appends: queue counters are folded from
-        # QueueStats and depths from ``depth_samples`` once the replay ends.
+        # instrumentation site below is behind that check, so an unobserved
+        # run pays one branch per arrival and nothing per polled tuple.  An
+        # observed run records only what the core hands back, and derives
+        # its depth samples, drain phase and trace once the replay ends.
         obs = self.obs
-        tracer = obs.tracer if obs is not None else None
-        trace_on = tracer is not None and tracer.enabled
-        tuple_on = trace_on and tracer.tuple_events
         queues = {s: self.build_queue(s) for s in sources}
         core = TriageCore(
             [queues[s] for s in sources],
@@ -395,6 +483,13 @@ class DataTriagePipeline:
             next_control = control_dt
 
         g_capacity = g_rate = g_frac = h_depth = None
+        # An observed run keeps every flush's ``(source, depth before, batch,
+        # shed)`` in ``offered`` and, per drain step that took something, one
+        # mark ``(start, end, taken, until, len(offered))``; with tuple
+        # events, ``polled`` keeps every step's hand-back too.
+        offered: list | None = None
+        marks: list = []
+        polled: list | None = None
         if obs is not None:
             reg = obs.registry
             g_capacity = reg.gauge(
@@ -412,70 +507,35 @@ class DataTriagePipeline:
                 )
             for s in sources:
                 g_capacity.set(queues[s].capacity, stream=s)
-            depth_samples: dict[str, list[int]] = {s: [] for s in sources}
+            tracer = obs.tracer
+            tuple_on = tracer.enabled and tracer.tuple_events
             now = tracer.now
-            tuple_event = tracer.tuple_event
-        drain_seconds = 0.0
-        # The hand-back list exists only for tuple-level ``poll`` events.
-        polled: list | None = [] if tuple_on else None
-        # What each flush offered: every arrival's depth sample and, with
-        # tuple events, its ``ingest`` and ``enqueue``-or-``shed`` verdict.
-        offered: list | None = [] if obs is not None else None
-
-        def flush() -> None:
-            """``core.flush``, plus what an observed run records per arrival."""
-            core.flush(offered)
-            if not offered:
-                return
-            for source, depth, batch in offered:
-                # The first ``admitted`` found room; each later one shed one.
-                n = len(batch)
-                full = max(queues[source].capacity, depth)
-                admitted = min(full - depth, n)
-                samples = depth_samples[source]
-                samples.extend(range(depth + 1, depth + admitted + 1))
-                samples.extend([full] * (n - admitted))
-                if tuple_on:
-                    for i, tup in enumerate(batch):
-                        ts = tup.timestamp
-                        tuple_event("ingest", source, ts)
-                        tuple_event("enqueue" if i < admitted else "shed", source, ts)
-            offered.clear()
-
-        def observed_drain(until: float = math.inf) -> None:
-            """``core.drain`` plus its span and tuple-level events."""
-            nonlocal drain_seconds
-            if core.busy_until < until:  # the core's own flush rule
-                flush()
-            t0 = now()
-            n = core.drain(until, polled=polled)
-            if not n:
-                return
-            t1 = now()
-            drain_seconds += t1 - t0
-            if not trace_on:
-                return
-            if polled:
-                for source, tup, _ in polled:
-                    tuple_event("poll", source, tup.timestamp)
-                polled.clear()
-            if until == math.inf:
-                tracer.complete("drain", t0, t1, polled=n, final=True)
-            else:
-                tracer.complete("drain", t0, t1, polled=n, until=until)
-
-        drain = core.drain if obs is None else observed_drain
+            offered = []
+            if tuple_on:
+                polled = []
 
         source_index = {s: i for i, s in enumerate(sources)}
+        # The replay ends on a sentinel arrival at +inf: its drain is the
+        # final one, which empties every queue.
+        replay = chain(events, ((math.inf, 0, None, None),))
         # Ambient phase tags join sampled stacks to the identically-named
         # trace spans; ``flip`` is None unless a sampler is attached.
         with (
             obs.phase_tags("ingest") if obs is not None else nullcontext()
         ) as flip:
-            for ts, _, source, tup in events:
+            for ts, _, source, tup in replay:
                 if flip is not None:
                     flip("drain")
-                drain(ts)
+                if obs is None:
+                    core.drain(ts)
+                elif core.busy_until < ts:  # the core's own flush rule
+                    core.flush(offered)
+                    t0 = now()
+                    n = core.drain(ts, polled=polled)
+                    if n:
+                        marks.append((t0, now(), n, ts, len(offered)))
+                if tup is None:
+                    break
                 if flip is not None:
                     flip("ingest")
                 if controllers is not None and ts >= next_control:
@@ -485,7 +545,7 @@ class DataTriagePipeline:
                     while next_control <= ts:
                         next_control += control_dt
                         intervals += 1
-                    flush()
+                    core.flush(offered)
                     for s in sources:
                         est = controllers[s].observe(
                             interval_seconds=intervals * control_dt,
@@ -499,17 +559,20 @@ class DataTriagePipeline:
                             g_rate.set(est.arrival_rate, stream=s)
                             g_frac.set(est.drop_fraction, stream=s)
                 core.offer(source_index[source], (tup,))
-            if flip is not None:
-                flip("drain")
-            drain()
             if obs is not None:
-                obs.record_run_phase("drain", drain_seconds)
+                obs.record_run_phase("drain", sum(m[1] - m[0] for m in marks))
                 fold_queue_stats(
                     reg, {s: q.stats.snapshot() for s, q in queues.items()}, {}
                 )
-                for s, samples in depth_samples.items():
+                for s, samples in _depth_samples(offered, sources).items():
                     if samples:
                         h_depth.observe_many(samples, stream=s)
+                if tracer.enabled:
+                    # ``t0`` is the final drain's start: it stamps arrivals
+                    # that no later drain step took anything after.
+                    tracer.defer(
+                        *_replay_trace(offered, marks, polled, t0, tuple_on)
+                    )
 
         windows = self.evaluate_windows(
             core.hand_off(window_ids, arrived), ideal_inputs

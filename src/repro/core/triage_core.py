@@ -132,8 +132,11 @@ class TriageCore:
         """Hand every source's staged arrivals to its queue, one batch each.
 
         ``offered``, when given, receives one ``(source, depth before,
-        batch)`` per batch: with the queue's capacity, that tells each
-        arrival's depth and verdict (a full queue sheds one per arrival).
+        batch, shed)`` per batch, ``shed`` being ``offer_bulk``'s count.
+        That tells each arrival's depth and verdict: the first ``k =
+        len(batch) - shed`` were admitted at depths ``depth+1 … depth+k``,
+        and each later one found the queue full and shed one, leaving it at
+        ``depth+k`` (a capacity cut below the depth makes ``k`` 0).
         """
         staged = self._staged
         if not staged:
@@ -143,9 +146,11 @@ class TriageCore:
                 tup for b in batches for tup in b
             ]
             q = self.queues[idx]
-            if offered is not None:
-                offered.append((self.names[idx], len(q), batch))
-            q.offer_bulk(batch)
+            if offered is None:
+                q.offer_bulk(batch)
+            else:
+                depth = len(q)
+                offered.append((self.names[idx], depth, batch, q.offer_bulk(batch)))
             self._sync(idx)
         staged.clear()
 

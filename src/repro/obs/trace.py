@@ -17,7 +17,10 @@ dropped-event count kept), so tracing a long run costs O(capacity) memory
 no matter the workload.  Tuple-lifecycle events — the bulk of any trace —
 are stored as compact ``(stage, source, t, clock, context, extra)`` records
 and only become Chrome-trace dicts in :meth:`Tracer.events`, the one place
-the ring is read.  Two exports:
+the ring is read.  A hot loop that can rebuild its events from what it
+keeps anyway goes further: :meth:`Tracer.defer` holds one record that
+counts as ``n`` events and is expanded only when the ring is read (the
+simulator's replay derives its whole trace that way).  Two exports:
 
 * :meth:`Tracer.to_chrome` — the Chrome trace-event JSON format
   (``{"traceEvents": [...]}``), loadable in Perfetto / ``chrome://tracing``;
@@ -89,6 +92,21 @@ class TraceError(ValueError):
     """Raised when a trace document fails schema validation."""
 
 
+class _Deferred:
+    """``n`` ring events that ``expand`` builds when the ring is read.
+
+    The first ``skip`` of them were evicted; the record leaves the ring
+    once all ``n`` are.
+    """
+
+    __slots__ = ("expand", "n", "skip")
+
+    def __init__(self, expand, n: int) -> None:
+        self.expand = expand
+        self.n = n
+        self.skip = 0
+
+
 class _Span:
     """Context manager recording one complete ("X") event on exit."""
 
@@ -106,16 +124,11 @@ class _Span:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        t1 = self._tracer._clock()
-        self._tracer._record(
-            {
-                "name": self._name,
-                "cat": self._cat,
-                "ph": _PH_COMPLETE,
-                "ts": self._tracer._us(self._t0),
-                "dur": max(0.0, (t1 - self._t0) * 1e6),
-                "tid": self._tid,
-            },
+        tracer = self._tracer
+        tracer._record(
+            tracer._complete(
+                self._name, self._t0, tracer._clock(), self._cat, self._tid
+            ),
             self._args,
         )
         return False
@@ -153,7 +166,10 @@ class Tracer:
         self._clock = clock
         self._t0 = clock()
         self.epoch = time.time() if epoch is None else epoch
-        self._events: deque[dict | tuple] = deque(maxlen=capacity)
+        # Records oldest first; a deferred one holds several events, so
+        # the ring counts the events it holds itself (``_held``).
+        self._events: deque[dict | tuple | _Deferred] = deque()
+        self._held = 0
         self.emitted = 0  # total events ever recorded (≥ len(events))
         self._context: dict | None = None
         self._drop_counter = None
@@ -172,13 +188,34 @@ class Tracer:
             args = {**ctx, **args} if args else dict(ctx)
         if args:
             event["args"] = args
-        if (
-            self._drop_counter is not None
-            and len(self._events) == self.capacity
-        ):
-            self._drop_counter.inc()
-        self._events.append(event)
-        self.emitted += 1
+        self._push(event, 1)
+
+    def _push(self, record, n: int) -> None:
+        """Append a record of ``n`` events, evicting the oldest beyond capacity."""
+        self._events.append(record)
+        self.emitted += n
+        held = self._held + n
+        if held > self.capacity:
+            self._evict(held - self.capacity)
+            held = self.capacity
+        self._held = held
+
+    def _evict(self, k: int) -> None:
+        """Drop the ``k`` oldest events; a deferred head may lose only some."""
+        if self._drop_counter is not None:
+            self._drop_counter.inc(float(k))
+        events = self._events
+        while k:
+            head = events[0]
+            if type(head) is _Deferred:
+                left = head.n - head.skip
+                if left > k:
+                    head.skip += k
+                    return
+                k -= left
+            else:
+                k -= 1
+            events.popleft()
 
     # ------------------------------------------------------------------
     # Cross-process context
@@ -199,9 +236,9 @@ class Tracer:
         self._context = None
 
     def bind_drop_counter(self, counter) -> None:
-        """Count ring-buffer evictions into ``counter`` (``.inc()`` per
-        evicted event) so overflow is visible in metrics, not just in the
-        trace document's ``otherData``."""
+        """Count ring-buffer evictions into ``counter`` (``.inc(k)`` with
+        the number of events evicted, as a float) so overflow is visible in
+        metrics, not just in the trace document's ``otherData``."""
         self._drop_counter = counter
 
     def flow(
@@ -258,17 +295,7 @@ class Tracer:
         """
         if end is None:
             end = self._clock()
-        self._record(
-            {
-                "name": name,
-                "cat": cat,
-                "ph": _PH_COMPLETE,
-                "ts": self._us(start),
-                "dur": max(0.0, (end - start) * 1e6),
-                "tid": tid,
-            },
-            args,
-        )
+        self._record(self._complete(name, start, end, cat, tid), args)
 
     def instant(self, name: str, cat: str = "event", tid: int = 0, **args) -> None:
         """Record a point event at the current clock reading."""
@@ -293,32 +320,67 @@ class Tracer:
         """
         if not self.tuple_events:
             return
-        events = self._events
-        if self._drop_counter is not None and len(events) == self.capacity:
-            self._drop_counter.inc()
-        events.append(
-            (stage, source, timestamp, self._clock(), self._context, args or None)
+        self._push(
+            (stage, source, timestamp, self._clock(), self._context, args or None),
+            1,
         )
-        self.emitted += 1
 
-    def _expand(self, record: tuple) -> dict:
-        """The Chrome-trace dict of one compact :meth:`tuple_event` record."""
-        stage, source, timestamp, clock, ctx, args = record
-        args = dict(args) if args else {}
-        args["source"] = source
-        args["t"] = timestamp
-        if ctx is not None:
-            args = {**ctx, **args}
+    def defer(self, expand, n: int) -> None:
+        """Record ``n`` events now and build them only when the ring is read.
+
+        ``expand(tuple_event, complete, skip)`` must return those ``n``
+        events but the first ``skip`` (the ones the ring has evicted),
+        oldest first, as Chrome-trace dicts made by the two builders it is
+        handed: ``tuple_event(stage, source, timestamp, clock)`` is
+        :meth:`tuple_event` stamped at the clock reading ``clock``, and
+        ``complete(name, start, end, cat="pipeline", tid=0, **args)`` takes
+        :meth:`complete`'s arguments.  The record counts as ``n`` events for
+        eviction, ``len``, ``emitted`` and ``dropped``; once the ring
+        overflows, its oldest events are trimmed like any others.  The
+        caller keeps whatever ``expand`` reads alive until the record is
+        evicted, and its events carry no :meth:`set_context` context.
+        """
+        if n > 0:
+            self._push(_Deferred(expand, n), n)
+
+    def _tuple_event(self, stage, source, timestamp, clock) -> dict:
+        """The Chrome-trace dict of one tuple-lifecycle stage."""
         return {
             "name": stage,
             "cat": "tuple",
             "ph": _PH_INSTANT,
-            "ts": self._us(clock),
+            "ts": (clock - self._t0) * 1e6,
             "s": "t",
             "tid": 0,
             "pid": self.pid,
-            "args": args,
+            "args": {"source": source, "t": timestamp},
         }
+
+    def _complete(self, name, start, end, cat="pipeline", tid=0, **args) -> dict:
+        """The Chrome-trace dict of one complete event (no context merged)."""
+        dur = (end - start) * 1e6
+        event = {
+            "name": name,
+            "cat": cat,
+            "ph": _PH_COMPLETE,
+            "ts": (start - self._t0) * 1e6,
+            "dur": dur if dur > 0.0 else 0.0,
+            "tid": tid,
+            "pid": self.pid,
+        }
+        if args:
+            event["args"] = args
+        return event
+
+    def _expand(self, record: tuple) -> dict:
+        """The Chrome-trace dict of one compact :meth:`tuple_event` record."""
+        stage, source, timestamp, clock, ctx, extra = record
+        event = self._tuple_event(stage, source, timestamp, clock)
+        if extra:
+            event["args"] = {**extra, **event["args"]}
+        if ctx is not None:
+            event["args"] = {**ctx, **event["args"]}
+        return event
 
     def counter(self, name: str, value: float, tid: int = 0, **labels) -> None:
         """Record one sample of a numeric series (rendered as a track)."""
@@ -338,17 +400,35 @@ class Tracer:
     # Introspection & export
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._events)
+        return self._held
 
     @property
     def dropped(self) -> int:
         """Events evicted by the ring buffer since construction."""
-        return self.emitted - len(self._events)
+        return self.emitted - self._held
 
     def events(self) -> list[dict]:
-        """The retained events, oldest first (copies the ring buffer)."""
+        """The retained events, oldest first (copies the ring buffer).
+
+        Deferred records are expanded here, on every call.
+        """
         expand = self._expand
-        return [e if type(e) is dict else expand(e) for e in self._events]
+        out: list[dict] = []
+        for e in self._events:
+            kind = type(e)
+            if kind is dict:
+                out.append(e)
+            elif kind is tuple:
+                out.append(expand(e))
+            else:
+                records = e.expand(self._tuple_event, self._complete, e.skip)
+                if len(records) != e.n - e.skip:
+                    raise TraceError(
+                        f"deferred record expanded to {len(records)} events, "
+                        f"not the {e.n - e.skip} it holds"
+                    )
+                out += records
+        return out
 
     def meta_events(self) -> list[dict]:
         """Metadata events naming the process track and anchoring its clock.
@@ -378,6 +458,7 @@ class Tracer:
 
     def clear(self) -> None:
         self._events.clear()
+        self._held = 0
         self.emitted = 0
 
     def to_chrome(self) -> dict:
@@ -440,6 +521,9 @@ class NullTracer(Tracer):
         return None
 
     def tuple_event(self, stage, source, timestamp, **args):
+        return None
+
+    def defer(self, expand, n):
         return None
 
     def counter(self, name, value, tid=0, **labels):

@@ -133,8 +133,10 @@ class TestStaleEntries:
         assert len(core.queues[1]) == 0  # staged, not offered
         offered = []
         core.flush(offered)
-        assert [(s, depth, len(batch)) for s, depth, batch in offered] == [
-            ("S", 0, 2)  # one batch per source
+        assert [
+            (s, depth, len(batch), shed) for s, depth, batch, shed in offered
+        ] == [
+            ("S", 0, 2, 0)  # one batch per source; nothing shed
         ]
         assert len(core.queues[1]) == 2
         assert core.drain() == 2

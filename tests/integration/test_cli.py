@@ -106,6 +106,28 @@ class TestCli:
         assert "pipeline_phase_seconds_bucket" in prom
         assert "triage_drops_total" in prom
 
+    def test_trace_builds_its_chrome_document_once(self, tmp_path, monkeypatch):
+        import json
+
+        from repro.obs.trace import Tracer
+
+        built = []
+        to_chrome = Tracer.to_chrome
+
+        def spy(tracer):
+            built.append(to_chrome(tracer))
+            return built[-1]
+
+        monkeypatch.setattr(Tracer, "to_chrome", spy)
+        trace_path = tmp_path / "trace.json"
+        code, _ = run_cli(
+            ["trace", "--quick", "--peak", "4500", "--out", str(trace_path)]
+        )
+        assert code == 0
+        # The validated document is the one written, in Tracer.write's bytes.
+        assert len(built) == 1
+        assert trace_path.read_text() == json.dumps(built[0], indent=1) + "\n"
+
     def test_trace_jsonl_format(self, tmp_path):
         import json
 
