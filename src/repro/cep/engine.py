@@ -29,14 +29,10 @@ The fast path (behaviour-preserving; every structure below produces the
 byte-identical match stream of the naive scan-everything engine):
 
 * **Compiled predicates** — step predicates are lowered through
-  :func:`repro.perf.vector.compile_scalar` against the env schema; any
-  :class:`~repro.perf.vector.CompileError` leaves that predicate on the
-  interpreted ``Expression.bind`` closure (the executor's permanent
-  fallback idiom) and is counted: ``PatternEngine.predicates_interpreted``
-  / ``prefilters_skipped`` per engine, ``cep_predicate_fallback_total
-  {reason}`` / ``cep_prefilter_skipped_total`` in
-  :func:`repro.obs.metrics.global_registry`.  ``compiled=False`` forces
-  the interpreted path (a choice, so not counted).
+  :func:`repro.perf.vector.compile_scalar` against the env schema, and
+  each step's local predicates into one vector pre-filter; a predicate or
+  pre-filter the compiler refuses raises its
+  :class:`~repro.perf.vector.CompileError` when the engine is built.
 * **Stream/key-indexed run scheduling** — each run is indexed under one
   *token* per step it could consume next: ``(stream, None, None)`` when no
   usable key constraint exists, else ``(stream, row_pos, key_value)`` from
@@ -61,12 +57,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable
 
-from repro.engine.expressions import BinaryOp, is_equijoin_conjunct
+from repro.engine.expressions import conjoin, is_equijoin_conjunct
 from repro.engine.types import StreamTuple
-from repro.obs.metrics import global_registry
-from repro.perf.vector import CompileError, compile_filter_vector, compile_scalar
+from repro.perf.vector import compile_filter_vector, compile_scalar
 from repro.sql.binder import BoundPattern
 
 
@@ -96,62 +90,28 @@ class _CompiledStep:
         "env_offset",
         "width",
         "predicates",
-        "interpreted",
         "key_link",
         "local_rows",
-        "prefilter_skipped",
     )
 
-    def __init__(self, bound_step, pattern: "BoundPattern", compiled: bool) -> None:
+    def __init__(self, bound_step, pattern: "BoundPattern") -> None:
         self.variable = bound_step.variable
         self.stream = bound_step.stream_name
         self.kleene = bound_step.kleene
         self.env_offset = bound_step.env_offset
         self.width = len(bound_step.schema)
-        self.predicates = []
-        #: Predicates the compiler refused, left on the interpreted closure.
-        self.interpreted = 0
-        for pred in bound_step.predicates:
-            fn = _compile_pred(pred, pattern) if compiled else None
-            if fn is None:
-                fn = pred.bind(pattern.env_schema)
-                if compiled:
-                    self.interpreted += 1
-            self.predicates.append(fn)
+        self.predicates = [
+            compile_scalar(pred, pattern.env_schema)
+            for pred in bound_step.predicates
+        ]
         self.key_link = _find_key_link(bound_step, pattern)
         # Vectorized run-independent pre-filter over this step's own stream
         # schema (the batch path evaluates it against raw candidate rows,
-        # not the env).  None means "cannot pre-filter at this step".
-        self.local_rows = None
-        self.prefilter_skipped = False
-        local = getattr(bound_step, "local_predicates", ())
-        if compiled and local:
-            expr = local[0]
-            for p in local[1:]:
-                expr = BinaryOp("AND", expr, p)
-            try:
-                self.local_rows = compile_filter_vector(expr, bound_step.schema)
-            except CompileError:
-                self.prefilter_skipped = True
-                global_registry().counter(
-                    "cep_prefilter_skipped_total",
-                    "Pattern steps whose vectorized local pre-filter "
-                    "failed to compile",
-                ).inc()
-
-
-def _compile_pred(pred, pattern: BoundPattern) -> "Callable | None":
-    """Compile one predicate; None (counted) when the compiler refuses it."""
-    try:
-        return compile_scalar(pred, pattern.env_schema)
-    except CompileError as exc:
-        global_registry().counter(
-            "cep_predicate_fallback_total",
-            "Pattern step predicates run interpreted because "
-            "compilation failed",
-            ("reason",),
-        ).inc(reason=type(exc).__name__)
-        return None
+        # not the env).  None means "no local predicate at this step".
+        local = conjoin(list(bound_step.local_predicates))
+        self.local_rows = (
+            None if local is None else compile_filter_vector(local, bound_step.schema)
+        )
 
 
 class _Run:
@@ -221,7 +181,6 @@ class PatternEngine:
         max_runs: int = 1024,
         utility=None,
         audit=None,
-        compiled: bool = True,
     ) -> None:
         if max_runs < 1:
             raise ValueError(f"max_runs must be >= 1, got {max_runs}")
@@ -232,16 +191,8 @@ class PatternEngine:
         #: partial-match evict (``cep_evict``) with the retired run's
         #: utility score.
         self.audit = audit
-        #: False pins every predicate on the interpreted closures (and
-        #: disables the vectorized batch pre-filter) — the permanent
-        #: fallback, also useful to A/B the compiled path's byte-identity.
-        self.compiled = compiled
         self.stats = EngineStats()
-        self._steps = [_CompiledStep(s, pattern, compiled) for s in pattern.steps]
-        #: Compile fallbacks taken building the steps (none are possible
-        #: under ``compiled=False``: that path is chosen, not fallen to).
-        self.predicates_interpreted = sum(st.interpreted for st in self._steps)
-        self.prefilters_skipped = sum(st.prefilter_skipped for st in self._steps)
+        self._steps = [_CompiledStep(s, pattern) for s in pattern.steps]
         self._within = pattern.within
         self._env_len = len(pattern.env_schema)
         self._runs: dict[int, _Run] = {}

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.algebra.multiset import Multiset
-from repro.engine.expressions import ColumnRef
-from repro.engine.operators import AggregateSpec
+from repro.engine.expressions import AggregateSpec, ColumnRef
 from repro.engine.types import Schema
 from repro.rewrite.plan import RewriteError, SPJPlan
 from repro.synopses.base import Synopsis

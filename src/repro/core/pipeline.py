@@ -250,7 +250,10 @@ class DataTriagePipeline:
         self.merge_spec = (
             MergeSpec.from_plan(self.plan) if query.is_aggregate else None
         )
-        self.executor = QueryExecutor(catalog, compiled=config.compiled_plans)
+        self.executor = QueryExecutor(catalog)
+        # Compile now: a query the compiler refuses fails here, when the
+        # pipeline (or the server around it) is built, not at a window close.
+        self.executor.plan(self.bound)
         self._domains = {k.lower(): v for k, v in (domains or {}).items()}
         self._dims: dict[str, list[Dimension]] = {}
         self._dim_positions: dict[str, list[int]] = {}

@@ -58,10 +58,6 @@ class PipelineConfig:
     #: seconds of backlog staleness; ``queue_capacity`` becomes the initial
     #: size.  None (default) keeps the paper's fixed-capacity behaviour.
     adaptive_staleness: float | None = None
-    #: Use code-generated query plans (:mod:`repro.perf.compile`) for
-    #: window evaluation; queries the compiler cannot express fall back to
-    #: the interpreted executor automatically.
-    compiled_plans: bool = True
 
     def __post_init__(self) -> None:
         if self.service_time <= 0:

@@ -1,22 +1,22 @@
 """The mini continuous-query engine (TelegraphCQ stand-in).
 
-Schemas and stream tuples, scalar expressions, physical operators, time
-windows, an object-relational UDF/UDT registry, a catalog, and a
-window-at-a-time executor.  The Data Triage layer sits entirely *outside*
-this engine, exactly as the paper's implementation sits outside the
-TelegraphCQ core.
+Schemas and stream tuples, scalar expressions, time windows, an
+object-relational UDF/UDT registry, a catalog, and a window-at-a-time
+executor that runs every query as a compiled plan.  The Data Triage layer
+sits entirely *outside* this engine, exactly as the paper's implementation
+sits outside the TelegraphCQ core.
 """
 
 from repro.engine.catalog import SYNOPSIS_STREAM_SCHEMA, Catalog, CatalogError, StreamDef
 from repro.engine.executor import (
     ContinuousQuery,
-    ExecutionError,
     QueryExecutor,
     QueryResult,
     WindowResult,
 )
 from repro.engine.explain import explain
 from repro.engine.expressions import (
+    AggregateSpec,
     BinaryOp,
     ColumnRef,
     Expression,
@@ -26,17 +26,6 @@ from repro.engine.expressions import (
     UnaryOp,
     conjoin,
     conjuncts,
-)
-from repro.engine.operators import (
-    AggregateSpec,
-    Filter,
-    HashAggregate,
-    HashJoin,
-    NestedLoopJoin,
-    PhysicalOperator,
-    Project,
-    Scan,
-    UnionAll,
 )
 from repro.engine.types import (
     Column,
@@ -55,7 +44,6 @@ __all__ = [
     "StreamDef",
     "SYNOPSIS_STREAM_SCHEMA",
     "ContinuousQuery",
-    "ExecutionError",
     "QueryExecutor",
     "QueryResult",
     "WindowResult",
@@ -69,14 +57,6 @@ __all__ = [
     "conjoin",
     "conjuncts",
     "AggregateSpec",
-    "Filter",
-    "HashAggregate",
-    "HashJoin",
-    "NestedLoopJoin",
-    "PhysicalOperator",
-    "Project",
-    "Scan",
-    "UnionAll",
     "Column",
     "ColumnType",
     "Schema",

@@ -14,28 +14,13 @@ query of Figure 7.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from repro.algebra.multiset import Multiset
 from repro.engine.catalog import Catalog
-from repro.engine.expressions import ColumnRef, Expression, conjoin
-from repro.engine.operators import (
-    Filter,
-    HashAggregate,
-    HashJoin,
-    NestedLoopJoin,
-    PhysicalOperator,
-    Project,
-    Scan,
-    UnionAll,
-)
 from repro.engine.types import Column, Schema, StreamTuple
 from repro.engine.window import WindowSpec, assign_windows
-
-
-class ExecutionError(RuntimeError):
-    """Raised when a query cannot be planned or executed."""
 
 
 @dataclass(frozen=True)
@@ -44,9 +29,9 @@ class JoinStep:
 
     ``keys_left``/``keys_right`` are qualified column names; empty key lists
     mean a cross product (disconnected query graph).  The schedule depends
-    only on the bound query — not on window contents — so the interpreted
-    executor and the compiled planner (:mod:`repro.perf.compile`) share it
-    and are guaranteed to build identical join trees.
+    only on the bound query — not on window contents — so the compiled
+    planner (:mod:`repro.perf.compile`) builds its join tree from it once
+    per query, and the reference tree in ``tests/oracle/`` builds the same.
     """
 
     source: str
@@ -130,40 +115,30 @@ class QueryResult:
 class QueryExecutor:
     """Executes bound queries over per-window input bags.
 
-    Two execution modes share one planner:
+    On first execution of a bound query the plan is lowered *once* into a
+    content-free operator tree whose expressions are generated whole-column
+    kernels (:mod:`repro.perf.compile`).  The tree has one execution face,
+    ``batch(inputs)``: every later window re-binds the leaf scans to its
+    input bags by calling it, with no per-window plan construction and no
+    per-row ``Evaluator`` dispatch.  Plans are cached per executor, keyed on
+    (query identity, source-schema fingerprint).
 
-    * **compiled** (default) — on first execution of a bound query, the
-      plan is lowered *once* into a content-free operator tree whose
-      expressions are generated whole-column kernels
-      (:mod:`repro.perf.compile`).  The tree has one execution face,
-      ``batch(inputs)``: subsequent windows re-bind the leaf scans to the
-      new input bags by calling it, skipping per-window plan construction
-      and per-row ``Evaluator`` dispatch.  Compiled plans are cached per
-      executor, keyed on (query identity, source-schema fingerprint).
-    * **interpreted** — the original per-window plan instantiation.  It is
-      the reference semantics; any query the compiler cannot handle runs
-      here instead.  The failure is remembered with its reason (the
-      compile is not retried every window) and counted once per query as
-      ``plan_compile_fallback_total{reason=<ExcType>}`` in
-      :func:`repro.obs.metrics.global_registry`; EXPLAIN ANALYZE prints it.
+    A query the compiler refuses raises its error, an
+    :class:`~repro.engine.expressions.ExpressionError` such as ``unknown
+    function 'twice'``.  Nothing is cached for it, so the next call
+    compiles afresh (a function registered in between is then found).
     """
 
     #: Compiled-plan cache entries kept per executor before eviction.
     PLAN_CACHE_SIZE = 64
 
-    def __init__(self, catalog: Catalog, *, compiled: bool = True) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.compiled = compiled
         self._functions = catalog.functions
-        # key -> (bound, CompiledQuery | None, reason | None); the bound
-        # reference keeps id(bound) stable for the lifetime of the entry,
-        # None marks a query that failed to compile (permanent interpreted
-        # fallback) and ``reason`` says why ("<ExcType>: <msg>").
-        self._plan_cache: dict[tuple, tuple[object, object, str | None]] = {}
+        # key -> (bound, plan); the bound reference keeps id(bound) stable
+        # for the lifetime of the entry.
+        self._plan_cache: dict[tuple, tuple[object, object]] = {}
 
-    # ------------------------------------------------------------------
-    # Compiled mode
-    # ------------------------------------------------------------------
     @staticmethod
     def _plan_key(bound) -> tuple:
         """Cache key: query identity + a fingerprint of its source schemas."""
@@ -178,164 +153,27 @@ class QueryExecutor:
         )
         return (id(bound), fingerprint)
 
-    def _compiled_plan(self, bound):
-        """The cached compiled plan for ``bound`` (None: interpreted fallback)."""
+    def plan(self, bound):
+        """The compiled plan for ``bound`` (BoundQuery or BoundUnion), cached."""
         key = self._plan_key(bound)
         entry = self._plan_cache.get(key)
         if entry is not None:
             return entry[1]
-        reason = None
-        try:
-            from repro.perf.compile import compile_query
+        from repro.perf.compile import compile_query
 
-            plan = compile_query(bound, self._functions)
-        except Exception as exc:
-            # Anything the compiler cannot express runs interpreted; a
-            # genuinely invalid query will raise its real error there.
-            from repro.obs.metrics import global_registry
-
-            plan = None
-            reason = f"{type(exc).__name__}: {exc}"
-            global_registry().counter(
-                "plan_compile_fallback_total",
-                "Queries run interpreted because plan compilation failed",
-                ("reason",),
-            ).inc(reason=type(exc).__name__)
+        plan = compile_query(bound, self._functions)
         if len(self._plan_cache) >= self.PLAN_CACHE_SIZE:
             self._plan_cache.clear()
-        self._plan_cache[key] = (bound, plan, reason)
+        self._plan_cache[key] = (bound, plan)
         return plan
 
-    def _fallback_reason(self, bound) -> str | None:
-        """Why ``bound`` runs interpreted on a compiled executor, if it does."""
-        entry = self._plan_cache.get(self._plan_key(bound))
-        return entry[2] if entry is not None else None
-
-    # ------------------------------------------------------------------
     def execute(self, bound, inputs: dict[str, Multiset]) -> QueryResult:
         """Run ``bound`` (BoundQuery or BoundUnion) over ``inputs``.
 
         ``inputs`` maps *stream names* (not aliases) to the window's rows.
         Streams missing from ``inputs`` are treated as empty.
         """
-        if self.compiled:
-            plan = self._compiled_plan(bound)
-            if plan is not None:
-                return plan.execute(inputs)
-        return self.execute_interpreted(bound, inputs)
-
-    def execute_interpreted(
-        self, bound, inputs: dict[str, Multiset]
-    ) -> QueryResult:
-        """The reference per-window interpreted path (always available)."""
-        from repro.sql.binder import BoundQuery, BoundUnion
-
-        if isinstance(bound, BoundUnion):
-            results = [self.execute_interpreted(q, inputs) for q in bound.queries]
-            rows = Multiset()
-            for r in results:
-                rows = rows + r.rows
-            return QueryResult(rows=rows, schema=results[0].schema)
-        if not isinstance(bound, BoundQuery):
-            raise ExecutionError(f"cannot execute {type(bound).__name__}")
-        plan = self._plan(bound, inputs)
-        if not bound.order_by and bound.limit is None:
-            return QueryResult(rows=plan.to_multiset(), schema=plan.schema)
-        rows = list(plan)
-        if bound.order_by:
-            rows = _order_rows(rows, plan.schema, bound.order_by, self._functions)
-        if bound.limit is not None:
-            rows = rows[: bound.limit]
-        return QueryResult(
-            rows=Multiset(rows), schema=plan.schema, ordered_rows=rows
-        )
-
-    # ------------------------------------------------------------------
-    # Planning
-    # ------------------------------------------------------------------
-    def _plan(self, bound, inputs: dict[str, Multiset]) -> PhysicalOperator:
-        per_source = {
-            src.name: self._plan_source(src, inputs) for src in bound.sources
-        }
-        # Local selections first (predicate pushdown).
-        for name, preds in bound.local_predicates.items():
-            pred = conjoin(preds)
-            if pred is not None:
-                per_source[name] = Filter(
-                    per_source[name], pred, self._functions
-                )
-
-        joined, joined_names = self._join_sources(bound, per_source)
-
-        residual = conjoin(bound.residual_predicates)
-        if residual is not None:
-            joined = Filter(joined, residual, self._functions)
-
-        if bound.is_aggregate:
-            op: PhysicalOperator = HashAggregate(
-                joined, bound.group_by, bound.aggregates, self._functions
-            )
-            if bound.having is not None:
-                # HAVING sees the aggregate's output row (group keys +
-                # aggregate values addressed by their output names).
-                op = Filter(op, bound.having, self._functions)
-        elif bound.select_star:
-            op = joined
-        else:
-            op = Project(joined, bound.outputs, self._functions)
-
-        if bound.distinct:
-            op = _Distinct(op)
-        return op
-
-    def _plan_source(self, src, inputs: dict[str, Multiset]) -> PhysicalOperator:
-        """Scan a base stream (qualifying its columns) or execute a subquery."""
-        if src.subquery is not None:
-            result = self.execute_interpreted(src.subquery, inputs)
-            # A derived table's output columns are bare names in SQL: strip
-            # the inner qualifiers (when unambiguous) before re-qualifying
-            # with this source's alias.
-            schema = _qualify(_dequalify(result.schema), src.name)
-            return Scan(result.rows, schema)
-        rows = inputs.get(src.stream_name.lower(), None)
-        if rows is None:
-            rows = inputs.get(src.stream_name, Multiset())
-        return Scan(rows, _qualify(src.schema, src.name))
-
-    def _join_sources(self, bound, per_source: dict[str, PhysicalOperator]):
-        """Left-deep join tree following the shared greedy schedule."""
-        order = [src.name for src in bound.sources]
-        current = per_source[order[0]]
-        joined_names = {order[0]}
-        for step in join_schedule(bound):
-            if step.is_cross:
-                current = NestedLoopJoin(
-                    current, per_source[step.source], None, self._functions
-                )
-            else:
-                current = HashJoin(
-                    current,
-                    per_source[step.source],
-                    list(step.keys_left),
-                    list(step.keys_right),
-                )
-            joined_names.add(step.source)
-        return current, joined_names
-
-
-class _Distinct(PhysicalOperator):
-    """Duplicate elimination (SELECT DISTINCT)."""
-
-    def __init__(self, child: PhysicalOperator) -> None:
-        self.child = child
-        self.schema = child.schema
-
-    def __iter__(self):
-        seen: set[tuple] = set()
-        for row in self.child:
-            if row not in seen:
-                seen.add(row)
-                yield row
+        return self.plan(bound).execute(inputs)
 
 
 def _order_rows(rows, schema: Schema, order_by, functions) -> list[tuple]:

@@ -24,8 +24,8 @@ def explain(bound) -> str:
 
 def explain_analyze(executor, bound, inputs) -> str:
     """EXPLAIN ANALYZE: run ``bound`` over ``inputs`` and report per-operator
-    rows, invocations, and wall time for the plan that actually executed
-    (compiled when the executor runs compiled plans, interpreted otherwise).
+    rows, invocations, and wall time for the executor's compiled plan, the
+    one plan every query runs on.
     """
     from repro.obs.explain import profile_execution, render_profile
 
@@ -85,7 +85,7 @@ def _explain_joins(bound, out: io.StringIO, indent: int) -> None:
     if len(order) == 1:
         _explain_source(bound, order[0], out, indent)
         return
-    # Reconstruct the join sequence exactly as QueryExecutor._join_sources.
+    # Reconstruct the join sequence exactly as executor.join_schedule does.
     pending = list(bound.join_predicates)
     joined = {order[0]}
     steps: list[tuple[str, list[str]]] = []

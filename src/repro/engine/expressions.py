@@ -4,8 +4,10 @@ Expressions appear in SELECT lists, WHERE clauses, and (after the Data Triage
 rewrite) as calls to object-relational synopsis functions.  An expression is
 *bound* against a :class:`~repro.engine.types.Schema` to produce a compiled
 closure ``row -> value``; binding resolves column names to positions once so
-per-row evaluation is cheap — the moral equivalent of plan-time expression
-compilation in a real engine.
+per-row evaluation is cheap.  The plan compiler (:mod:`repro.perf.compile`)
+lowers the same trees into whole-column kernels; :class:`AggregateSpec` and
+:func:`_infer_type` are the aggregate and output-typing rules that the
+binder, the compiler and the merge step share.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.types import Schema, SchemaError
+from repro.engine.types import ColumnType, Schema, SchemaError
 
 Evaluator = Callable[[tuple], Any]
 
@@ -272,3 +274,36 @@ def is_equijoin_conjunct(expr: Expression) -> tuple[ColumnRef, ColumnRef] | None
     ):
         return (expr.left, expr.right)
     return None
+
+
+def _infer_type(expr: Expression, schema: Schema) -> ColumnType:
+    """Best-effort output typing; falls back to FLOAT for computed values."""
+    if isinstance(expr, ColumnRef):
+        for candidate in ((expr.qualified,) if expr.table else ()) + (expr.name,):
+            if candidate in schema:
+                return schema.column(candidate).type
+    if isinstance(expr, Literal):
+        for t in (ColumnType.BOOLEAN, ColumnType.INTEGER, ColumnType.FLOAT, ColumnType.TEXT):
+            if expr.value is not None and t.validate(expr.value):
+                return t
+    return ColumnType.FLOAT
+
+
+@dataclass(frozen=True)
+class AggregateSpec:
+    """One aggregate in a GROUP BY query: function, argument, output name.
+
+    ``argument is None`` means ``COUNT(*)``.
+    """
+
+    function: str  # count | sum | avg | min | max
+    argument: Expression | None
+    output_name: str
+
+    SUPPORTED = ("count", "sum", "avg", "min", "max")
+
+    def __post_init__(self) -> None:
+        if self.function.lower() not in self.SUPPORTED:
+            raise ValueError(f"unsupported aggregate {self.function!r}")
+        if self.argument is None and self.function.lower() != "count":
+            raise ValueError(f"{self.function}(*) is not valid SQL")

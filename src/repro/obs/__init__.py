@@ -6,8 +6,8 @@ One package gathers the four concerns every other layer reports through:
   (counters/gauges/histograms with Prometheus text export);
 * :mod:`repro.obs.trace` — span + tuple-lifecycle tracing into a bounded
   ring buffer, exportable as Chrome-trace JSON (Perfetto) or JSON lines;
-* :mod:`repro.obs.explain` — per-operator EXPLAIN ANALYZE for both
-  executor modes (loaded lazily);
+* :mod:`repro.obs.explain` — per-operator EXPLAIN ANALYZE of the
+  executor's compiled plan (loaded lazily);
 * :mod:`repro.obs.report` — per-window accuracy/latency accounting
   (loaded lazily: it pulls in :mod:`repro.quality`, which imports the
   core pipeline — eager import here would be circular, since the pipeline

@@ -1,31 +1,22 @@
-"""Per-operator profiling: EXPLAIN ANALYZE for both execution modes.
+"""Per-operator profiling: EXPLAIN ANALYZE for the compiled plan.
 
 :func:`profile_execution` runs a bound query over one window's inputs and
 returns the result together with an :class:`OperatorProfile` tree — rows
-out, invocations, and inclusive wall time per plan node — for either
-executor mode:
-
-* **compiled** — the cached :class:`~repro.perf.compile.CompiledNode` tree
-  is *never mutated* (it is shared across windows and cached per executor);
-  instead each node is shallow-copied and its child links are replaced with
-  counting proxies, so the profiled tree is a throwaway parallel structure.
-  A proxy brackets the node's one execution face, ``batch(inputs)``, with
-  a single clock pair;
-* **interpreted** — the physical plan is built fresh for the call (exactly
-  as :meth:`~repro.engine.executor.QueryExecutor.execute_interpreted`
-  does per window) and each operator's iterator is wrapped in a
-  per-``next()`` clock.  When the executor runs compiled but the query
-  fell back, the report carries the reason.
+out, invocations, and inclusive wall time per plan node.  The executor's
+cached :class:`~repro.perf.compile.CompiledNode` tree is *never mutated*
+(it is shared across windows); instead each node is shallow-copied and its
+child links are replaced with counting proxies, so the profiled tree is a
+throwaway parallel structure.  A proxy brackets the node's one execution
+face, ``batch(inputs)``, with a single clock pair.
 
 Timing is *inclusive*: a node's seconds cover everything spent producing
 its rows, children included — the same convention as PostgreSQL's
 ``EXPLAIN ANALYZE`` actual-time column.  :func:`render_profile` derives the
 exclusive ("self") share by subtracting the children.
 
-Profiling adds clock reads (one pair per compiled node, one per interpreted
-``next()``), so a profiled execution is slower than a plain one; use it to
-find *where* time goes, and the repo benchmark (``benchmarks/e2e/run.py``)
-to measure *how fast* the plain path is.
+Profiling adds one clock pair per node, so a profiled execution is slower
+than a plain one; use it to find *where* time goes, and the repo benchmark
+(``benchmarks/e2e/run.py``) to measure *how fast* the plain path is.
 """
 
 from __future__ import annotations
@@ -35,8 +26,7 @@ import io
 import time
 from dataclasses import dataclass, field
 
-from repro.algebra.multiset import Multiset
-from repro.engine.executor import QueryResult, _order_rows
+from repro.engine.executor import QueryResult
 
 __all__ = ["OperatorProfile", "ProfileReport", "profile_execution", "render_profile"]
 
@@ -86,13 +76,10 @@ class OperatorProfile:
 
 @dataclass
 class ProfileReport:
-    """One profiled execution: the window result, the tree, and the mode."""
+    """One profiled execution: the window result and the operator tree."""
 
     result: QueryResult
     root: OperatorProfile
-    mode: str  # "compiled" | "interpreted"
-    #: Why a compiled executor ran this query interpreted ("<ExcType>: <msg>").
-    fallback: str | None = None
 
     @property
     def seconds(self) -> float:
@@ -103,37 +90,6 @@ class ProfileReport:
 # Counting proxies
 # ---------------------------------------------------------------------------
 _CLOCK = time.perf_counter
-
-
-class _ProfiledIter:
-    """Wraps an iterable: counts rows and charges pull time to ``prof``.
-
-    The clock brackets each ``next()`` on the wrapped iterator, so a node is
-    charged for its own work *and* its subtree's — inclusive time.  Children
-    are themselves wrapped, so the exclusive share falls out by subtraction.
-    """
-
-    __slots__ = ("_inner", "_prof")
-
-    def __init__(self, inner, prof: OperatorProfile) -> None:
-        self._inner = inner
-        self._prof = prof
-
-    def __iter__(self):
-        prof = self._prof
-        prof.invocations += 1
-        it = iter(self._inner)
-        clock = _CLOCK
-        while True:
-            t0 = clock()
-            try:
-                row = next(it)
-            except StopIteration:
-                prof.seconds += clock() - t0
-                return
-            prof.seconds += clock() - t0
-            prof.rows_out += 1
-            yield row
 
 
 class _CompiledProxy:
@@ -193,21 +149,13 @@ class _CompiledJoinProxy(_CompiledProxy):
 # Node labelling
 # ---------------------------------------------------------------------------
 _NODE_NAMES = {
-    "Scan": "Scan",
     "_CScan": "Scan",
-    "Filter": "Filter",
     "_CFilter": "Filter",
-    "Project": "Project",
     "_CProject": "Project",
-    "HashJoin": "HashJoin",
     "_CHashJoin": "HashJoin",
-    "NestedLoopJoin": "NestedLoopJoin",
     "_CNestedLoop": "NestedLoopJoin",
-    "HashAggregate": "HashAggregate",
     "_CAggregate": "HashAggregate",
-    "_Distinct": "Distinct",
     "_CDistinct": "Distinct",
-    "UnionAll": "UnionAll",
     "_CSubquery": "Subquery",
 }
 
@@ -217,8 +165,7 @@ def _label(node) -> tuple[str, str]:
     name = _NODE_NAMES.get(cls, cls)
     detail = ""
     if name == "Scan":
-        key = getattr(node, "key", None)  # compiled scans carry the stream
-        detail = key if key else ""
+        detail = node.key  # the scanned stream
     return name, detail
 
 
@@ -268,57 +215,21 @@ def _wrap_compiled_plan(plan) -> tuple[object, OperatorProfile]:
 
 
 # ---------------------------------------------------------------------------
-# Interpreted-tree wrapping
-# ---------------------------------------------------------------------------
-def _wrap_physical(node) -> tuple[_ProfiledIter, OperatorProfile]:
-    name, detail = _label(node)
-    prof = OperatorProfile(name=name, detail=detail)
-    clone = copy.copy(node)
-    for attr in ("child", "left", "right"):
-        child = getattr(node, attr, None)
-        if child is not None:
-            proxy, child_prof = _wrap_physical(child)
-            setattr(clone, attr, proxy)
-            prof.children.append(child_prof)
-    children = getattr(node, "children", None)
-    if children is not None:  # UnionAll
-        wrapped = []
-        for child in children:
-            proxy, child_prof = _wrap_physical(child)
-            wrapped.append(proxy)
-            prof.children.append(child_prof)
-        clone.children = wrapped
-    return _ProfiledIter(clone, prof), prof
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 def profile_execution(executor, bound, inputs) -> ProfileReport:
     """Run ``bound`` over ``inputs`` with per-operator counters.
 
-    Takes the same path :meth:`QueryExecutor.execute` would — the cached
-    compiled plan when the executor runs compiled and the query compiled
-    successfully, the interpreted plan otherwise — so the profile describes
-    the plan that actually runs in production, and the returned result is
-    identical to an unprofiled execution.
+    Profiles the executor's own cached plan (:meth:`QueryExecutor.plan`),
+    so the profile describes the plan that runs in production, and the
+    returned result is identical to an unprofiled execution.
     """
-    if executor.compiled:
-        plan = executor._compiled_plan(bound)
-        if plan is not None:
-            wrapped, root = _wrap_compiled_plan(plan)
-            t0 = _CLOCK()
-            result = wrapped.execute(inputs)
-            elapsed = _CLOCK() - t0
-            _finish_synthetic(root, result, elapsed)
-            return ProfileReport(result=result, root=root, mode="compiled")
-    result, root = _profile_interpreted(executor, bound, inputs)
-    return ProfileReport(
-        result=result,
-        root=root,
-        mode="interpreted",
-        fallback=executor._fallback_reason(bound),
-    )
+    wrapped, root = _wrap_compiled_plan(executor.plan(bound))
+    t0 = _CLOCK()
+    result = wrapped.execute(inputs)
+    elapsed = _CLOCK() - t0
+    _finish_synthetic(root, result, elapsed)
+    return ProfileReport(result=result, root=root)
 
 
 def _finish_synthetic(prof: OperatorProfile, result: QueryResult, elapsed: float) -> None:
@@ -326,40 +237,6 @@ def _finish_synthetic(prof: OperatorProfile, result: QueryResult, elapsed: float
     if prof.name == "UnionAll" and prof.rows_out == 0:
         prof.rows_out = len(result.rows)
         prof.seconds = elapsed
-
-
-def _profile_interpreted(executor, bound, inputs) -> tuple[QueryResult, OperatorProfile]:
-    from repro.sql.binder import BoundQuery, BoundUnion
-
-    if isinstance(bound, BoundUnion):
-        prof = OperatorProfile(name="UnionAll", invocations=1)
-        rows = Multiset()
-        schema = None
-        t0 = _CLOCK()
-        for q in bound.queries:
-            r, arm = _profile_interpreted(executor, q, inputs)
-            prof.children.append(arm)
-            rows = rows + r.rows
-            schema = schema or r.schema
-        prof.seconds = _CLOCK() - t0
-        prof.rows_out = len(rows)
-        return QueryResult(rows=rows, schema=schema), prof
-    if not isinstance(bound, BoundQuery):
-        raise TypeError(f"cannot profile {type(bound).__name__}")
-    plan = executor._plan(bound, inputs)
-    proxy, prof = _wrap_physical(plan)
-    # Replicate execute_interpreted's tail over the wrapped tree.
-    if not bound.order_by and bound.limit is None:
-        return QueryResult(rows=Multiset(iter(proxy)), schema=plan.schema), prof
-    rows = list(proxy)
-    if bound.order_by:
-        rows = _order_rows(rows, plan.schema, bound.order_by, executor._functions)
-    if bound.limit is not None:
-        rows = rows[: bound.limit]
-    return (
-        QueryResult(rows=Multiset(rows), schema=plan.schema, ordered_rows=rows),
-        prof,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +249,7 @@ def _fmt_ms(seconds: float) -> str:
 def render_profile(report: ProfileReport) -> str:
     """EXPLAIN ANALYZE text: the profiled tree plus a totals line."""
     out = io.StringIO()
-    why = f"; fallback: {report.fallback}" if report.fallback else ""
-    out.write(f"EXPLAIN ANALYZE ({report.mode}{why})\n")
+    out.write("EXPLAIN ANALYZE (compiled)\n")
 
     def render(prof: OperatorProfile, indent: int) -> None:
         label = prof.name + (f" {prof.detail}" if prof.detail else "")

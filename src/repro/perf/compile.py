@@ -1,10 +1,10 @@
-"""Code-generated query plans: the engine hot path without interpretation.
+"""Code-generated query plans: the engine's one executor.
 
-The interpreted executor (:mod:`repro.engine.executor`) pays two per-window
-costs the paper's overhead budget (Section 6, Figure 6) cannot ignore: the
-physical plan tree is re-instantiated for every window, and every expression
-evaluates through a tree of nested ``Evaluator`` closures — one Python call
-per operator node per row.
+A plan built per window and evaluated through a tree of nested
+``Evaluator`` closures pays two costs the paper's overhead budget
+(Section 6, Figure 6) cannot ignore: the physical plan tree is
+re-instantiated for every window, and every expression costs one Python
+call per operator node per row.
 
 This module removes both.  :func:`compile_query` lowers a bound query into
 **a reusable operator tree** whose nodes hold positions and vector kernels
@@ -16,23 +16,23 @@ rebuilt, and every operator consumes and produces whole row lists —
 filters gather by index vector, joins extend one output list, COUNT(*)
 over a join counts fan-out without materializing the join.
 
-Semantics are the interpreted path's, verbatim: SQL three-valued logic with
-both operands always evaluated (no short-circuit, so error behaviour
-matches), identical join order (the shared
+Semantics are the textbook operator tree's, verbatim: SQL three-valued
+logic with both operands always evaluated (no short-circuit, so error
+behaviour matches ``Expression.bind``), one join order (the shared
 :func:`repro.engine.executor.join_schedule`), identical schema derivation,
-identical NULL handling in joins and aggregates, and identical row *order*
-(probe order, group first-occurrence order — ``LIMIT`` without ``ORDER BY``
-sees it).  The equivalence test suite
-(``tests/engine/test_compiled_equivalence.py``) holds the two paths
-result-identical over the paper workloads and a randomized SPJ corpus.
+identical NULL handling in joins and aggregates, and a defined row *order*
+(probe order, group first-occurrence order — ``LIMIT`` without ``ORDER
+BY`` sees it).  The equivalence suite
+(``tests/engine/test_compiled_equivalence.py``) holds every plan
+result-identical to the interpreted reference tree kept in
+``tests/oracle/``, over the paper workloads and a randomized SPJ corpus.
 
 Any construct the lowering cannot express raises
-:class:`~repro.perf.vector.CompileError`;
-:class:`~repro.engine.executor.QueryExecutor` then runs that query on the
-interpreter for good and counts the fallback
-(``plan_compile_fallback_total``).
+:class:`~repro.perf.vector.CompileError` (an
+:class:`~repro.engine.expressions.ExpressionError`, with the message
+``Expression.bind`` gives for the same input), and
+:class:`~repro.engine.executor.QueryExecutor` passes it to the caller.
 """
-
 from __future__ import annotations
 
 from collections import Counter
@@ -48,13 +48,13 @@ from repro.engine.executor import (
     _qualify,
     join_schedule,
 )
-from repro.engine.operators import _infer_type
 from repro.engine.expressions import (
     BinaryOp,
     ColumnRef,
     Expression,
     Literal,
     UnaryOp,
+    _infer_type,
     conjoin,
     resolve_column,
 )
@@ -100,12 +100,11 @@ def _pure_key_positions(exprs, schema) -> frozenset | None:
 class CompiledNode:
     """A plan node bound to schemas and vector kernels, re-bindable to inputs.
 
-    Unlike :class:`~repro.engine.operators.PhysicalOperator` (which holds a
-    window's rows), a compiled node is content-free: ``batch(inputs)``
-    binds it to one window's input bags and returns all of its output rows
-    as one list, so the tree is built once per query and reused for every
-    window.  Row order is part of the contract — it is the interpreted
-    operator's iteration order.
+    A compiled node is content-free: ``batch(inputs)`` binds it to one
+    window's input bags and returns all of its output rows as one list, so
+    the tree is built once per query and reused for every window.  Row
+    order is part of the contract — it is the iteration order of the
+    matching pull operator in the reference tree (``tests/oracle/``).
     """
 
     __slots__ = ("schema",)
@@ -200,7 +199,7 @@ class _CHashJoin(CompiledNode):
 
     def batch(self, inputs):
         # Probe order (left rows, then each key's build-side arrival order)
-        # is the interpreted HashJoin's; output rows land in one list via
+        # is the reference HashJoin's; output rows land in one list via
         # extend-with-listcomp instead of per-row generator resumption —
         # the dominant cost of wide joins.
         out: list[tuple] = []
@@ -328,7 +327,7 @@ class _CNestedLoop(CompiledNode):
     def batch(self, inputs):
         right_rows = self.right.batch(inputs)
         # The left side is evaluated even against an empty right side, so
-        # a raising left subtree raises as it does in the interpreter.
+        # a raising left subtree raises as it does in the reference tree.
         left_rows = self.left.batch(inputs)
         out: list[tuple] = []
         if right_rows:
@@ -341,8 +340,8 @@ class _CNestedLoop(CompiledNode):
 class _CAggregate(CompiledNode):
     """GROUP BY + aggregates via one vector key/argument kernel.
 
-    The running-state layout and finalization mirror
-    :class:`~repro.engine.operators.HashAggregate` exactly (totals start at
+    The running-state layout and finalization are the reference
+    ``HashAggregate``'s (``tests/oracle/``) exactly (totals start at
     ``0.0`` so SUM of integers stays float; NULL arguments are skipped by
     everything except ``COUNT(*)``; empty input yields no groups; groups
     come out in first-occurrence order).
@@ -408,7 +407,7 @@ class _CAggregate(CompiledNode):
                 # left-side columns, so count each left row's join fan-out
                 # instead of materializing the concatenated output.  Group
                 # first-occurrence order equals probe order, which is the
-                # order the interpreter first sees each key.
+                # order the reference tree first sees each key.
                 lrows, mult = lmc(inputs)
                 if not lrows:
                     return []
@@ -421,7 +420,7 @@ class _CAggregate(CompiledNode):
             if not rows:
                 return []
             # Counter's C-level counting loop preserves first-occurrence
-            # order, so group order matches the interpreter's.
+            # order, so group order matches the reference tree's.
             return [
                 key + (c,) * n for key, c in Counter(self.vrow_fn(rows)).items()
             ]
@@ -527,7 +526,7 @@ class CompiledUnion:
 
 
 # ---------------------------------------------------------------------------
-# Planning (mirrors QueryExecutor._plan, sharing its schedule + helpers)
+# Planning (one join schedule and schema helpers, shared with EXPLAIN)
 # ---------------------------------------------------------------------------
 def compile_query(bound, functions) -> "CompiledQuery | CompiledUnion":
     """Lower a bound query (or UNION ALL chain) into a compiled plan."""

@@ -1,7 +1,7 @@
 """Expression lowering: one SSA emitter, whole-column kernels for plans.
 
-The interpreted executor evaluates every expression through a tree of
-nested ``Evaluator`` closures — one Python call per operator node per row.
+``Expression.bind`` evaluates an expression through a tree of nested
+``Evaluator`` closures — one Python call per operator node per row.
 :class:`_Emitter` lowers an expression tree into SSA-style statements
 instead (common subexpressions shared, literals folded, SQL three-valued
 logic spelled out with both operands always evaluated), and
@@ -25,7 +25,7 @@ shapes, and hold nothing else:
 (``row -> value``).  No plan node uses it; its one caller is the CEP engine,
 whose step predicates run against one run's environment at a time.
 
-Semantics note: the interpreter evaluates a whole expression for row 1,
+Semantics note: a bound closure evaluates a whole expression for row 1,
 then for row 2, …; a vector kernel evaluates statement 1 for all rows,
 then statement 2, ….  Value results are identical — every statement is a
 pure expression over its inputs, both operands of every operator are
@@ -37,10 +37,10 @@ pinned per-row (``volatile`` statements) so impure functions observe the
 same number of calls.
 
 Any construct the lowering cannot express raises :class:`CompileError`.
-There is no second, slower compiled form to retreat to: the error
-propagates out of :func:`~repro.perf.compile.compile_query` and
-:class:`~repro.engine.executor.QueryExecutor` runs that query on the
-interpreter (and counts the fallback).
+There is no second, slower form to retreat to: the error propagates out
+of :func:`~repro.perf.compile.compile_query` and
+:meth:`~repro.engine.executor.QueryExecutor.execute` to the caller, and
+out of :class:`~repro.cep.engine.PatternEngine` when the engine is built.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ from repro.engine.expressions import (
     BinaryOp,
     ColumnRef,
     Expression,
+    ExpressionError,
     FunctionCall,
     Literal,
     UnaryOp,
@@ -61,8 +62,14 @@ from repro.engine.expressions import (
 from repro.engine.types import Schema
 
 
-class CompileError(RuntimeError):
-    """Raised when a query shape cannot be lowered to generated code."""
+class CompileError(ExpressionError):
+    """Raised when a query shape cannot be lowered to generated code.
+
+    An :class:`~repro.engine.expressions.ExpressionError`: the lowering
+    refuses what ``Expression.bind`` refuses (an unknown operator or
+    function), with the same message, so a caller sees one error type
+    whichever layer found the fault.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +207,7 @@ class _Emitter:
     def _lower_binary(self, expr: BinaryOp) -> str:
         op = expr.op.upper() if expr.op.isalpha() else expr.op
         # Post-order: both operands are materialized before the combiner,
-        # exactly like the interpreted evaluator (no short-circuit — a
+        # exactly like the bound closures (no short-circuit — a
         # raising right operand raises here too).
         a = self.emit(expr.left)
         b = self.emit(expr.right)

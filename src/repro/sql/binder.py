@@ -13,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.engine.catalog import Catalog
+from repro.engine.executor import _dequalify
 from repro.engine.expressions import (
+    AggregateSpec,
     ColumnRef,
     Expression,
     FunctionCall,
@@ -21,7 +23,6 @@ from repro.engine.expressions import (
     conjuncts,
     is_equijoin_conjunct,
 )
-from repro.engine.operators import AggregateSpec
 from repro.engine.types import Column, ColumnType, Schema
 from repro.engine.window import WindowSpec, parse_window_clause
 from repro.sql.ast import (
@@ -310,9 +311,10 @@ class Binder:
     def _bind_source(self, src) -> BoundSource:
         if isinstance(src, SubquerySource):
             bound = self.bind(src.query)
-            schema = _output_schema(bound)
             return BoundSource(
-                name=src.alias or "subquery", schema=schema, subquery=bound
+                name=src.alias or "subquery",
+                schema=_derived_schema(bound),
+                subquery=bound,
             )
         assert isinstance(src, TableRef)
         if self.catalog.has_stream(src.name):
@@ -323,7 +325,7 @@ class Binder:
         if self.catalog.has_view(src.name):
             bound = self.bind(self.catalog.view(src.name))
             return BoundSource(
-                name=src.binding_name, schema=_output_schema(bound), subquery=bound
+                name=src.binding_name, schema=_derived_schema(bound), subquery=bound
             )
         raise BindError(f"unknown stream or view {src.name!r}")
 
@@ -380,6 +382,15 @@ class Binder:
         if aggregates and not group_by:
             # Scalar aggregate (no GROUP BY): single global group.
             pass
+        # Select-list, aggregate-argument and GROUP BY columns name source
+        # columns by the rule WHERE uses, so a bad name fails here, not at
+        # the first window.  HAVING and ORDER BY address output names.
+        for expr in (
+            [e for _, e in outputs]
+            + [spec.argument for spec in aggregates if spec.argument is not None]
+            + [e for _, e in group_by]
+        ):
+            self._sources_of(expr, by_name)
         if aggregates and select_star:
             raise BindError("cannot mix SELECT * with aggregates")
         if not aggregates and stmt.group_by:
@@ -480,6 +491,15 @@ def _as_aggregate(expr: Expression) -> tuple[str, Expression | None] | None:
             raise BindError(f"{name}(*) is not valid SQL")
         return (name, None)
     return (name, arg)
+
+
+def _derived_schema(bound: "BoundQuery | BoundUnion") -> Schema:
+    """A derived table's columns: bare names unless two collide.
+
+    The executor strips inner qualifiers the same way (``_dequalify``), so
+    a name that resolves here resolves in the plan.
+    """
+    return _dequalify(_output_schema(bound))
 
 
 def _output_schema(bound: "BoundQuery | BoundUnion") -> Schema:

@@ -7,7 +7,8 @@ every lifecycle counter) must be identical between
 
 * :meth:`PatternEngine.consume` one event at a time,
 * :meth:`PatternEngine.advance_batch` over arbitrary batch splits, and
-* ``compiled=False`` (the permanent interpreted fallback).
+* a reference engine whose step predicates are interpreted
+  ``Expression.bind`` closures and which has no pre-filter kernels.
 
 The fuzz here exercises Kleene greedy absorption, key constraints, local
 (run-independent) predicates feeding the vectorized pre-filter, WITHIN
@@ -175,15 +176,21 @@ class TestRowBatchParity:
         assert be.active_runs == re_.active_runs
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_interpreted_fallback_is_byte_identical(self, seed):
+    def test_interpreted_fallback_is_byte_identical(self, seed, monkeypatch):
         pattern = bind(LOCAL)
         events = workload(seed)
-        compiled, ce = run_rows(pattern, events, max_runs=16, compiled=True)
-        interp, ie = run_rows(pattern, events, max_runs=16, compiled=False)
+        compiled, ce = run_rows(pattern, events, max_runs=16)
+        # The reference: bound closures for every predicate, no kernels.
+        monkeypatch.setattr(
+            "repro.cep.engine.compile_scalar", lambda pred, schema: pred.bind(schema)
+        )
+        monkeypatch.setattr(
+            "repro.cep.engine.compile_filter_vector", lambda expr, schema: None
+        )
+        interp, ie = run_rows(pattern, events, max_runs=16)
         assert canonical_match_bytes(interp) == canonical_match_bytes(compiled)
         assert stats_tuple(ie) == stats_tuple(ce)
-        # The fallback really is interpreted: no pre-filter kernels exist.
-        assert ie._kernels_rows == {}
+        assert ce._kernels_rows and ie._kernels_rows == {}
 
     def test_mid_batch_evictions_match_row_path(self):
         # max_runs=2 forces pSPICE evictions inside nearly every batch.

@@ -188,20 +188,16 @@ class TestObserverAndUtility:
         assert model.probability("A", 0.3) == pytest.approx(0.5)
 
 
-class TestCompileFallbacks:
-    """No silent fallback: a predicate or pre-filter the compiler refuses
-    still runs (interpreted, identical matches) and is counted — on the
-    engine and in the global registry, the way the SPJ executor counts
-    ``plan_compile_fallback_total``."""
+class TestCompileRefusals:
+    """No silent fallback: a step predicate or pre-filter the compiler
+    refuses fails the engine's build with the compiler's error, the way the
+    SPJ executor raises a query's error instead of running it a second
+    way."""
 
     LOCAL = (
         "PATTERN SEQ(A a, B+ b, C c) "
         "WHERE a.k = b.k AND b.k = c.k AND a.k < 50 WITHIN 2"
     )
-    EVENTS = [
-        ("A", 0.1, 7), ("B", 0.2, 7), ("A", 0.25, 70), ("C", 0.4, 7),
-        ("A", 0.5, 9), ("B", 0.6, 9), ("C", 0.7, 9),
-    ]
 
     @staticmethod
     def _refuse(*args, **kwargs):
@@ -209,40 +205,21 @@ class TestCompileFallbacks:
 
         raise CompileError("refused by the test")
 
-    def _counter(self, name, labels=()):
-        from repro.obs.metrics import global_registry
+    def test_refused_predicate_raises_at_build(self, monkeypatch):
+        from repro.engine.expressions import ExpressionError
 
-        return global_registry().counter(name, "", labels)
-
-    def test_refused_predicate_is_interpreted_and_counted(self, monkeypatch):
-        reference = PatternEngine(bind(self.LOCAL))
-        assert reference.predicates_interpreted == 0
-        counter = self._counter("cep_predicate_fallback_total", ("reason",))
-        before = counter.value(reason="CompileError")
+        unknown = "PATTERN SEQ(A a, C c) WHERE twice(a.k) = c.k WITHIN 2"
+        with pytest.raises(ExpressionError, match="unknown function 'twice'"):
+            PatternEngine(bind(unknown))
+        PatternEngine(bind(self.LOCAL))  # compiles when nothing refuses
         monkeypatch.setattr("repro.cep.engine.compile_scalar", self._refuse)
-        engine = PatternEngine(bind(self.LOCAL))
-        n_predicates = sum(len(st.predicates) for st in engine._steps)
-        assert engine.predicates_interpreted == n_predicates > 0
-        assert counter.value(reason="CompileError") == before + n_predicates
-        assert feed(engine, self.EVENTS) == feed(reference, self.EVENTS)
-        assert engine.stats == reference.stats
-        # Interpreting by choice is not a fallback.
-        assert PatternEngine(
-            bind(self.LOCAL), compiled=False
-        ).predicates_interpreted == 0
-        assert counter.value(reason="CompileError") == before + n_predicates
+        with pytest.raises(ExpressionError, match="refused by the test"):
+            PatternEngine(bind(self.LOCAL))
 
-    def test_refused_prefilter_is_skipped_and_counted(self, monkeypatch):
-        reference = PatternEngine(bind(self.LOCAL))
-        assert reference.prefilters_skipped == 0
-        assert reference._kernels_rows  # the pre-filter is live here
-        counter = self._counter("cep_prefilter_skipped_total")
-        before = counter.value()
+    def test_refused_prefilter_raises_at_build(self, monkeypatch):
+        from repro.perf.vector import CompileError
+
+        assert PatternEngine(bind(self.LOCAL))._kernels_rows  # pre-filter live
         monkeypatch.setattr("repro.cep.engine.compile_filter_vector", self._refuse)
-        engine = PatternEngine(bind(self.LOCAL))
-        assert engine.prefilters_skipped == 1  # only step ``a`` has a local
-        assert not engine._kernels_rows
-        assert counter.value() == before + 1
-        batch = [(s, StreamTuple(ts, (k,))) for s, ts, k in self.EVENTS]
-        assert engine.advance_batch(batch) == reference.advance_batch(batch)
-        assert engine.stats == reference.stats
+        with pytest.raises(CompileError, match="refused by the test"):
+            PatternEngine(bind(self.LOCAL))

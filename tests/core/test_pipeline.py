@@ -245,3 +245,21 @@ class TestPlumbing:
         b = make_pipeline(paper_catalog, ShedStrategy.DATA_TRIAGE, seed=5).run(streams)
         assert run_rms(a) == run_rms(b)
         assert a.total_dropped == b.total_dropped
+
+
+class TestUnrunnableQueries:
+    """A query that cannot run fails when the pipeline is built."""
+
+    def test_unknown_column_fails_at_bind(self, paper_catalog):
+        from repro.sql.binder import BindError
+
+        with pytest.raises(BindError, match="cannot resolve column 'nope'"):
+            DataTriagePipeline(paper_catalog, "SELECT nope FROM R", PipelineConfig())
+
+    def test_refused_compile_fails_at_construction(self, paper_catalog):
+        from repro.engine.expressions import ExpressionError
+
+        with pytest.raises(ExpressionError, match="unknown function 'twice'"):
+            DataTriagePipeline(
+                paper_catalog, "SELECT twice(a) AS x FROM R", PipelineConfig()
+            )

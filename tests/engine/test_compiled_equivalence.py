@@ -1,11 +1,12 @@
-"""Compiled plans must be invisible: byte-identical to the interpreter.
+"""Compiled plans must be invisible: byte-identical to the reference tree.
 
-The compiled executor (:mod:`repro.perf.compile`) is a pure performance
-layer — every query it accepts must produce exactly the rows, schema, and
-ordering the interpreted operators produce, including SQL three-valued
-logic over NULLs.  These tests pin that contract three ways: a fixed corpus
-of feature-covering queries, a randomized SPJ corpus, and full Figure 8/9
-pipeline runs with compilation toggled.
+The executor runs every query as a compiled plan (:mod:`repro.perf.compile`),
+a pure performance layer: each query must produce exactly the rows, schema,
+and ordering the interpreted operator tree kept in ``tests/oracle/``
+produces, including SQL three-valued logic over NULLs.  These tests pin that
+contract three ways: a fixed corpus of feature-covering queries, a
+randomized SPJ corpus, and full Figure 8/9 pipeline runs with the oracle in
+the pipeline's executor slot.
 """
 
 from __future__ import annotations
@@ -27,18 +28,14 @@ from repro.experiments import (
 from repro.sources.arrival import MarkovBurstArrival, SteadyArrival, generate_stream
 from repro.sources.generators import paper_row_generators
 from repro.sql import Binder, parse_statement
+from tests.oracle import OracleExecutor
 
 
-def assert_equivalent(catalog, sql, inputs, *, expect_compiled=True):
+def assert_equivalent(catalog, sql, inputs):
     """Execute ``sql`` both ways; results must match in every observable."""
     bound = Binder(catalog).bind(parse_statement(sql))
-    executor = QueryExecutor(catalog, compiled=True)
-    compiled = executor.execute(bound, inputs)
-    interpreted = executor.execute_interpreted(bound, inputs)
-    if expect_compiled:
-        assert executor._compiled_plan(bound) is not None, (
-            f"query silently fell back to the interpreter: {sql}"
-        )
+    compiled = QueryExecutor(catalog).execute(bound, inputs)
+    interpreted = OracleExecutor(catalog).execute(bound, inputs)
     assert compiled.rows == interpreted.rows, sql
     assert compiled.schema.names == interpreted.schema.names, sql
     assert compiled.ordered_rows == interpreted.ordered_rows, sql
@@ -129,9 +126,9 @@ class TestRandomizedCorpus:
 
 
 # ---------------------------------------------------------------------------
-# Figure 8/9 pipeline runs: compiled on/off must give identical RunResults
+# Figure 8/9 pipeline runs: compiled plans and the oracle give identical RunResults
 # ---------------------------------------------------------------------------
-def _pipeline_run(streams, window, params, *, compiled: bool):
+def _pipeline_run(streams, window, params, *, oracle: bool):
     config = PipelineConfig(
         strategy=ShedStrategy.DATA_TRIAGE,
         window=window,
@@ -140,9 +137,11 @@ def _pipeline_run(streams, window, params, *, compiled: bool):
         synopsis_factory=params.synopsis_factory,
         service_time=params.service_time,
         seed=5,
-        compiled_plans=compiled,
     )
-    return DataTriagePipeline(paper_catalog(), PAPER_QUERY, config).run(streams)
+    pipeline = DataTriagePipeline(paper_catalog(), PAPER_QUERY, config)
+    if oracle:
+        pipeline.executor = OracleExecutor(pipeline.catalog)
+    return pipeline.run(streams)
 
 
 def assert_runs_identical(a, b):
@@ -199,14 +198,14 @@ class TestPipelineConfigs:
             for name in STREAM_NAMES
         }
         assert_runs_identical(
-            _pipeline_run(streams, window, params, compiled=True),
-            _pipeline_run(streams, window, params, compiled=False),
+            _pipeline_run(streams, window, params, oracle=False),
+            _pipeline_run(streams, window, params, oracle=True),
         )
 
     def test_figure9_bursty(self):
         params = ExperimentParams(tuples_per_window=40, n_windows=4)
         streams, window = _bursty_streams(params)
         assert_runs_identical(
-            _pipeline_run(streams, window, params, compiled=True),
-            _pipeline_run(streams, window, params, compiled=False),
+            _pipeline_run(streams, window, params, oracle=False),
+            _pipeline_run(streams, window, params, oracle=True),
         )

@@ -13,6 +13,7 @@ from repro.engine import (
     WindowSpec,
 )
 from repro.sql import Binder, parse_statement
+from tests.oracle import OracleExecutor
 
 
 @pytest.fixture
@@ -138,56 +139,40 @@ class TestAggregateExpressions:
         assert res.rows == Multiset([(10, 2), (0, 1)])
 
 
-class TestCompileFallback:
-    def test_unknown_function_is_counted_once_and_named(self, catalog):
-        """A query the compiler rejects runs interpreted: same outcome every
-        window, one ``plan_compile_fallback_total`` bump for the query (not
-        one per window), and EXPLAIN ANALYZE says why."""
+class TestCompileRefusal:
+    def test_unknown_function_raises_then_compiles_afresh(self, catalog):
+        """No remembered fallback: a query the compiler refuses raises the
+        error the reference interpreter raises, nothing is cached for it,
+        and the next window compiles afresh."""
         from repro.engine.expressions import ExpressionError
-        from repro.obs.metrics import global_registry
         from repro.obs.explain import profile_execution, render_profile
 
-        counter = global_registry().counter(
-            "plan_compile_fallback_total",
-            "Queries run interpreted because plan compilation failed",
-            ("reason",),
-        )
-        before = counter.value(reason="CompileError")
         bound = Binder(catalog).bind(parse_statement("SELECT twice(a) AS x FROM R"))
-        compiled = QueryExecutor(catalog)
-        interpreter = QueryExecutor(catalog, compiled=False)
+        executor = QueryExecutor(catalog)
+        oracle = OracleExecutor(catalog)
 
-        # Window 1: the function does not exist; the interpreter's error is
-        # the one the caller sees.
-        for executor in (interpreter, compiled):
+        # Window 1: the function does not exist; both raise the same error.
+        for engine in (oracle, executor):
             with pytest.raises(ExpressionError, match="unknown function 'twice'"):
-                executor.execute(bound, BASE_INPUTS)
+                engine.execute(bound, BASE_INPUTS)
+        assert executor._plan_cache == {}
 
-        # Windows 2-3: it exists now, the remembered fallback still answers.
+        # Windows 2-3: it exists now, and the compiled plan answers.
         catalog.functions.register_function("twice", lambda x: 2 * x)
         for _ in range(2):
-            got = compiled.execute(bound, BASE_INPUTS)
-            assert got.rows == interpreter.execute(bound, BASE_INPUTS).rows
+            got = executor.execute(bound, BASE_INPUTS)
+            assert got.rows == oracle.execute(bound, BASE_INPUTS).rows
             assert got.rows == Multiset([(2,), (2,), (4,)])
+        text = render_profile(profile_execution(executor, bound, BASE_INPUTS))
+        assert text.startswith("EXPLAIN ANALYZE (compiled)\n")
 
-        assert counter.value(reason="CompileError") == before + 1
-        text = render_profile(profile_execution(compiled, bound, BASE_INPUTS))
-        assert text.startswith(
-            "EXPLAIN ANALYZE (interpreted; fallback: "
-            "CompileError: unknown function 'twice')\n"
-        )
-        assert counter.value(reason="CompileError") == before + 1
-
-    def test_interpreted_executor_reports_no_fallback(self, catalog):
+    def test_explain_analyze_header_is_compiled(self, catalog):
         from repro.obs.explain import profile_execution, render_profile
 
         bound = Binder(catalog).bind(parse_statement("SELECT a FROM R"))
-        for compiled, mode in ((True, "compiled"), (False, "interpreted")):
-            report = profile_execution(
-                QueryExecutor(catalog, compiled=compiled), bound, BASE_INPUTS
-            )
-            assert report.fallback is None
-            assert render_profile(report).startswith(f"EXPLAIN ANALYZE ({mode})\n")
+        report = profile_execution(QueryExecutor(catalog), bound, BASE_INPUTS)
+        assert render_profile(report).startswith("EXPLAIN ANALYZE (compiled)\n")
+        assert not hasattr(report, "fallback")
 
 
 class TestContinuousQuery:

@@ -1,4 +1,9 @@
-"""Tests for the physical query operators."""
+"""Tests for the interpreted operator tree that ``tests/oracle/`` keeps.
+
+Every compiled-plan equivalence test compares against these operators, so
+their textbook semantics (bag multiplicities, NULL handling, aggregate
+rules) are pinned here one node at a time.
+"""
 
 import pytest
 
@@ -8,14 +13,16 @@ from repro.engine import (
     BinaryOp,
     ColumnRef,
     ColumnType,
+    Literal,
+    Schema,
+)
+from tests.oracle.operators import (
     Filter,
     HashAggregate,
     HashJoin,
-    Literal,
     NestedLoopJoin,
     Project,
     Scan,
-    Schema,
     UnionAll,
 )
 

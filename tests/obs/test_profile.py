@@ -1,4 +1,11 @@
-"""EXPLAIN ANALYZE profiling: row counts must equal actual cardinalities."""
+"""EXPLAIN ANALYZE profiling: row counts must equal actual cardinalities.
+
+Each profiling test runs twice: on the executor's compiled plan
+(``compiled``), and on the interpreted reference tree of ``tests/oracle/``
+(``interpreted``), whose per-node counts the cardinality-parity test holds
+the compiled profile to — so the oracle's own counting is pinned to the
+same true cardinalities.
+"""
 
 import pytest
 
@@ -7,6 +14,7 @@ from repro.engine import QueryExecutor
 from repro.engine.explain import explain_analyze
 from repro.obs.explain import profile_execution, render_profile
 from repro.sql import Binder, parse_statement
+from tests.oracle import OracleExecutor
 
 INPUTS = {
     "r": Multiset([(1,), (1,), (2,), (5,)]),
@@ -24,23 +32,31 @@ def bind(catalog, sql):
     return Binder(catalog).bind(parse_statement(sql))
 
 
-@pytest.fixture(params=[True, False], ids=["compiled", "interpreted"])
+@pytest.fixture(params=["compiled", "interpreted"])
 def executor(request, paper_catalog):
-    return QueryExecutor(paper_catalog, compiled=request.param)
+    if request.param == "compiled":
+        return QueryExecutor(paper_catalog)
+    return OracleExecutor(paper_catalog)
+
+
+def profile(executor, bound, inputs):
+    """EXPLAIN ANALYZE's profile, or the oracle tree's counted the same way."""
+    if isinstance(executor, OracleExecutor):
+        return executor.profile(bound, inputs)
+    return profile_execution(executor, bound, inputs)
 
 
 def test_profile_result_matches_plain_execution(executor, paper_catalog):
     bound = bind(paper_catalog, JOIN_AGG)
     plain = executor.execute(bound, INPUTS)
-    report = profile_execution(executor, bound, INPUTS)
+    report = profile(executor, bound, INPUTS)
     assert report.result.rows == plain.rows
     assert report.result.schema.names == plain.schema.names
-    assert report.mode == ("compiled" if executor.compiled else "interpreted")
 
 
 def test_operator_rows_equal_actual_cardinalities(executor, paper_catalog):
     bound = bind(paper_catalog, JOIN_AGG)
-    report = profile_execution(executor, bound, INPUTS)
+    report = profile(executor, bound, INPUTS)
     root = report.root
 
     # The aggregate emits one row per group: a=1 (2 matches), a=2 (2).
@@ -74,7 +90,7 @@ def _collect(prof, name):
 
 def test_profile_single_stream_projection(executor, paper_catalog):
     bound = bind(paper_catalog, "SELECT c FROM S")
-    report = profile_execution(executor, bound, INPUTS)
+    report = profile(executor, bound, INPUTS)
     assert len(report.result.rows) == 3
     assert report.root.rows_out == 3
     scan = report.root.find("Scan")
@@ -83,7 +99,7 @@ def test_profile_single_stream_projection(executor, paper_catalog):
 
 def test_profile_union_all(executor, paper_catalog):
     bound = bind(paper_catalog, "(SELECT a FROM R) UNION ALL (SELECT d FROM T)")
-    report = profile_execution(executor, bound, INPUTS)
+    report = profile(executor, bound, INPUTS)
     assert len(report.result.rows) == 7
     union = report.root.find("UnionAll")
     assert union is not None
@@ -95,28 +111,27 @@ def test_profile_union_all(executor, paper_catalog):
 
 def test_profile_order_by_limit(executor, paper_catalog):
     bound = bind(paper_catalog, "SELECT c FROM S ORDER BY c DESC LIMIT 2")
-    report = profile_execution(executor, bound, INPUTS)
+    report = profile(executor, bound, INPUTS)
     assert report.result.ordered_rows == [(30,), (20,)]
 
 
 def test_compiled_plan_cache_not_mutated(paper_catalog):
-    executor = QueryExecutor(paper_catalog, compiled=True)
+    executor = QueryExecutor(paper_catalog)
     bound = bind(paper_catalog, JOIN_AGG)
-    cached = executor._compiled_plan(bound)
+    cached = executor.plan(bound)
     before = cached.root
     profile_execution(executor, bound, INPUTS)
     # The cached tree must be untouched: same root object, and a plain
     # execution afterwards still works and agrees.
-    assert executor._compiled_plan(bound) is cached
+    assert executor.plan(bound) is cached
     assert cached.root is before
     assert executor.execute(bound, INPUTS).rows == Multiset([(1, 2), (2, 2)])
 
 
 def test_render_profile_shape(executor, paper_catalog):
     bound = bind(paper_catalog, JOIN_AGG)
-    text = render_profile(profile_execution(executor, bound, INPUTS))
-    mode = "compiled" if executor.compiled else "interpreted"
-    assert text.startswith(f"EXPLAIN ANALYZE ({mode})")
+    text = render_profile(profile(executor, bound, INPUTS))
+    assert text.startswith("EXPLAIN ANALYZE (compiled)\n")
     assert "HashAggregate  (rows=2 loops=1" in text
     assert text.rstrip().endswith("row(s) in " + text.rstrip().rsplit("in ", 1)[1])
     assert "Execution: 2 row(s)" in text
@@ -124,7 +139,10 @@ def test_render_profile_shape(executor, paper_catalog):
 
 def test_explain_analyze_entry_point(executor, paper_catalog):
     bound = bind(paper_catalog, JOIN_AGG)
-    text = explain_analyze(executor, bound, INPUTS)
+    if isinstance(executor, OracleExecutor):
+        text = render_profile(executor.profile(bound, INPUTS))
+    else:
+        text = explain_analyze(executor, bound, INPUTS)
     assert "EXPLAIN ANALYZE" in text
     assert "rows=2" in text
 
@@ -143,21 +161,16 @@ def _cardinalities(report):
 
 
 def test_cardinality_parity_interpreted_compiled_vectorized(paper_catalog):
-    """Row accounting agrees across the two execution modes.
+    """Row accounting agrees between the compiled plan and the oracle tree.
 
-    The interpreted executor (per-``next()`` iterator proxies) and the
+    The oracle's interpreted tree (per-``next()`` iterator proxies) and the
     compiled executor (vector kernels behind ``batch()`` proxies, COUNT(*)
     pushdown through the join proxy included) must report the same
     per-operator cardinalities.
     """
     bound = bind(paper_catalog, JOIN_AGG)
 
-    interpreted = profile_execution(
-        QueryExecutor(paper_catalog, compiled=False), bound, INPUTS
-    )
-    compiled = profile_execution(
-        QueryExecutor(paper_catalog, compiled=True), bound, INPUTS
-    )
-    assert (interpreted.mode, compiled.mode) == ("interpreted", "compiled")
+    interpreted = OracleExecutor(paper_catalog).profile(bound, INPUTS)
+    compiled = profile_execution(QueryExecutor(paper_catalog), bound, INPUTS)
     assert interpreted.result.rows == compiled.result.rows
     assert _cardinalities(interpreted) == _cardinalities(compiled)

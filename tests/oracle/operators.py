@@ -1,22 +1,23 @@
-"""Physical query operators for the mini engine.
+"""The interpreted operator tree: the reference the compiled plans answer to.
 
 Operators follow the classic pull model: each node exposes an output
-:class:`~repro.engine.types.Schema` and an ``__iter__`` that yields rows.
-Queries here run window-at-a-time over bounded inputs (the continuous-query
-executor re-instantiates the plan per window), so blocking operators such as
-hash join and hash aggregation are acceptable — the same simplification
-TelegraphCQ's windowed operators make for per-window results.
+:class:`~repro.engine.types.Schema` and an ``__iter__`` that yields rows,
+and every expression evaluates through its ``Expression.bind`` closure, one
+Python call per node per row.  The production executor
+(:class:`repro.engine.executor.QueryExecutor`) runs compiled plans only;
+these operators stay here so tests can hold those plans to the plain
+textbook semantics (the tree is rebuilt per window, so blocking hash joins
+and hash aggregation are fine).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 from typing import Any
 
 from repro.algebra.multiset import Multiset
-from repro.engine.expressions import Expression, Evaluator
+from repro.engine.expressions import AggregateSpec, Evaluator, Expression, _infer_type
 from repro.engine.types import Column, ColumnType, Schema
 
 
@@ -83,21 +84,6 @@ class Project(PhysicalOperator):
         evals = self._evals
         for row in self.child:
             yield tuple(e(row) for e in evals)
-
-
-def _infer_type(expr: Expression, schema: Schema) -> ColumnType:
-    """Best-effort output typing; falls back to FLOAT for computed values."""
-    from repro.engine.expressions import ColumnRef, Literal
-
-    if isinstance(expr, ColumnRef):
-        for candidate in ((expr.qualified,) if expr.table else ()) + (expr.name,):
-            if candidate in schema:
-                return schema.column(candidate).type
-    if isinstance(expr, Literal):
-        for t in (ColumnType.BOOLEAN, ColumnType.INTEGER, ColumnType.FLOAT, ColumnType.TEXT):
-            if expr.value is not None and t.validate(expr.value):
-                return t
-    return ColumnType.FLOAT
 
 
 class HashJoin(PhysicalOperator):
@@ -175,26 +161,6 @@ class NestedLoopJoin(PhysicalOperator):
                 row = lrow + rrow
                 if pred is None or pred(row) is True:
                     yield row
-
-
-@dataclass(frozen=True)
-class AggregateSpec:
-    """One aggregate in a GROUP BY query: function, argument, output name.
-
-    ``argument is None`` means ``COUNT(*)``.
-    """
-
-    function: str  # count | sum | avg | min | max
-    argument: Expression | None
-    output_name: str
-
-    SUPPORTED = ("count", "sum", "avg", "min", "max")
-
-    def __post_init__(self) -> None:
-        if self.function.lower() not in self.SUPPORTED:
-            raise ValueError(f"unsupported aggregate {self.function!r}")
-        if self.argument is None and self.function.lower() != "count":
-            raise ValueError(f"{self.function}(*) is not valid SQL")
 
 
 class _AggState:
@@ -300,3 +266,18 @@ class UnionAll(PhysicalOperator):
     def __iter__(self) -> Iterator[tuple]:
         for child in self.children:
             yield from child
+
+
+class Distinct(PhysicalOperator):
+    """Duplicate elimination (SELECT DISTINCT): first occurrences, in order."""
+
+    def __init__(self, child: PhysicalOperator) -> None:
+        self.child = child
+        self.schema = child.schema
+
+    def __iter__(self) -> Iterator[tuple]:
+        seen: set[tuple] = set()
+        for row in self.child:
+            if row not in seen:
+                seen.add(row)
+                yield row

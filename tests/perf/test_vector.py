@@ -6,7 +6,7 @@ interpreted ``Expression.bind`` closure evaluated row by row, including SQL
 three-valued logic over NULLs and per-row invocation of impure user
 functions.  The pushdown in :class:`~repro.perf.compile._CAggregate` must
 be invisible too: same groups, same counts, same first-occurrence order as
-the interpreted executor.
+the interpreted reference tree in ``tests/oracle/``.
 """
 
 import random
@@ -32,6 +32,7 @@ from repro.perf.vector import (
     vector_source,
 )
 from repro.sql import Binder, parse_statement
+from tests.oracle import OracleExecutor
 
 SCHEMA = Schema(
     [
@@ -164,7 +165,7 @@ def assert_matches_interpreter(sql, inputs):
     first-occurrence order, not just the bag.
     """
     catalog = paper_catalog()
-    interpreter = QueryExecutor(catalog, compiled=False)
+    interpreter = OracleExecutor(catalog)
     for text in (sql, sql + " LIMIT 100000"):
         bound = Binder(catalog).bind(parse_statement(text))
         got = compile_query(bound, catalog.functions).execute(inputs)
@@ -246,25 +247,28 @@ class TestAggregatePushdown:
 # One execution face
 # ---------------------------------------------------------------------------
 class TestOneFace:
-    def test_vector_compile_error_sends_query_to_interpreter(self, monkeypatch):
-        """There is no scalar closure to retreat to: a kernel that cannot be
-        generated fails the plan, and the executor answers interpreted."""
+    def test_vector_compile_error_raises_and_is_not_cached(self, monkeypatch):
+        """There is no scalar closure and no interpreter to retreat to: a
+        kernel that cannot be generated fails the query with its error, and
+        the next call compiles afresh."""
         from repro.perf import compile as compile_mod
         from repro.perf.vector import CompileError
 
         def refuse(expr, schema, functions=None):
             raise CompileError("no vector kernel")
 
-        monkeypatch.setattr(compile_mod, "compile_filter_vector", refuse)
         catalog = paper_catalog()
         sql = "SELECT a, c FROM R, S WHERE R.a = S.b AND S.c > 20"
         bound = Binder(catalog).bind(parse_statement(sql))
         inputs = join_inputs(random.Random(23))
         executor = QueryExecutor(catalog)
+        with monkeypatch.context() as patch:
+            patch.setattr(compile_mod, "compile_filter_vector", refuse)
+            with pytest.raises(CompileError, match="no vector kernel"):
+                executor.execute(bound, inputs)
+        assert executor._plan_cache == {}
         got = executor.execute(bound, inputs)
-        assert executor._compiled_plan(bound) is None
-        assert executor._fallback_reason(bound) == "CompileError: no vector kernel"
-        want = QueryExecutor(catalog, compiled=False).execute(bound, inputs)
+        want = OracleExecutor(catalog).execute(bound, inputs)
         assert got.rows == want.rows and len(got.rows) > 0
         assert got.schema.names == want.schema.names
 

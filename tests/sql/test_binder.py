@@ -120,6 +120,24 @@ class TestSelectList:
         assert bind(binder, "SELECT COUNT(*) FROM R").is_aggregate
         assert not bind(binder, "SELECT a FROM R").is_aggregate
 
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            "SELECT nope FROM R",
+            "SELECT a + nope AS x FROM R",
+            "SELECT COUNT(nope) AS n FROM R",
+            "SELECT a, COUNT(*) AS n FROM R GROUP BY nope",
+            "SELECT R.nope FROM R",
+        ],
+    )
+    def test_unknown_output_column_fails_at_bind(self, binder, sql):
+        with pytest.raises(BindError, match="nope"):
+            bind(binder, sql)
+
+    def test_derived_table_columns_are_bare_names(self, binder):
+        b = bind(binder, "SELECT a, c FROM (SELECT * FROM R, S WHERE R.a = S.b) AS x")
+        assert b.sources[0].schema.names == ("a", "b", "c")
+
 
 class TestWindowsAndUnions:
     def test_window_clause_bound(self, binder):

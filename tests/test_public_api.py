@@ -72,3 +72,19 @@ def test_public_symbols_have_docstrings():
             ) and not getattr(obj, "__doc__", None):
                 missing.append(f"{name}.{symbol}")
     assert not missing, f"undocumented public symbols: {missing}"
+
+
+def test_engine_exports_one_executor():
+    """``repro.engine`` offers the compiled-plan executor and nothing to pick
+    another one with: no operator classes (they are the tests' oracle now)
+    and no error type that only the removed interpreter raised."""
+    import repro.engine
+
+    exported = set(repro.engine.__all__)
+    assert {"QueryExecutor", "ContinuousQuery", "AggregateSpec"} <= exported
+    removed = {
+        "PhysicalOperator", "Scan", "Filter", "Project", "HashJoin",
+        "NestedLoopJoin", "HashAggregate", "UnionAll", "ExecutionError",
+    }
+    assert not removed & exported
+    assert not any(hasattr(repro.engine, name) for name in removed)
