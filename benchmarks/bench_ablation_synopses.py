@@ -7,7 +7,7 @@ the same overloaded Figure 8 setup (constant rate, ~70% shedding) and
 reports each family's RMS error, the wall-clock cost of a full pipeline run,
 and the result synopsis footprint.
 
-Expected reading: the histograms (sparse/dense/aligned MHIST) provide the
+Expected reading: the histograms (sparse/aligned MHIST) provide the
 best accuracy/cost balance; the unaligned MHIST is accurate but slow (its
 Figure 6 pathology); CMS is cheapest but pays the independence assumption;
 samples are competitive but higher variance.
@@ -25,7 +25,6 @@ from repro.experiments import ExperimentParams, run_constant_rate
 from repro.quality import ErrorSummary, run_rms
 from repro.synopses import (
     CountMinFactory,
-    DenseGridFactory,
     EndBiasedFactory,
     MHistFactory,
     ReservoirSampleFactory,
@@ -38,7 +37,6 @@ N_RUNS = 5
 
 FAMILIES = {
     "sparse_hist(w=5)": SparseHistogramFactory(bucket_width=5),
-    "dense_grid(w=5)": DenseGridFactory(bin_width=5),
     "mhist(unaligned)": MHistFactory(max_buckets=60),
     "mhist(grid=5)": MHistFactory(max_buckets=60, grid=5),
     "reservoir(k=100)": ReservoirSampleFactory(capacity=100),

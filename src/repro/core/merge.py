@@ -7,7 +7,8 @@ aggregates computed from a SQL GROUP BY statement with approximate
 aggregates computed from synopses."*
 
 :class:`MergeSpec` is compiled once per query: it maps the GROUP BY columns
-and aggregate arguments onto qualified synopsis dimensions.  Per window,
+and aggregate arguments onto the synopsis dimensions that survive the
+shadow plan's joins, any number of GROUP BY columns.  Per window,
 :func:`exact_groups` reads the engine's grouped result,
 :func:`estimate_groups` converts the shadow synopsis into the same shape,
 and :func:`merge_groups` combines them aggregate-by-aggregate.
@@ -22,7 +23,7 @@ from repro.algebra.multiset import Multiset
 from repro.engine.expressions import AggregateSpec, ColumnRef
 from repro.engine.types import Schema
 from repro.rewrite.plan import RewriteError, SPJPlan
-from repro.synopses.base import Synopsis
+from repro.synopses.base import Synopsis, union_nullable
 
 GroupKey = tuple
 GroupValues = dict[str, float | None]  # aggregate output name -> value
@@ -34,9 +35,9 @@ class MergeSpec:
     """How a query's grouped aggregates map onto synopsis dimensions."""
 
     group_names: tuple[str, ...]  # output column names of GROUP BY keys
-    group_dims: tuple[str, ...]  # qualified synopsis dims ('R.a', ...)
+    group_dims: tuple[str, ...]  # surviving synopsis dims ('R.a', ...)
     aggregates: tuple[AggregateSpec, ...]
-    agg_dims: tuple[str | None, ...]  # qualified dim per aggregate arg
+    agg_dims: tuple[str | None, ...]  # surviving dim per aggregate arg
 
     @classmethod
     def from_plan(cls, plan: SPJPlan) -> "MergeSpec":
@@ -47,21 +48,35 @@ class MergeSpec:
                 "streams use the synopsis directly (see repro.viz)"
             )
 
+        # The shadow plan's joins keep each predicate's left key and drop
+        # its right one (``Synopsis.equijoin``), so a joined-away column is
+        # read from the dimension that survives its equivalence class: the
+        # earliest chain source's (``S.b`` reads ``R.a`` after ``R.a = S.b``).
+        survivor: dict[str, str] = {}
+        for link in plan.chain:
+            for p in link.join_with_prefix:
+                left = f"{p.left_source}.{p.left_column}"
+                survivor[f"{p.right_source}.{p.right_column}"] = survivor.get(
+                    left, left
+                )
+
         def qualify(expr) -> str:
             if not isinstance(expr, ColumnRef):
                 raise RewriteError(
                     f"cannot map expression {expr} onto a synopsis dimension"
                 )
             if expr.table is not None:
-                return f"{expr.table}.{expr.name}"
-            matches = [
-                s.name
-                for s in bound.sources
-                if expr.name in s.schema
-            ]
-            if len(matches) != 1:
-                raise RewriteError(f"cannot attribute column {expr.name!r}")
-            return f"{matches[0]}.{expr.name}"
+                dim = f"{expr.table}.{expr.name}"
+            else:
+                matches = [
+                    s.name
+                    for s in bound.sources
+                    if expr.name in s.schema
+                ]
+                if len(matches) != 1:
+                    raise RewriteError(f"cannot attribute column {expr.name!r}")
+                dim = f"{matches[0]}.{expr.name}"
+            return survivor.get(dim, dim)
 
         group_names = tuple(n for n, _ in bound.group_by)
         group_dims = tuple(qualify(e) for _, e in bound.group_by)
@@ -89,77 +104,76 @@ def exact_groups(rows: Multiset, schema: Schema, spec: MergeSpec) -> Groups:
 def estimate_groups(synopsis: Synopsis | None, spec: MergeSpec) -> Groups:
     """Convert a result synopsis into estimated grouped aggregates.
 
-    COUNT comes from the group-dimension marginal; SUM/AVG/MIN/MAX condition
-    the synopsis on each group value and read the aggregate dimension's
-    marginal.  Supports one or two GROUP BY columns (the paper's queries use
-    one).
+    Conditions the synopsis on each GROUP BY column in turn (one
+    ``select_range`` per value with mass); at the last column COUNT is that
+    value's mass and SUM/AVG/MIN/MAX read the aggregate dimension's marginal
+    of the conditioned synopsis.  No GROUP BY column is one global group
+    with key ``()``.
     """
-    if synopsis is None or synopsis.total() <= 0:
-        return {}
-    if len(spec.group_dims) == 1:
-        return _estimate_1d(synopsis, spec)
-    if len(spec.group_dims) == 2:
-        out: Groups = {}
-        dim0 = spec.group_dims[0]
-        for v0, mass in synopsis.group_counts(dim0).items():
-            if mass <= 0:
-                continue
-            conditioned = synopsis.select_range(dim0, v0, v0)
-            inner_spec = MergeSpec(
-                spec.group_names[1:],
-                spec.group_dims[1:],
-                spec.aggregates,
-                spec.agg_dims,
-            )
-            for key, vals in _estimate_1d(conditioned, inner_spec).items():
-                out[(v0,) + key] = vals
+    out: Groups = {}
+    total = 0.0 if synopsis is None else synopsis.total()
+    if total <= 0:
         return out
-    raise RewriteError(
-        f"estimate_groups supports 1-2 GROUP BY columns, got {len(spec.group_dims)}"
-    )
+    if not spec.group_dims:
+        out[()] = _aggregate(synopsis, total, spec)
+    else:
+        _condition(synopsis, 0, (), spec, out)
+    return out
 
 
-def _estimate_1d(synopsis: Synopsis, spec: MergeSpec) -> Groups:
-    group_dim = spec.group_dims[0]
-    counts = synopsis.group_counts(group_dim)
-    needs_conditioning = any(
+def _condition(
+    synopsis: Synopsis, depth: int, key: GroupKey, spec: MergeSpec, out: Groups
+) -> None:
+    """Fill ``out`` with the groups under ``key``; ``synopsis`` is already
+    conditioned on the first ``depth`` GROUP BY columns."""
+    dim = spec.group_dims[depth]
+    last = depth + 1 == len(spec.group_dims)
+    needs_conditioning = not last or any(
         a.function != "count" for a in spec.aggregates
     )
-    out: Groups = {}
-    for value, count in counts.items():
-        if count <= 1e-9:
+    for value, mass in synopsis.group_counts(dim).items():
+        if mass <= 1e-9:
             continue
-        values: GroupValues = {}
-        conditioned: Synopsis | None = None
-        if needs_conditioning:
-            conditioned = synopsis.select_range(group_dim, value, value)
-        for agg, dim in zip(spec.aggregates, spec.agg_dims):
-            fn = agg.function
-            if fn == "count":
-                values[agg.output_name] = count
-                continue
-            assert conditioned is not None and dim is not None
-            marginal = conditioned.group_counts(dim)
-            mass = sum(marginal.values())
-            weighted = sum(v * m for v, m in marginal.items())
-            present = [v for v, m in marginal.items() if m > 1e-9]
-            if fn == "sum":
-                values[agg.output_name] = weighted
-            elif fn == "avg":
-                values[agg.output_name] = weighted / mass if mass > 0 else None
-            elif fn == "min":
-                values[agg.output_name] = float(min(present)) if present else None
-            elif fn == "max":
-                values[agg.output_name] = float(max(present)) if present else None
-        out[(value,)] = values
-    return out
+        conditioned = (
+            synopsis.select_range(dim, value, value) if needs_conditioning else None
+        )
+        if last:
+            out[key + (value,)] = _aggregate(conditioned, mass, spec)
+        else:
+            _condition(conditioned, depth + 1, key + (value,), spec, out)
+
+
+def _aggregate(
+    synopsis: Synopsis | None, count: float, spec: MergeSpec
+) -> GroupValues:
+    values: GroupValues = {}
+    for agg, dim in zip(spec.aggregates, spec.agg_dims):
+        fn = agg.function
+        if fn == "count":
+            values[agg.output_name] = count
+            continue
+        assert synopsis is not None and dim is not None
+        marginal = synopsis.group_counts(dim)
+        mass = sum(marginal.values())
+        weighted = sum(v * m for v, m in marginal.items())
+        present = [v for v, m in marginal.items() if m > 1e-9]
+        if fn == "sum":
+            values[agg.output_name] = weighted
+        elif fn == "avg":
+            values[agg.output_name] = weighted / mass if mass > 0 else None
+        elif fn == "min":
+            values[agg.output_name] = float(min(present)) if present else None
+        elif fn == "max":
+            values[agg.output_name] = float(max(present)) if present else None
+    return values
 
 
 def merge_groups(exact: Groups, estimated: Groups, spec: MergeSpec) -> Groups:
     """Combine exact and estimated aggregates into the composite answer.
 
-    COUNT and SUM add; AVG recombines via the sibling COUNT (and therefore
-    requires ``COUNT(*)`` in the query); MIN/MAX take the extremum.
+    COUNT and SUM add; MIN/MAX take the extremum; AVG passes a lone side's
+    value through and otherwise recombines via the sibling COUNT (and
+    therefore requires ``COUNT(*)`` in the query).
     """
     out: Groups = {}
     count_name = next(
@@ -181,6 +195,10 @@ def merge_groups(exact: Groups, estimated: Groups, spec: MergeSpec) -> Groups:
             elif agg.function == "max":
                 merged[name] = max(v for v in (ev, sv) if v is not None)
             elif agg.function == "avg":
+                if ev is None or sv is None:
+                    # One side has no row for this key: its value, as is.
+                    merged[name] = sv if ev is None else ev
+                    continue
                 if count_name is None:
                     raise RewriteError(
                         "merging AVG requires COUNT(*) in the same query"
@@ -188,12 +206,7 @@ def merge_groups(exact: Groups, estimated: Groups, spec: MergeSpec) -> Groups:
                 ec = e.get(count_name) or 0.0
                 sc = s.get(count_name) or 0.0
                 total = ec + sc
-                if total <= 0:
-                    merged[name] = None
-                else:
-                    merged[name] = (
-                        (ev or 0.0) * ec + (sv or 0.0) * sc
-                    ) / total
+                merged[name] = (ev * ec + sv * sc) / total if total > 0 else None
         out[key] = merged
     return out
 
@@ -235,14 +248,6 @@ def _merge_nested(dst: dict, src: dict, combine) -> None:
             mine[wid] = value if have is None else combine(have, value)
 
 
-def _union_syn(a: Synopsis | None, b: Synopsis | None):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a.union_all(b)
-
-
 def merge_partials(parts: Sequence[WindowPartials]) -> WindowPartials:
     """Fold shard partials into one evaluation input set.
 
@@ -261,12 +266,12 @@ def merge_partials(parts: Sequence[WindowPartials]) -> WindowPartials:
         if part.kept_synopses is not None:
             if out.kept_synopses is None:
                 out.kept_synopses = {}
-            _merge_nested(out.kept_synopses, part.kept_synopses, _union_syn)
+            _merge_nested(out.kept_synopses, part.kept_synopses, union_nullable)
         if part.dropped_synopses is not None:
             if out.dropped_synopses is None:
                 out.dropped_synopses = {}
             _merge_nested(
-                out.dropped_synopses, part.dropped_synopses, _union_syn
+                out.dropped_synopses, part.dropped_synopses, union_nullable
             )
         _merge_nested(out.dropped_counts, part.dropped_counts, lambda a, b: a + b)
         _merge_nested(out.arrived, part.arrived, lambda a, b: a + b)

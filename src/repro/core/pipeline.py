@@ -182,7 +182,8 @@ class WindowOutcome:
     dropped: dict[str, int]
     result_latency: float | None = None
     #: Raw mode (non-aggregate queries) only: the window's exact result rows
-    #: and the shadow synopsis of lost result tuples — the inputs the
+    #: (an empty bag under summarize-only, which keeps nothing) and the
+    #: shadow synopsis of lost result tuples — the inputs the
     #: detail-in-context UI of paper Figure 3 consumes.
     raw_rows: "Multiset | None" = None
     lost_synopsis: "Synopsis | None" = None
@@ -416,30 +417,18 @@ class DataTriagePipeline:
             )
             syn.insert_bulk(run, self._dim_positions[source])
 
-        windows: list[WindowOutcome] = []
-        for wid in window_ids:
-            result_syn = self.shadow.estimate_full(
-                {s: full_syn[s].get(wid) for s in sources}
-            )
-            estimated: Groups = {}
-            if self.merge_spec is not None:
-                estimated = estimate_groups(result_syn, self.merge_spec)
-            ideal = self._ideal_for(ideal_inputs, wid) if ideal_inputs else None
-            windows.append(
-                WindowOutcome(
-                    window_id=wid,
-                    merged=estimated,
-                    exact={},
-                    estimated=estimated,
-                    ideal=ideal,
-                    arrived={s: arrived[s].get(wid, 0) for s in sources},
-                    kept={s: 0 for s in sources},
-                    dropped={s: arrived[s].get(wid, 0) for s in sources},
-                    lost_synopsis=result_syn,
-                )
-            )
+        # Nothing is kept: the whole input is the "dropped" channel, so the
+        # window-boundary work is Data Triage's, with empty kept halves.
+        partials = WindowPartials(
+            window_ids=window_ids,
+            kept_rows={s: {} for s in sources},
+            kept_synopses={s: {} for s in sources},
+            dropped_synopses=full_syn,
+            dropped_counts=arrived,
+            arrived=arrived,
+        )
         return RunResult(
-            windows=windows,
+            windows=self.evaluate_windows(partials, ideal_inputs),
             total_arrived=total,
             total_kept=0,
             total_dropped=total,

@@ -39,10 +39,10 @@ class PipelineConfig:
 
     ``service_time`` is the engine's cost to fully process one tuple through
     the standard (relational) path, in virtual seconds — its reciprocal is
-    the engine's capacity in tuples/second.  ``triage_time`` is the cost to
-    shed one tuple into a synopsis; the paper measures this to be a small
-    fraction of standard processing (Figure 6), and it is charged to the
-    triage process (outside the engine), not to the engine's budget.
+    the engine's capacity in tuples/second.  Shedding a tuple into a
+    synopsis costs the engine nothing: the paper measures it to be a small
+    fraction of standard processing (Figure 6), done by the triage process
+    outside the engine.
     """
 
     strategy: ShedStrategy = ShedStrategy.DATA_TRIAGE

@@ -1,8 +1,8 @@
 """EXPLAIN: human-readable plans for bound queries.
 
-Mirrors what the executor's greedy planner will do — the same join-order
-logic runs here against static information only — so the output is the
-plan, not a guess.  Used by the CLI and by debugging sessions; the Data
+Renders the executor's own join schedule (:func:`join_schedule`), so the
+output is the plan, not a guess; each join key prints as ``joined side =
+attached side``.  Used by the CLI and by debugging sessions; the Data
 Triage rewriter has its own EXPLAIN in :mod:`repro.rewrite.explain`.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import io
 
-from repro.engine.expressions import Expression
+from repro.engine.executor import join_schedule
 
 
 def explain(bound) -> str:
@@ -80,58 +80,25 @@ def _explain(bound, out: io.StringIO, indent: int) -> None:
 
 
 def _explain_joins(bound, out: io.StringIO, indent: int) -> None:
-    """Replay the executor's greedy left-deep join-order choice."""
-    order = [s.name for s in bound.sources]
-    if len(order) == 1:
-        _explain_source(bound, order[0], out, indent)
-        return
-    # Reconstruct the join sequence exactly as executor.join_schedule does.
-    pending = list(bound.join_predicates)
-    joined = {order[0]}
-    steps: list[tuple[str, list[str]]] = []
-    remaining = [n for n in order[1:]]
-    while remaining:
-        chosen = None
-        for p in pending:
-            if p.left_source in joined and p.right_source in remaining:
-                chosen = p.right_source
-                break
-            if p.right_source in joined and p.left_source in remaining:
-                chosen = p.left_source
-                break
-        if chosen is None:
-            chosen = remaining[0]
-            steps.append((chosen, []))
-        else:
-            keys = [
-                str(p)
-                for p in pending
-                if (p.left_source in joined and p.right_source == chosen)
-                or (p.right_source in joined and p.left_source == chosen)
-            ]
-            pending = [
-                p
-                for p in pending
-                if not (
-                    (p.left_source in joined and p.right_source == chosen)
-                    or (p.right_source in joined and p.left_source == chosen)
-                )
-            ]
-            steps.append((chosen, keys))
-        joined.add(chosen)
-        remaining.remove(chosen)
+    """The executor's left-deep join tree, last join outermost."""
+    first = bound.sources[0].name
+    steps = join_schedule(bound)
 
-    # Render the left-deep tree from the top (last join outermost).
     def render(i: int, indent: int) -> None:
         if i < 0:
-            _explain_source(bound, order[0], out, indent)
+            _explain_source(bound, first, out, indent)
             return
-        name, keys = steps[i]
-        kind = "HashJoin" if keys else "NestedLoopJoin (cross)"
-        cond = f" on {' AND '.join(keys)}" if keys else ""
-        _w(out, indent, f"{kind}{cond}")
+        step = steps[i]
+        if step.is_cross:
+            _w(out, indent, "NestedLoopJoin (cross)")
+        else:
+            keys = " AND ".join(
+                f"{left} = {right}"
+                for left, right in zip(step.keys_left, step.keys_right)
+            )
+            _w(out, indent, f"HashJoin on {keys}")
         render(i - 1, indent + 1)
-        _explain_source(bound, name, out, indent + 1)
+        _explain_source(bound, step.source, out, indent + 1)
 
     render(len(steps) - 1, indent)
 

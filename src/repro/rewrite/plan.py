@@ -7,8 +7,13 @@ ordered list of base relations, the equijoin predicate linking each relation
 to the prefix joined before it, and the per-relation selections.
 
 :func:`SPJPlan.from_bound` extracts this form from a bound query, choosing
-the chain order greedily from the FROM order (exactly like the executor), so
-the rewrite and the execution agree on equation 15's join order.
+the chain order greedily from the FROM order: each step attaches the first
+remaining source, in FROM order, that has a predicate into the prefix.  The
+executor's :func:`~repro.engine.executor.join_schedule` instead follows
+the first pending predicate, so the two can differ: for ``FROM R, S, T
+WHERE R.a = T.d AND R.a = S.b`` the chain is R, S, T and the executor
+joins R, T, S.  Either order gives the same answer (equation 14 holds for
+any chain order); the shadow plan's numbers follow the chain's.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.engine.expressions import BinaryOp, ColumnRef, Expression, Literal
 from repro.rewrite.plan import RewriteError, SPJPlan
-from repro.synopses.base import Synopsis
+from repro.synopses.base import Synopsis, union_nullable
 
 
 @dataclass(frozen=True)
@@ -147,14 +147,6 @@ class ShadowPlan:
         return syn
 
     @staticmethod
-    def _union(a: Synopsis | None, b: Synopsis | None) -> Synopsis | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a.union_all(b)
-
-    @staticmethod
     def _join(
         a: Synopsis | None, pairs, b: Synopsis | None
     ) -> Synopsis | None:
@@ -175,7 +167,7 @@ class ShadowPlan:
         return self._apply_selections(syn, link.selections)
 
     def _all(self, idx, kept, dropped) -> Synopsis | None:
-        here = self._union(
+        here = union_nullable(
             self._channel(idx, kept, dropped, "dropped"),
             self._channel(idx, kept, dropped, "kept"),
         )
@@ -189,18 +181,18 @@ class ShadowPlan:
     def _dropped(self, idx, kept, dropped) -> Synopsis | None:
         if idx == len(self.links) - 1:
             return self._channel(idx, kept, dropped, "dropped")
-        nxt = self.links[idx + 1]
-        drop_here = self._join(
-            self._channel(idx, kept, dropped, "dropped"),
-            nxt.key_pairs,
-            self._all(idx + 1, kept, dropped),
-        )
-        drop_later = self._join(
-            self._channel(idx, kept, dropped, "kept"),
-            nxt.key_pairs,
-            self._dropped(idx + 1, kept, dropped),
-        )
-        return self._union(drop_here, drop_later)
+        pairs = self.links[idx + 1].key_pairs
+        # A missing channel empties its term: the suffix is not evaluated.
+        drop_here = drop_later = None
+        here = self._channel(idx, kept, dropped, "dropped")
+        if here is not None:
+            drop_here = self._join(here, pairs, self._all(idx + 1, kept, dropped))
+        here = self._channel(idx, kept, dropped, "kept")
+        if here is not None:
+            drop_later = self._join(
+                here, pairs, self._dropped(idx + 1, kept, dropped)
+            )
+        return union_nullable(drop_here, drop_later)
 
     # ------------------------------------------------------------------
     # Flat evaluation (equation 14's distributed terms; any connected chain)
@@ -214,7 +206,7 @@ class ShadowPlan:
             elif idx == pivot:
                 channel = self._channel(idx, kept, dropped, "dropped")
             else:
-                channel = self._union(
+                channel = union_nullable(
                     self._channel(idx, kept, dropped, "dropped"),
                     self._channel(idx, kept, dropped, "kept"),
                 )
@@ -229,23 +221,8 @@ class ShadowPlan:
     def _flat_dropped(self, kept, dropped) -> Synopsis | None:
         result: Synopsis | None = None
         for pivot in range(len(self.links)):
-            result = self._union(result, self._flat_term(pivot, kept, dropped))
+            result = union_nullable(result, self._flat_term(pivot, kept, dropped))
         return result
-
-    def _flat_all(self, kept, dropped) -> Synopsis | None:
-        current: Synopsis | None = None
-        for idx, link in enumerate(self.links):
-            channel = self._union(
-                self._channel(idx, kept, dropped, "dropped"),
-                self._channel(idx, kept, dropped, "kept"),
-            )
-            if idx == 0:
-                current = channel
-            else:
-                current = self._join(current, link.key_pairs, channel)
-            if current is None:
-                return None
-        return current
 
     # ------------------------------------------------------------------
     # Public API
@@ -258,24 +235,10 @@ class ShadowPlan:
         """Synopsis of the query results lost to dropping (``Q-``, eq. 14).
 
         ``kept``/``dropped`` map chain source names to the window's
-        kept-tuple and dropped-tuple synopses (``None`` = empty).
+        kept-tuple and dropped-tuple synopses (``None`` = empty).  With no
+        kept synopsis at all, ``Q-`` is the whole query over the dropped
+        ones: summarize-only's answer.
         """
         if self.nested:
             return self._dropped(0, kept, dropped)
         return self._flat_dropped(kept, dropped)
-
-    def estimate_full(
-        self, synopses: dict[str, Synopsis | None]
-    ) -> Synopsis | None:
-        """Synopsis of the *entire* query result from whole-input synopses.
-
-        This is the summarize-only strategy's answer: treat every synopsis
-        as the "dropped" channel with empty kept channels, i.e. join the
-        full-input synopses directly.
-        """
-        empty: dict[str, Synopsis | None] = {
-            link.source_name: None for link in self.links
-        }
-        if self.nested:
-            return self._all(0, empty, synopses)
-        return self._flat_all(empty, synopses)

@@ -6,7 +6,6 @@ Implementations of the paper's ``Synopsis`` datatype (Section 5.1):
 * :class:`MHist` — MAXDIFF multidimensional histogram (accurate but its
   unaligned joins blow up quadratically — the Figure 6 "slow synopsis");
   the ``grid`` parameter builds the Future-Work aligned variant;
-* :class:`DenseGridHistogram` — dense numpy grid (tensor-contraction joins);
 * :class:`ReservoirSampleSynopsis` — sampling estimator (related work);
 * :class:`CountMinSynopsis` — sketch family under attribute independence;
 * :class:`WaveletSynopsis` — thresholded-Haar family (related work).
@@ -15,7 +14,7 @@ Implementations of the paper's ``Synopsis`` datatype (Section 5.1):
 (``project``, ``union_all``/``union``, ``equijoin``, ``syn_total``) into a
 UDF registry so shadow queries run inside the plain query engine.
 
-The three numpy-backed families (dense grid, count-min, wavelet) and
+The two numpy-backed families (count-min, wavelet) and
 :data:`FACTORIES`, which names them, are resolved on first use: they are the
 only ``import numpy`` in the package, and a service or simulation that never
 picks one should not pay for it at start-up.
@@ -31,6 +30,7 @@ from repro.synopses.base import (
     Synopsis,
     SynopsisError,
     SynopsisFactory,
+    union_nullable,
 )
 from repro.synopses.endbiased import EndBiasedFactory, EndBiasedHistogram
 from repro.synopses.join_order import (
@@ -53,8 +53,6 @@ __all__ = [
     "SparseHistogramFactory",
     "MHist",
     "MHistFactory",
-    "DenseGridHistogram",
-    "DenseGridFactory",
     "ReservoirSampleSynopsis",
     "ReservoirSampleFactory",
     "CountMinSynopsis",
@@ -74,8 +72,6 @@ __all__ = [
 
 # Export -> the numpy-backed submodule that defines it.
 _LAZY = {
-    "DenseGridHistogram": "equiwidth",
-    "DenseGridFactory": "equiwidth",
     "CountMinSynopsis": "cms",
     "CountMinFactory": "cms",
     "WaveletSynopsis": "wavelet",
@@ -91,7 +87,6 @@ def __getattr__(name: str):
         value = {
             "sparse_hist": SparseHistogramFactory,
             "mhist": MHistFactory,
-            "dense_grid": __getattr__("DenseGridFactory"),
             "reservoir": ReservoirSampleFactory,
             "cms": __getattr__("CountMinFactory"),
             "wavelet": __getattr__("WaveletFactory"),
@@ -120,13 +115,6 @@ def register_synopsis_udfs(registry: UDFRegistry) -> None:
             return None
         names = [c.strip() for c in colnames.split(",") if c.strip()]
         return syn.project(names)
-
-    def _union_all(a: Synopsis | None, b: Synopsis | None) -> Synopsis | None:
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return a.union_all(b)
 
     def _equijoin(
         a: Synopsis | None, a_col: str, b: Synopsis | None, b_col: str
@@ -160,11 +148,11 @@ def register_synopsis_udfs(registry: UDFRegistry) -> None:
         "project", _project, ("Synopsis", "CSTRING"), "Synopsis", replace=True
     )
     registry.register_function(
-        "union_all", _union_all, ("Synopsis", "Synopsis"), "Synopsis", replace=True
+        "union_all", union_nullable, ("Synopsis", "Synopsis"), "Synopsis", replace=True
     )
     # Figure 5 of the paper abbreviates union_all as "union".
     registry.register_function(
-        "union", _union_all, ("Synopsis", "Synopsis"), "Synopsis", replace=True
+        "union", union_nullable, ("Synopsis", "Synopsis"), "Synopsis", replace=True
     )
     registry.register_function(
         "equijoin",

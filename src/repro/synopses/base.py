@@ -4,7 +4,7 @@ Paper Section 5.1 defines an abstract object-relational datatype
 ``Synopsis`` together with user-defined functions that perform relational
 algebra over it (``project``, ``union_all``, ``equijoin``).  This module
 fixes that interface; concrete implementations live in sibling modules
-(sparse cubic histograms, MHIST, dense grids, samples, sketches, wavelets).
+(sparse cubic histograms, MHIST, samples, sketches, wavelets).
 
 Conventions shared by all implementations:
 
@@ -250,3 +250,13 @@ def require_same_dimensions(a: Synopsis, b: Synopsis) -> None:
             f"dimension mismatch: {a.dim_names} {[(d.lo, d.hi) for d in a.dimensions]}"
             f" vs {b.dim_names} {[(d.lo, d.hi) for d in b.dimensions]}"
         )
+
+
+def union_nullable(a: Synopsis | None, b: Synopsis | None) -> Synopsis | None:
+    """``a.union_all(b)`` with ``None`` as the empty bag: a window with no
+    synopsis (no tuples) leaves the other side as is."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a.union_all(b)

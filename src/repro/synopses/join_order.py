@@ -8,7 +8,7 @@ the relation but on the structure of the synopsis."*
 Cost therefore derives from *bucket counts*, not cardinalities.  The model
 here captures the two regimes the paper's implementation exposed:
 
-* **aligned** synopses (shared grids: sparse cubic histograms, dense grids,
+* **aligned** synopses (shared grids: sparse cubic histograms,
   grid-constrained MHISTs) — joining touches only coordinate-matched bucket
   pairs, and the result's bucket count is bounded by the output grid;
 * **unaligned** synopses (free MHIST boundaries) — every overlapping bucket

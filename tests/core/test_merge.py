@@ -41,6 +41,17 @@ class TestMergeSpec:
         )
         assert spec.group_dims == ("S.c",)
 
+    def test_joined_away_columns_read_their_class_survivor(self, paper_catalog):
+        # The shadow plan's joins keep the left key: S.b is gone after
+        # R.a = S.b, and T.d after S.c = T.d.
+        spec = spec_for(
+            paper_catalog,
+            "SELECT b, d, COUNT(*) AS n, SUM(b) AS s, MAX(c) AS hi "
+            "FROM R, S, T WHERE R.a = S.b AND S.c = T.d GROUP BY b, d",
+        )
+        assert spec.group_dims == ("R.a", "S.c")
+        assert spec.agg_dims == (None, "R.a", "S.c")
+
     def test_non_aggregate_query_rejected(self, paper_catalog):
         with pytest.raises(RewriteError, match="grouped aggregate"):
             spec_for(paper_catalog, "SELECT a FROM R")
@@ -109,6 +120,34 @@ class TestEstimateGroups:
         assert est[(1, 3)]["n"] == pytest.approx(1.0)
 
 
+    def test_no_group_columns_is_one_global_group(self, paper_catalog):
+        spec = spec_for(
+            paper_catalog, "SELECT COUNT(*) AS n, SUM(c) AS s FROM S"
+        )
+        syn = hist(
+            [Dimension("S.b", 1, 10), Dimension("S.c", 1, 10)],
+            [(1, 2), (1, 4), (3, 9)],
+        )
+        assert estimate_groups(syn, spec) == {(): {"n": 3.0, "s": 15.0}}
+
+    def test_three_group_columns(self, paper_catalog):
+        spec = spec_for(
+            paper_catalog,
+            "SELECT a, c, d, COUNT(*) AS n FROM R, S, T "
+            "WHERE R.a = S.b AND S.c = T.d GROUP BY a, c, d",
+        )
+        syn = hist(
+            [Dimension("R.a", 1, 10), Dimension("S.c", 1, 10)],
+            [(1, 2), (1, 2), (1, 3), (4, 2)],
+        )
+        # d reads S.c, so it always equals c.
+        assert estimate_groups(syn, spec) == {
+            (1, 2, 2): {"n": 2.0},
+            (1, 3, 3): {"n": 1.0},
+            (4, 2, 2): {"n": 1.0},
+        }
+
+
 class TestMergeGroups:
     def test_counts_and_sums_add(self, paper_catalog):
         spec = spec_for(
@@ -144,6 +183,20 @@ class TestMergeGroups:
         est = {(1,): {"n": 2.0, "m": 20.0}}
         merged = merge_groups(exact, est, spec)
         assert merged[(1,)]["m"] == pytest.approx(15.0)
+
+    def test_avg_lone_side_passes_through(self, paper_catalog):
+        spec = spec_for(
+            paper_catalog,
+            "SELECT a, COUNT(*) AS n, AVG(c) AS m FROM R, S "
+            "WHERE R.a = S.b GROUP BY a",
+        )
+        # (0.1 * 3) / 3 rounds to 0.10000000000000002: a lone side's
+        # average is carried as is, not rescaled by its count.
+        exact = {(1,): {"n": 3, "m": 0.1}}
+        est = {(2,): {"n": 3.0, "m": 0.7}}
+        merged = merge_groups(exact, est, spec)
+        assert merged[(1,)]["m"] == 0.1
+        assert merged[(2,)]["m"] == 0.7
 
     def test_avg_without_count_rejected(self, paper_catalog):
         spec = spec_for(

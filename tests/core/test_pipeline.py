@@ -4,10 +4,14 @@ import random
 
 import pytest
 
+from repro.algebra import Multiset
 from repro.core import DataTriagePipeline, PipelineConfig, ShedStrategy
+from repro.core.merge import estimate_groups
 from repro.engine import StreamTuple, WindowSpec
+from repro.experiments import ExperimentParams, bursty_pipeline
 from repro.quality import run_rms
 from repro.sources import SteadyArrival, generate_stream, paper_row_generators
+from repro.synopses import SparseHistogramFactory
 
 QUERY = (
     "SELECT a, COUNT(*) AS n FROM R, S, T "
@@ -263,3 +267,88 @@ class TestUnrunnableQueries:
             DataTriagePipeline(
                 paper_catalog, "SELECT twice(a) AS x FROM R", PipelineConfig()
             )
+
+
+# Query shapes whose lost answer raised in the first window that shed: a
+# GROUP BY or aggregate column joined away by the shadow plan (it reads the
+# survivor of its equivalence class), no GROUP BY column, and three.
+LOST_ANSWER_SHAPES = [
+    pytest.param(
+        "SELECT b, COUNT(*) AS n FROM R, S WHERE R.a = S.b GROUP BY b;",
+        id="group_column_joined_away",
+    ),
+    pytest.param(
+        "SELECT a, SUM(b) AS s, COUNT(*) AS n FROM R, S WHERE R.a = S.b "
+        "GROUP BY a;",
+        id="aggregate_column_joined_away",
+    ),
+    pytest.param(
+        "SELECT COUNT(*) AS n FROM R, S WHERE R.a = S.b;", id="no_group_by"
+    ),
+    pytest.param(
+        "SELECT a, c, d, COUNT(*) AS n FROM R, S, T "
+        "WHERE R.a = S.b AND S.c = T.d GROUP BY a, c, d;",
+        id="three_group_columns",
+    ),
+]
+
+
+def fig9_run(strategy, query, **params):
+    """One Figure 9 run at peak 8000, seed 0."""
+    pipeline, streams = bursty_pipeline(
+        strategy, 8000.0, ExperimentParams(**params), 0, query=query
+    )
+    return pipeline, pipeline.run(streams)
+
+
+class TestLostAnswerShapes:
+    """Every strategy answers these shapes; with exact synopses (bucket
+    width 1) the composite of the strategies that keep synopses is the
+    ideal answer."""
+
+    @pytest.mark.parametrize("strategy", list(ShedStrategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("query", LOST_ANSWER_SHAPES)
+    def test_runs_and_is_exact_at_width1(self, query, strategy):
+        _, result = fig9_run(
+            strategy, query, synopsis_factory=SparseHistogramFactory(bucket_width=1)
+        )
+        assert result.total_dropped > 0
+        assert result.windows
+        for w in result.windows:
+            if strategy is ShedStrategy.DROP_ONLY:
+                assert w.merged == w.exact
+            else:
+                assert w.merged == w.ideal, w.window_id
+
+
+class TestSummarizeOnly:
+    """Summarize-only closes its windows through ``evaluate_windows``: every
+    tuple is on the dropped side and nothing is kept."""
+
+    def test_merged_is_the_full_synopsis_estimate(self, paper_catalog):
+        pipeline, result = fig9_run(ShedStrategy.SUMMARIZE_ONLY, QUERY)
+        spec = pipeline.merge_spec
+        for w in result.windows:
+            assert w.exact == {}
+            assert set(w.kept.values()) == {0}
+            assert w.dropped == w.arrived
+            assert w.estimated == estimate_groups(w.lost_synopsis, spec)
+            # Bit for bit: adding to an absent exact side is exact.
+            assert {
+                k: {n: repr(v) for n, v in g.items()} for k, g in w.merged.items()
+            } == {
+                k: {n: repr(v) for n, v in g.items()}
+                for k, g in w.estimated.items()
+            }
+
+    def test_raw_mode_rows_are_an_empty_bag(self):
+        _, result = fig9_run(
+            ShedStrategy.SUMMARIZE_ONLY,
+            "SELECT * FROM R, S WHERE R.a = S.b;",
+        )
+        assert result.windows
+        for w in result.windows:
+            assert w.raw_rows == Multiset()
+            if all(w.arrived.values()):
+                assert w.lost_synopsis.total() > 0
+

@@ -25,6 +25,25 @@ class TestEngineExplain:
         # The inner join binds R to S first (the greedy order).
         assert text.index("R.a = S.b") > text.index("S.c = T.d")
 
+    def test_keys_print_joined_side_first(self, binder):
+        # The executor's schedule attaches S to R, however the key is written.
+        for where in ("R.a = S.b", "S.b = R.a"):
+            text = plan_text(binder, f"SELECT * FROM R, S WHERE {where}")
+            assert "HashJoin on R.a = S.b" in text
+
+    def test_plan_follows_the_executor_schedule(self, binder):
+        # The first pending predicate picks the next source: T before S.
+        text = plan_text(
+            binder, "SELECT * FROM R, S, T WHERE R.a = T.d AND R.a = S.b"
+        )
+        assert text.splitlines() == [
+            "HashJoin on R.a = S.b",
+            "  HashJoin on R.a = T.d",
+            "    Scan R AS R",
+            "    Scan T AS T",
+            "  Scan S AS S",
+        ]
+
     def test_filters_shown_on_scans(self, binder):
         text = plan_text(binder, "SELECT * FROM S WHERE S.c > 5")
         assert "filter [(S.c > 5)]" in text

@@ -16,7 +16,6 @@ from repro.quality import run_metric, run_rms, total_relative_error
 from repro.sources import SteadyArrival, generate_stream, paper_row_generators
 from repro.synopses import (
     CountMinFactory,
-    DenseGridFactory,
     EndBiasedFactory,
     MHistFactory,
     ReservoirSampleFactory,
@@ -32,7 +31,6 @@ QUERY = (
 FAMILIES = [
     pytest.param(SparseHistogramFactory(bucket_width=5), id="sparse_hist"),
     pytest.param(MHistFactory(max_buckets=40, grid=5), id="mhist_aligned"),
-    pytest.param(DenseGridFactory(bin_width=5), id="dense_grid"),
     pytest.param(ReservoirSampleFactory(capacity=150), id="reservoir"),
     pytest.param(CountMinFactory(width=128), id="cms"),
     pytest.param(WaveletFactory(budget=64), id="wavelet"),

@@ -144,15 +144,17 @@ def test_phase_seconds_recorded_per_window(traced):
     assert hist.count(phase="exact") == len(result.windows)
 
 
-def test_window_hooks_see_outcomes():
+@pytest.mark.parametrize("strategy", list(ShedStrategy), ids=lambda s: s.value)
+def test_window_hooks_see_outcomes(strategy):
     obs = Observability()
-    pipeline, streams = bursty_pipeline(
-        ShedStrategy.DATA_TRIAGE, SHED_PEAK, PARAMS, 0, obs=obs
-    )
+    pipeline, streams = bursty_pipeline(strategy, SHED_PEAK, PARAMS, 0, obs=obs)
     seen = []
     pipeline.add_window_hook(lambda outcome: seen.append(outcome.window_id))
     result = pipeline.run(streams)
-    assert seen == [w.window_id for w in result.windows]
+    wids = [w.window_id for w in result.windows]
+    assert seen == wids
+    # Every strategy closes its windows on the one evaluation path.
+    assert sorted(obs.phase_seconds) == wids
 
 
 def test_raising_window_hook_is_counted_not_fatal():

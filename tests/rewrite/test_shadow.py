@@ -96,7 +96,7 @@ class TestShadowEstimates:
         plan = plan_for(paper_catalog)
         shadow = ShadowPlan(plan)
         full = random_data(rng)
-        est = shadow.estimate_full(synopsize(full))
+        est = shadow.estimate_dropped({}, synopsize(full))
         assert est.total() == pytest.approx(
             len(evaluate_exact(plan, full)), rel=1e-9
         )
@@ -172,4 +172,4 @@ class TestSelections:
         full = {k: random_data(rng)[k] for k in ("R", "S")}
         syn = {n: synopsize({n: full[n]})[n] for n in full}
         # c ranges 1..12 (< 101): the selection empties the channel.
-        assert shadow.estimate_full(syn) is None
+        assert shadow.estimate_dropped({}, syn) is None

@@ -131,7 +131,7 @@ class TestCompositeKeyShadow:
     def test_estimate_full_exact_at_width1(self, plan, rng):
         full = random_data(rng)
         shadow = ShadowPlan(plan)
-        est = shadow.estimate_full(synopsize(full))
+        est = shadow.estimate_dropped({}, synopsize(full))
         assert est.total() == pytest.approx(
             len(evaluate_exact(plan, full)), rel=1e-9
         )

@@ -11,7 +11,6 @@ import pytest
 
 from repro.synopses import (
     CountMinFactory,
-    DenseGridFactory,
     Dimension,
     EndBiasedFactory,
     MHistFactory,
@@ -24,7 +23,6 @@ FACTORIES = [
     pytest.param(SparseHistogramFactory(bucket_width=5), id="sparse_hist"),
     pytest.param(MHistFactory(max_buckets=30), id="mhist"),
     pytest.param(MHistFactory(max_buckets=30, grid=5), id="mhist_aligned"),
-    pytest.param(DenseGridFactory(bin_width=5), id="dense_grid"),
     pytest.param(ReservoirSampleFactory(capacity=400), id="reservoir"),
     pytest.param(CountMinFactory(width=128), id="cms"),
     pytest.param(WaveletFactory(budget=96), id="wavelet"),

@@ -1,7 +1,7 @@
 """Start-up pays for nothing the default configuration never uses.
 
-``numpy`` backs three optional synopsis families (dense grid, count-min,
-wavelet); they are its only importers.  Serving or simulating with the
+``numpy`` backs two optional synopsis families (count-min, wavelet);
+they are its only importers.  Serving or simulating with the
 default sparse histogram must not import it — on this host that is about a
 third of ``import repro.service``.
 """
