@@ -176,6 +176,11 @@ class Multiset:
                 extend([row] * n)
         return out
 
+    def distinct_counts(self) -> tuple[list[Row], list[int]]:
+        """``(distinct rows, multiplicities)`` as two aligned lists, in
+        ``__iter__``'s order: the counted read of a bag, no copy per row."""
+        return list(self._counts), list(self._counts.values())
+
     def items(self) -> Iterator[tuple[Row, int]]:
         """Iterate ``(row, multiplicity)`` pairs (no copy)."""
         return iter(self._counts.items())

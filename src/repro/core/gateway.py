@@ -27,12 +27,7 @@ from repro.core.merge import WindowPartials
 from repro.core.pipeline import DataTriagePipeline, RunResult
 from repro.core.policies import DropPolicy, RandomDropPolicy, TailDropPolicy
 from repro.core.strategies import ShedStrategy
-from repro.core.triage_core import (
-    TriageCore,
-    due_windows,
-    merge_arrivals,
-    window_runs,
-)
+from repro.core.triage_core import TriageCore, due_windows, window_runs
 from repro.core.triage_queue import TriageQueue, WindowSynopsis
 from repro.engine.types import StreamTuple
 from repro.engine.window import WindowSpec
@@ -225,8 +220,7 @@ def run_gateway_experiment(
         outputs[s] = gw.run(streams[s])
 
     # The engine-side window hand-off, assembled from what crossed the links.
-    events = merge_arrivals(streams, sources)
-    window_ids, arrived, runs = window_runs(events, sources, cfg.window)
+    window_ids, arrived, runs = window_runs(streams, sources, cfg.window)
     dropped_syn: dict[str, dict[int, Synopsis | None]] = {s: {} for s in sources}
     dropped_counts: dict[str, dict[int, int]] = {s: {} for s in sources}
     for s in sources:

@@ -124,7 +124,7 @@ class SharedTriageRuntime:
 
         events = merge_arrivals(streams, self.streams_used)
         window_ids, arrived, runs = window_runs(
-            events, self.streams_used, cfg.window
+            streams, self.streams_used, cfg.window
         )
 
         # One engine, one pass: a polled tuple occupies it once per query
@@ -134,11 +134,7 @@ class SharedTriageRuntime:
             [cfg.service_time * self._queries_on(s) for s in self.streams_used],
             synopses=True,
         )
-        stream_index = {s: i for i, s in enumerate(self.streams_used)}
-        for ts, _, stream, tup in events:
-            core.drain(ts)
-            core.offer(stream_index[stream], (tup,))
-        core.drain()
+        core.replay(events)
         # Every kept synopsis is built: the cell accounting below prices
         # them all, read by a shadow plan or not.
         partials = core.hand_off(window_ids, arrived, fill_all=True)

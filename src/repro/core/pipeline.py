@@ -12,12 +12,17 @@ each, and queues overflow exactly when arrivals outpace that service rate.
 This keeps who-wins/where-crossovers behaviour intact while making runs
 deterministic under a seed.
 
-Event model (discrete-event simulation):
+Event model (discrete-event simulation), run as one loop by
+:meth:`~repro.core.triage_core.TriageCore.replay`:
 
 * arrival events, in timestamp order, push tuples into their stream's
-  triage queue (or straight into a window synopsis for summarize-only);
-* between arrivals the engine drains the queues — always taking the
-  globally oldest queued tuple — charging ``service_time`` per tuple;
+  triage queue — straight in while it has room, through the drop policy
+  once it is full (summarize-only skips the queues: every arrival goes
+  into its window's synopsis);
+* before each arrival the engine drains the queues up to the arrival's
+  time — always taking the globally oldest queued tuple — charging
+  ``service_time`` per tuple; while the engine is busy past an arrival,
+  nothing is drained and the queues only fill;
 * a processed tuple joins its window's kept run (windows are assigned by
   *arrival* time, so backlog processed late still lands in the right
   window, as in TelegraphCQ's windowed operators); the run becomes the
@@ -25,6 +30,10 @@ Event model (discrete-event simulation):
 * after the last arrival the engine drains every queue, so at most one
   queue's worth of tuples per stream escapes dropping at saturation — the
   paper's stated maximum-load condition.
+
+Who arrived in which window (the arrival counts, the ideal bags,
+summarize-only's synopses) is cut per window from each stream's sorted
+timestamps (:func:`~repro.core.triage_core.window_runs`), not per arrival.
 """
 
 from __future__ import annotations
@@ -33,7 +42,6 @@ import math
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
@@ -72,22 +80,36 @@ def _no_phase(window_id: int, phase: str):
     return _UNOBSERVED
 
 
-def _depth_samples(offered, sources) -> dict[str, list[int]]:
-    """Each arrival's queue depth after its offer, per stream, in order.
+def _depth_counts(offered, sources) -> dict[str, dict[int, int]]:
+    """``{stream: {depth after an arrival's offer: arrivals}}``.
 
     Derived from the flush hand-backs ``(source, depth before, batch,
-    shed)``: the first ``k = len(batch) - shed`` arrivals were admitted at
-    depths ``depth+1 … depth+k`` and each shed one left the queue at
+    shed)`` in O(hand-backs + distinct depths): the first ``k = len(batch)
+    - shed`` arrivals were admitted at depths ``depth+1 … depth+k`` (one
+    difference-count range) and each shed one left the queue at
     ``depth+k``.
     """
-    samples: dict[str, list[int]] = {s: [] for s in sources}
+    out: dict[str, dict[int, int]] = {s: {} for s in sources}
+    ranges: dict[str, dict[int, int]] = {s: {} for s in sources}
     for source, depth, batch, shed in offered:
         k = len(batch) - shed
-        out = samples[source]
-        out.extend(range(depth + 1, depth + k + 1))
+        if k:
+            diff = ranges[source]
+            diff[depth + 1] = diff.get(depth + 1, 0) + 1
+            diff[depth + k + 1] = diff.get(depth + k + 1, 0) - 1
         if shed:
-            out.extend([depth + k] * shed)
-    return samples
+            counts = out[source]
+            counts[depth + k] = counts.get(depth + k, 0) + shed
+    for source, diff in ranges.items():
+        counts = out[source]
+        running = 0
+        edges = sorted(diff)
+        for edge, upto in zip(edges, edges[1:]):
+            running += diff[edge]
+            if running:
+                for depth in range(edge, upto):
+                    counts[depth] = counts.get(depth, 0) + running
+    return out
 
 
 def _replay_trace(offered, marks, polled, tail_clock: float, tuple_events: bool):
@@ -393,16 +415,21 @@ class DataTriagePipeline:
         if missing:
             raise ValueError(f"no arrivals supplied for sources {missing}")
 
-        events = merge_arrivals(streams, sources)
-        # The one walk of the timeline that assigns arrivals to windows:
-        # counts, ideal bags and full synopses are all built from its runs.
-        window_ids, arrived, runs = window_runs(events, sources, cfg.window)
+        # Who arrived in which window: counts, ideal bags and full
+        # synopses are all built from these runs.
+        window_ids, arrived, runs = window_runs(streams, sources, cfg.window)
         ideal_inputs = self._ideal_inputs(runs) if cfg.compute_ideal else None
         if cfg.strategy is ShedStrategy.SUMMARIZE_ONLY:
             return self._run_summarize_only(
-                len(events), window_ids, arrived, runs, ideal_inputs
+                sum(len(streams[s]) for s in sources),
+                window_ids,
+                arrived,
+                runs,
+                ideal_inputs,
             )
-        return self._run_queued(events, window_ids, arrived, ideal_inputs)
+        return self._run_queued(
+            merge_arrivals(streams, sources), window_ids, arrived, ideal_inputs
+        )
 
     # ------------------------------------------------------------------
     def _run_summarize_only(
@@ -439,18 +466,16 @@ class DataTriagePipeline:
     def _run_queued(self, events, window_ids, arrived, ideal_inputs) -> RunResult:
         """Replay ``events`` through the triage core on the virtual clock.
 
-        The loop itself (oldest-first drain, kept-row runs) is
-        :class:`~repro.core.triage_core.TriageCore`; this driver owns the
-        arrival replay, the load controllers and the observability around
-        each core call.
+        The loop itself (arrival replay, oldest-first drain, kept-row runs)
+        is :meth:`~repro.core.triage_core.TriageCore.replay`; this driver
+        owns the load controllers and the observability around it.
         """
         cfg = self.config
         sources = self.sources
-        # Observability: `obs is None` is THE fast path — every
-        # instrumentation site below is behind that check, so an unobserved
-        # run pays one branch per arrival and nothing per polled tuple.  An
-        # observed run records only what the core hands back, and derives
-        # its depth samples, drain phase and trace once the replay ends.
+        # Observability: `obs is None` is THE fast path — the replay then
+        # hands nothing back.  An observed run records only what the core
+        # hands back, and derives its depth histogram, drain phase and
+        # trace once the replay ends.
         obs = self.obs
         queues = {s: self.build_queue(s) for s in sources}
         core = TriageCore(
@@ -459,9 +484,8 @@ class DataTriagePipeline:
             synopses=cfg.strategy is ShedStrategy.DATA_TRIAGE,
         )
 
-        controllers: dict[str, LoadController] | None = None
-        control_dt = 0.0
-        next_control = math.inf
+        g_capacity = g_rate = g_frac = None
+        control = None
         if cfg.adaptive_staleness is not None:
             # React on a fraction of the staleness budget: bursts shorter
             # than the control interval are invisible to the controller.
@@ -469,20 +493,29 @@ class DataTriagePipeline:
                 s: LoadController(alpha=0.5, max_staleness=cfg.adaptive_staleness)
                 for s in sources
             }
+
+            def step(intervals: int) -> None:
+                for s in sources:
+                    est = controllers[s].observe(
+                        interval_seconds=intervals * control_dt,
+                        stats=queues[s].stats,
+                    )
+                    queues[s].capacity = controllers[s].recommended_capacity(
+                        cfg.service_time
+                    )
+                    if obs is not None:
+                        g_capacity.set(queues[s].capacity, stream=s)
+                        g_rate.set(est.arrival_rate, stream=s)
+                        g_frac.set(est.drop_fraction, stream=s)
+
             # Interval: a quarter of the budget, but never slower than ~50
             # tuples of engine work — load can whipsaw inside long budgets.
             control_dt = min(cfg.adaptive_staleness / 4, 50 * cfg.service_time)
-            next_control = control_dt
+            control = (control_dt, step)
 
-        g_capacity = g_rate = g_frac = h_depth = None
-        # An observed run keeps every flush's ``(source, depth before, batch,
-        # shed)`` in ``offered`` and, per drain step that took something, one
-        # mark ``(start, end, taken, until, len(offered))``; with tuple
-        # events, ``polled`` keeps every step's hand-back too.
-        offered: list | None = None
-        marks: list = []
-        polled: list | None = None
-        if obs is not None:
+        if obs is None:
+            core.replay(events, control=control)
+        else:
             reg = obs.registry
             g_capacity = reg.gauge(
                 "triage_queue_capacity", "Current queue capacity", ("stream",)
@@ -490,7 +523,7 @@ class DataTriagePipeline:
             h_depth = reg.histogram(
                 "triage_queue_depth", "Depth sampled at each arrival", ("stream",)
             )
-            if controllers is not None:
+            if control is not None:
                 g_rate = reg.gauge(
                     "controller_arrival_rate", "EWMA arrivals/second", ("stream",)
                 )
@@ -501,69 +534,35 @@ class DataTriagePipeline:
                 g_capacity.set(queues[s].capacity, stream=s)
             tracer = obs.tracer
             tuple_on = tracer.enabled and tracer.tuple_events
-            now = tracer.now
-            offered = []
-            if tuple_on:
-                polled = []
-
-        source_index = {s: i for i, s in enumerate(sources)}
-        # The replay ends on a sentinel arrival at +inf: its drain is the
-        # final one, which empties every queue.
-        replay = chain(events, ((math.inf, 0, None, None),))
-        # Ambient phase tags join sampled stacks to the identically-named
-        # trace spans; ``flip`` is None unless a sampler is attached.
-        with (
-            obs.phase_tags("ingest") if obs is not None else nullcontext()
-        ) as flip:
-            for ts, _, source, tup in replay:
-                if flip is not None:
-                    flip("drain")
-                if obs is None:
-                    core.drain(ts)
-                elif core.busy_until < ts:  # the core's own flush rule
-                    core.flush(offered)
-                    t0 = now()
-                    n = core.drain(ts, polled=polled)
-                    if n:
-                        marks.append((t0, now(), n, ts, len(offered)))
-                if tup is None:
-                    break
-                if flip is not None:
-                    flip("ingest")
-                if controllers is not None and ts >= next_control:
-                    # Charge every interval that passed: after a quiet gap,
-                    # one interval's worth would inflate the arrival rate.
-                    intervals = 0
-                    while next_control <= ts:
-                        next_control += control_dt
-                        intervals += 1
-                    core.flush(offered)
-                    for s in sources:
-                        est = controllers[s].observe(
-                            interval_seconds=intervals * control_dt,
-                            stats=queues[s].stats,
-                        )
-                        queues[s].capacity = controllers[s].recommended_capacity(
-                            cfg.service_time
-                        )
-                        if obs is not None:
-                            g_capacity.set(queues[s].capacity, stream=s)
-                            g_rate.set(est.arrival_rate, stream=s)
-                            g_frac.set(est.drop_fraction, stream=s)
-                core.offer(source_index[source], (tup,))
-            if obs is not None:
+            # The replay hands back every flush's ``(source, depth before,
+            # batch, shed)`` and, per drain step that took something, one
+            # mark ``(start, end, taken, until, len(offered))``; with tuple
+            # events, every taken tuple too.
+            offered: list = []
+            marks: list = []
+            polled: list | None = [] if tuple_on else None
+            # Ambient phase tags join sampled stacks to the identically-named
+            # trace spans; ``flip`` is None unless a sampler is attached.
+            with obs.phase_tags("ingest") as flip:
+                tail_clock = core.replay(
+                    events,
+                    control=control,
+                    flip=flip,
+                    offered=offered,
+                    marks=marks,
+                    polled=polled,
+                    now=tracer.now,
+                )
                 obs.record_run_phase("drain", sum(m[1] - m[0] for m in marks))
                 fold_queue_stats(
                     reg, {s: q.stats.snapshot() for s, q in queues.items()}, {}
                 )
-                for s, samples in _depth_samples(offered, sources).items():
-                    if samples:
-                        h_depth.observe_many(samples, stream=s)
+                for s, counts in _depth_counts(offered, sources).items():
+                    if counts:
+                        h_depth.observe_counts(counts, stream=s)
                 if tracer.enabled:
-                    # ``t0`` is the final drain's start: it stamps arrivals
-                    # that no later drain step took anything after.
                     tracer.defer(
-                        *_replay_trace(offered, marks, polled, t0, tuple_on)
+                        *_replay_trace(offered, marks, polled, tail_clock, tuple_on)
                     )
 
         windows = self.evaluate_windows(

@@ -36,12 +36,17 @@ next, and what taking it does to window state*.
   late backlog for them is consumed but folds into nothing.
   Independently, ``drain(polled=[...])`` hands the taken tuples back with
   their finish times.
+* **Replay.**  A virtual-clock driver that holds its whole timeline hands
+  it to :meth:`TriageCore.replay`: the per-arrival ``drain(ts)`` /
+  ``offer`` sequence and the final drain as one loop, which admits an
+  arrival that finds room on the spot and sends only overflow through
+  ``offer_bulk``.
 
-The drivers keep only what is genuinely theirs — arrival replay, load
-controllers and tracing (:mod:`repro.core.pipeline`); the budget carry and
-pattern feed (:mod:`repro.service.dataplane`); shared dimensions and
-per-query cost (:mod:`repro.core.multi_query`); synopsis shipping charged
-to the link (:mod:`repro.core.gateway`); the idle-engine budget rule
+The drivers keep only what is genuinely theirs — load controllers and
+tracing (:mod:`repro.core.pipeline`); the budget carry and pattern feed
+(:mod:`repro.service.dataplane`); shared dimensions and per-query cost
+(:mod:`repro.core.multi_query`); synopsis shipping charged to the link
+(:mod:`repro.core.gateway`); the idle-engine budget rule
 (:mod:`repro.cep.pipeline`).  The core draws no randomness.
 """
 
@@ -49,8 +54,10 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Container, Iterable
+from bisect import bisect_left
+from collections.abc import Callable, Container, Iterable
 from heapq import heappop, heappush, heapreplace
+from itertools import chain
 from typing import Sequence
 
 from repro.algebra.multiset import Multiset
@@ -64,6 +71,10 @@ __all__ = ["TriageCore", "due_windows", "merge_arrivals", "window_runs"]
 
 #: One replayed arrival: (timestamp, per-source sequence, source, tuple).
 Arrival = tuple[float, int, str, StreamTuple]
+
+#: :meth:`TriageCore.replay`'s mark for a source whose arrivals since the
+#: last flush all went straight into its queue.
+_ADMITTED = object()
 
 
 class TriageCore:
@@ -253,6 +264,246 @@ class TriageCore:
         self.busy_until = t
         return n
 
+    def replay(
+        self,
+        arrivals: Sequence[Arrival],
+        *,
+        control: tuple[float, Callable[[int], None]] | None = None,
+        flip: Callable[[str], None] | None = None,
+        offered: list | None = None,
+        marks: list | None = None,
+        polled: list | None = None,
+        now: Callable[[], float] | None = None,
+    ) -> float | None:
+        """Replay a timeline on the virtual clock, then drain every queue.
+
+        Exactly ``drain(ts)``, ``offer(i, (tup,))`` per arrival and a final
+        ``drain()``, in one loop whose state stays in locals.  ``arrivals``
+        are :func:`merge_arrivals` entries in timestamp order; the core must
+        be timed.
+
+        * **Intake.**  An arrival that finds its queue with room (and a
+          policy that keeps no index) is admitted on the spot, as
+          ``offer_bulk``'s free prefix would admit it: no RNG draw, the same
+          ``offered`` / ``high_watermark`` and head.  A queue that is full
+          stays full until the next drain step, so the rest of its arrivals
+          are staged and reach ``offer_bulk`` unchanged at that step — its
+          overflow tail, in first-arrival order across sources.
+        * **Fold.**  Polls come out in timestamp order, so the window set of
+          the polled tuples changes only at window boundaries: its runs are
+          looked up (and kept synopses created) once per (window set,
+          source), and each window's completion is stamped when the set
+          moves on.
+        * **Control.**  ``control=(dt, step)`` calls ``step(intervals)``
+          before staging the first arrival at or past each multiple of
+          ``dt`` — after a flush, so ``step`` reads settled queues — with
+          the count of intervals that passed.  ``flip``, the sampler's
+          phase setter, tags each drain step ``drain`` and the rest
+          ``ingest``.
+        * **Observation.**  An observed run passes ``offered``, ``marks``
+          and the clock ``now`` (and ``polled`` for tuple events).  Each
+          flush appends to ``offered`` one ``(source, depth before, batch,
+          shed)`` per source that had arrivals since the previous flush
+          (``batch`` is all of them, admitted on the spot or not; see
+          :meth:`flush`); each drain step that took something appends to
+          ``marks`` one ``(start clock, end clock, taken, until,
+          len(offered))``; each taken tuple appends to ``polled`` one
+          ``(source, tuple, finish time)``.  Returns the clock reading at
+          the start of the final drain (the stamp of arrivals no later
+          step took anything after) when ``now`` is given, else ``None``.
+        """
+        if self.costs is None:
+            raise ValueError("replay needs a timed core (per-source costs)")
+        self.flush()
+        queues = self.queues
+        names = self.names
+        index = {name: i for i, name in enumerate(names)}
+        # The core is the queues' one caller: it reads their buffers
+        # directly, so admitting into or polling from one costs no call.
+        buffers = [q._buffer for q in queues]
+        stats = [q.stats for q in queues]
+        direct = [q.policy_index is None for q in queues]
+        capacity = [q.capacity for q in queues]
+        costs = self.costs
+        heap = self._heap
+        heads = self._heads
+        all_runs = self._runs
+        completion = self.completion
+        floor = self.closed_floor
+        window_ids = self._window_ids
+        # Source index -> its staged overflow tail, or ADMITTED while every
+        # arrival of it since the last flush went straight in.  The dict is
+        # in first-arrival order, the order the tails must reach their
+        # queues in: seeded synopsis factories and the ledger are shared.
+        staged: dict[int, object] = {}
+        admitted = _ADMITTED
+        overflow = False  # some source has a staged tail
+        observed = offered is not None
+        lo = 0  # the first arrival since the last flush
+
+        def release(upto: int) -> None:
+            """Flush: each staged tail to its queue, then the hand-backs."""
+            nonlocal lo
+            for idx, tail in staged.items():
+                buf = buffers[idx]
+                depth = len(buf)
+                shed = 0
+                if tail is not admitted:
+                    shed = queues[idx].offer_bulk(tail)
+                    self._sync(idx)
+                if observed:
+                    # The hand-back :meth:`flush` would have made for all of
+                    # the source's arrivals since ``lo``; those admitted on
+                    # the spot are already counted in ``depth``.
+                    name = names[idx]
+                    batch = [a[3] for a in arrivals[lo:upto] if a[2] == name]
+                    inline = len(batch) - (0 if tail is admitted else len(tail))
+                    offered.append((name, depth - inline, batch, shed))
+            staged.clear()
+            lo = upto
+
+        if control is None:
+            dt, step, next_control = 0.0, None, math.inf
+        else:
+            dt, step = control
+            next_control = dt
+        # The fold's window set: the polled timestamp it was looked up for,
+        # its windows above the closed floor, and per source the appends of
+        # their runs (None until the source's first poll in the set).
+        fold_ts: float | None = None
+        fold_wids: tuple[int, ...] | None = None
+        live: list[int] = []
+        appends: list = [None] * len(queues)
+        t = last = self.busy_until
+        t0 = None
+        sentinel = (math.inf, 0, None, None)
+        for i, (ts, _, source, tup) in enumerate(chain(arrivals, (sentinel,))):
+            if t < ts:
+                # A drain step: the consumer is free before ``ts``.
+                if flip is not None:
+                    flip("drain")
+                if staged:
+                    if overflow or observed:
+                        release(i)
+                        overflow = False
+                    else:
+                        staged.clear()  # all went straight in
+                if now is not None and tup is None:
+                    t0 = now()  # the final drain's start stamps the tail
+                n = 0
+                while heap:
+                    hts, idx = heap[0]
+                    buf = buffers[idx]
+                    if not buf or buf[0].timestamp != hts:
+                        # Stale: the head this entry described was evicted
+                        # by a drop policy since it was registered.
+                        heappop(heap)
+                        self._sync(idx)
+                        continue
+                    start = hts if hts > t else t
+                    if start >= ts:
+                        break
+                    if now is not None and not n and tup is not None:
+                        t0 = now()
+                    if direct[idx]:
+                        got = buf.popleft()
+                        stats[idx].polled += 1
+                    else:
+                        got = queues[idx].poll()
+                    # Unconditional re-registration: the successor may carry
+                    # the *same* timestamp.
+                    if buf:
+                        nts = heads[idx] = buf[0].timestamp
+                        heapreplace(heap, (nts, idx))
+                    else:
+                        heads[idx] = None
+                        heappop(heap)
+                    t = start + costs[idx]
+                    n += 1
+                    if polled is not None:
+                        polled.append((names[idx], got, t))
+                    if all_runs is None:
+                        continue
+                    gts = got.timestamp
+                    if gts != fold_ts:
+                        fold_ts = gts
+                        wids = window_ids(gts)
+                        if wids != fold_wids:
+                            for wid in live:
+                                completion[wid] = last
+                            fold_wids = wids
+                            live = [w for w in wids if floor is None or w > floor]
+                            appends = [None] * len(queues)
+                    joins = appends[idx]
+                    if joins is None:
+                        joins = appends[idx] = self._run_appends(idx, live)
+                    row = got.row
+                    for append in joins:
+                        append(row)
+                    last = t
+                if n and marks is not None:
+                    marks.append((t0, now(), n, ts, len(offered)))
+                if flip is not None:
+                    flip("ingest")
+                if tup is None:
+                    break
+            if ts >= next_control:
+                # Charge every interval that passed: after a quiet gap, one
+                # interval's worth would inflate the arrival rate.
+                intervals = 0
+                while next_control <= ts:
+                    next_control += dt
+                    intervals += 1
+                release(i)
+                overflow = False
+                step(intervals)
+                capacity = [q.capacity for q in queues]
+            idx = index[source]
+            tail = staged.get(idx)
+            if tail is None or tail is admitted:
+                buf = buffers[idx]
+                if direct[idx] and len(buf) < capacity[idx]:
+                    # Room: admitted as offer_bulk's free prefix would be.
+                    if not buf:
+                        heads[idx] = tup.timestamp
+                        heappush(heap, (tup.timestamp, idx))
+                    buf.append(tup)
+                    st = stats[idx]
+                    st.offered += 1
+                    if len(buf) > st.high_watermark:
+                        st.high_watermark = len(buf)
+                    if tail is None:
+                        staged[idx] = admitted
+                    continue
+                staged[idx] = [tup]
+                overflow = True
+            else:
+                tail.append(tup)
+        for wid in live:
+            completion[wid] = last
+        self.busy_until = t
+        return t0
+
+    def _run_appends(self, idx: int, wids: list[int]) -> list:
+        """The bound ``append`` of source ``idx``'s run in each of ``wids``.
+
+        A run is created (with its empty kept synopsis: seeded factories
+        number their creates) at the first poll that needs it.
+        """
+        runs = self._runs[idx]
+        joins = []
+        for wid in wids:
+            run = runs.get(wid)
+            if run is None:
+                run = runs[wid] = []
+                if self._synopses is not None:
+                    q = self.queues[idx]
+                    self._synopses[idx][wid] = q.synopsis_factory.create(
+                        q.dimensions
+                    )
+            joins.append(run.append)
+        return joins
+
     def take(
         self,
         wids: Iterable[int] | None = None,
@@ -382,50 +633,68 @@ def merge_arrivals(
 ) -> list[Arrival]:
     """Interleave per-source arrivals into one deterministic timeline.
 
-    Ordered by timestamp, then source name, then per-source sequence.
+    Ordered by timestamp, then source name, then per-source sequence: the
+    sources are concatenated in name order and stable-sorted on the
+    timestamp alone, which breaks ties exactly that way.  A source's list
+    need not be sorted.
     """
-    events = [
-        (tup.timestamp, seq, source, tup)
-        for source in sources
-        for seq, tup in enumerate(streams[source])
-    ]
-    events.sort(key=operator.itemgetter(0, 2, 1))
+    events: list[Arrival] = []
+    for source in sorted(sources):
+        events += [
+            (tup.timestamp, seq, source, tup)
+            for seq, tup in enumerate(streams[source])
+        ]
+    events.sort(key=operator.itemgetter(0))
     return events
 
 
 def window_runs(
-    events: list[Arrival], sources: Sequence[str], window: WindowSpec
+    streams: dict[str, list[StreamTuple]],
+    sources: Sequence[str],
+    window: WindowSpec,
 ) -> tuple[list[int], dict[str, dict[int, int]], dict[tuple[str, int], list]]:
-    """One walk of a timeline: who arrived in which window.
+    """Who arrived in which window, cut per window instead of per arrival.
 
     Returns ``(sorted window ids, {source: {window id: arrivals}},
     {(source, window id): rows})``.  A run lists the rows of one source
-    that fall in one window, in timeline order; the runs themselves are in
-    first-arrival order (the order a per-tuple fold would have created
-    per-window state in).  Everything a virtual-clock driver derives from
+    that fall in one window, in timeline order (:func:`merge_arrivals`');
+    the runs themselves are in first-arrival order (the order a per-tuple
+    fold would have created per-window state in: seeded synopsis factories
+    number their creates).  Everything a virtual-clock driver derives from
     the arrivals — the counts, the ideal bags, summarize-only's full
     synopses — is built from these in bulk.
+
+    Each source's timestamps are sorted once and each window's run is one
+    slice between two bisections at the window's bounds, checked at its
+    ends against :meth:`WindowSpec.ids` (whose answer is the contract).
     """
     ids = window.ids
-    runs: dict[tuple[str, int], list] = {}
-    # Arrivals come in timestamp order, so the window set changes rarely:
-    # the runs an arrival joins are looked up once per (window set, source)
-    # and remembered as their bound ``append``s.
-    current: tuple[int, ...] | None = None
-    appends: dict[str, list] = {}
-    for ts, _, source, tup in events:
-        wids = ids(ts)
-        if wids != current:
-            current = wids
-            appends = {}
-        joins = appends.get(source)
-        if joins is None:
-            joins = appends[source] = [
-                runs.setdefault((source, wid), []).append for wid in wids
-            ]
-        row = tup.row
-        for append in joins:
-            append(row)
+    found = []
+    for source in sources:
+        tuples = streams[source]
+        if not tuples:
+            continue
+        stamps = [tup.timestamp for tup in tuples]
+        rows = [tup.row for tup in tuples]
+        seqs: Sequence[int] = range(len(tuples))
+        if any(map(operator.gt, stamps, stamps[1:])):
+            seqs = sorted(seqs, key=stamps.__getitem__)
+            stamps = [stamps[i] for i in seqs]
+            rows = [rows[i] for i in seqs]
+        for wid in window.candidate_ids(stamps[0], stamps[-1]):
+            start, end = window.bounds(wid)
+            lo = bisect_left(stamps, start)
+            hi = bisect_left(stamps, end, lo)
+            # Within [lo, hi) membership is one contiguous stretch; its
+            # ends can only differ from the bounds by float rounding.
+            while lo < hi and wid not in ids(stamps[lo]):
+                lo += 1
+            while hi > lo and wid not in ids(stamps[hi - 1]):
+                hi -= 1
+            if lo < hi:
+                found.append((stamps[lo], source, seqs[lo], wid, rows[lo:hi]))
+    found.sort(key=operator.itemgetter(0, 1, 2, 3))
+    runs = {(source, wid): run for _, source, _, wid, run in found}
     arrived: dict[str, dict[int, int]] = {s: {} for s in sources}
     for (source, wid), run in runs.items():
         arrived[source][wid] = len(run)

@@ -20,7 +20,10 @@ Section 5.2.1.
 
 :meth:`TriageQueue.offer_bulk` is the one way in, and
 :class:`~repro.core.triage_core.TriageCore`, which stages every driver's
-arrivals, is its one caller.
+arrivals, is its one caller.  The core's replay loop also admits an arrival
+that finds room (under a policy that keeps no buffer index) straight into
+the buffer, exactly as ``offer_bulk``'s free prefix would, and polls
+directly — the queue's state and stats come out the same.
 
 Concurrency contract
 --------------------
@@ -64,7 +67,9 @@ class WindowSynopsis:
 class QueueStats:
     """Counters the load controller, experiments and metrics export read.
 
-    The queue is the only writer.  Everything the ``triage_*_total`` metric
+    The queue is the only writer (besides the triage core's replay, which
+    counts what it admits and polls directly as the queue would).
+    Everything the ``triage_*_total`` metric
     family reports is held here and folded into a registry by delta
     (:func:`repro.obs.metrics.fold_queue_stats`), never pushed per tuple.
     """

@@ -66,19 +66,29 @@ class WindowSpec:
             if i * self.hop <= timestamp < i * self.hop + self.width:
                 yield i
 
+    def candidate_ids(self, earliest: float, latest: float) -> range:
+        """Every id :meth:`window_ids` tries for some timestamp in
+        ``[earliest, latest]``: its range for ``earliest`` starts lowest and
+        its range for ``latest`` ends highest (both ends are monotone)."""
+        first = math.floor((earliest - self.width) / self.hop) + 1
+        if earliest >= 0:
+            first = max(first, 0)
+        return range(first, math.floor(latest / self.hop) + 1)
+
     def ids(self, timestamp: float) -> tuple[int, ...]:
         """Memoized :meth:`window_ids` as a tuple.
 
         Window state is built once per window from row runs, so what is
-        left of the per-tuple work is this lookup: the arrival walk
-        (:func:`~repro.core.triage_core.window_runs`, or the data plane's
-        admission) asks once per arriving tuple, and the tuple's one exit
-        asks again — :meth:`TriageCore.drain` when it is polled,
-        :meth:`TriageQueue.offer_bulk` when it is shed.  The
-        answer depends only on ``timestamp``, and the same timestamps come
-        back (each tuple twice, a batch stamped with one ``now``, one input
-        replayed under several strategies), so the memo stays.  Delegates
-        to ``window_ids`` for the arithmetic so the two can never disagree.
+        left of the per-tuple work is this lookup: the data plane's
+        admission asks once per arriving tuple, and the tuple's one exit
+        asks again — the triage core's fold when it is polled,
+        :meth:`TriageQueue.offer_bulk` when it is shed
+        (:func:`~repro.core.triage_core.window_runs` asks only at the ends
+        of each window's run).  The answer depends only on ``timestamp``,
+        and the same timestamps come back (a batch stamped with one
+        ``now``, one input replayed under several strategies), so the memo
+        stays.  Delegates to ``window_ids`` for the arithmetic so the two
+        can never disagree.
         """
         cache = self._ids_cache
         out = cache.get(timestamp)

@@ -6,8 +6,9 @@ out, invocations, and inclusive wall time per plan node.  The executor's
 cached :class:`~repro.perf.compile.CompiledNode` tree is *never mutated*
 (it is shared across windows); instead each node is shallow-copied and its
 child links are replaced with counting proxies, so the profiled tree is a
-throwaway parallel structure.  A proxy brackets the node's one execution
-face, ``batch(inputs)``, with a single clock pair.
+throwaway parallel structure.  A proxy brackets the node's execution face,
+``batch(inputs)`` or its counted form ``counted(inputs)``, with a single
+clock pair.
 
 Timing is *inclusive*: a node's seconds cover everything spent producing
 its rows, children included — the same convention as PostgreSQL's
@@ -95,8 +96,9 @@ _CLOCK = time.perf_counter
 class _CompiledProxy:
     """Stands in for a compiled node's child: same rows, counted.
 
-    Implements the node's one face, ``batch``, bracketed by a single clock
-    pair, so the parent reports the rows that flowed through this node.
+    Implements the node's faces, ``batch`` and ``counted``, each bracketed
+    by a single clock pair, so the parent reports the rows that flowed
+    through this node.
     """
 
     __slots__ = ("_node", "_prof")
@@ -117,6 +119,17 @@ class _CompiledProxy:
         prof.seconds += _CLOCK() - t0
         prof.rows_out += len(rows)
         return rows
+
+    def counted(self, inputs):
+        """The counted face (the COUNT(*) pushdown's read), rows counted
+        with their multiplicities: the rows ``batch`` would have reported."""
+        prof = self._prof
+        prof.invocations += 1
+        t0 = _CLOCK()
+        rows, mult = self._node.counted(inputs)
+        prof.seconds += _CLOCK() - t0
+        prof.rows_out += sum(mult)
+        return rows, mult
 
 
 class _CompiledJoinProxy(_CompiledProxy):

@@ -293,6 +293,31 @@ class Histogram(_Instrument):
             for _ in values:
                 self._dropped_series()
 
+    def observe_counts(self, counts, **labels) -> None:
+        """Add ``counts[value]`` samples of each ``value`` to one series.
+
+        One bisect per distinct value: the same buckets and count as
+        :meth:`observe_many` over the expanded samples, and the same sum
+        when the values are integers (every partial sum is then exact).
+        """
+        key = self._key(labels)
+        bounds = self.bounds
+        n = sum(counts.values())
+        with self._lock:
+            buckets = self._counts.get(key)
+            if buckets is None and not self._series_full(self._counts):
+                buckets = self._counts[key] = [0] * (len(bounds) + 1)
+            if buckets is not None:
+                total = self._sum.get(key, 0.0)
+                for value, c in counts.items():
+                    buckets[bisect_left(bounds, value)] += c
+                    total += value * c
+                self._sum[key] = total
+                self._count[key] = self._count.get(key, 0) + n
+        if buckets is None:
+            for _ in range(n):
+                self._dropped_series()
+
     def count(self, **labels) -> int:
         with self._lock:
             return self._count.get(self._key(labels), 0)

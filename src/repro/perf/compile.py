@@ -14,7 +14,10 @@ A node has exactly one execution face, ``batch(inputs) -> list[tuple]``:
 per window the tree is *re-bound* to the new input bags by calling it, not
 rebuilt, and every operator consumes and produces whole row lists —
 filters gather by index vector, joins extend one output list, COUNT(*)
-over a join counts fan-out without materializing the join.
+over a join counts fan-out without materializing the join.  That pushdown
+reads its inputs *counted* (``counted(inputs) -> (distinct rows,
+multiplicities)``): scans hand over a bag's pairs, filters keep the
+multiplicities and joins multiply them, so it works per distinct row.
 
 Semantics are the textbook operator tree's, verbatim: SQL three-valued
 logic with both operands always evaluated (no short-circuit, so error
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Callable
+from operator import itemgetter
 from typing import Any
 
 from repro.algebra.multiset import Multiset
@@ -74,8 +78,9 @@ def _pure_key_positions(exprs, schema) -> frozenset | None:
 
     Eligible expressions are pure (no user function calls) and built from
     column refs, literals, and unary/binary operators — the analysis behind
-    the COUNT(*)-over-join pushdown, which re-evaluates key expressions per
-    *left* row instead of per joined row.
+    the COUNT(*)-over-join pushdown, which evaluates key expressions and
+    the filters below the join once per *distinct left* row instead of
+    once per joined row.
     """
     acc: set[int] = set()
 
@@ -114,6 +119,16 @@ class CompiledNode:
     def batch(self, inputs: dict[str, Multiset]) -> list[tuple]:
         raise NotImplementedError
 
+    def counted(self, inputs) -> tuple[list[tuple], list[int]]:
+        """``(rows, multiplicities)``: :meth:`batch`'s output as a bag.
+
+        Expanding each row by its multiplicity, in order, gives
+        :meth:`batch`'s rows with the same first occurrences.  A node that
+        cannot count hands over its batch, one copy per row.
+        """
+        rows = self.batch(inputs)
+        return rows, [1] * len(rows)
+
 
 class _CScan(CompiledNode):
     __slots__ = ("key_lower", "key")
@@ -133,6 +148,14 @@ class _CScan(CompiledNode):
             return rows.rows_list()
         return list(rows)
 
+    def counted(self, inputs):
+        rows = inputs.get(self.key_lower)
+        if rows is None:
+            rows = inputs.get(self.key)
+        if isinstance(rows, Multiset):
+            return rows.distinct_counts()
+        return CompiledNode.counted(self, inputs)
+
 
 class _CSubquery(CompiledNode):
     __slots__ = ("inner",)
@@ -146,11 +169,17 @@ class _CSubquery(CompiledNode):
 
 
 class _CFilter(CompiledNode):
-    __slots__ = ("child", "vpred")
+    """``pure``: the predicate calls no function, so testing each distinct
+    row once (:meth:`counted`) is the same as testing every copy."""
 
-    def __init__(self, child: CompiledNode, vpred: Callable) -> None:
+    __slots__ = ("child", "vpred", "pure")
+
+    def __init__(
+        self, child: CompiledNode, vpred: Callable, pure: bool = False
+    ) -> None:
         self.child = child
         self.vpred = vpred
+        self.pure = pure
         self.schema = child.schema
 
     def batch(self, inputs):
@@ -158,6 +187,15 @@ class _CFilter(CompiledNode):
         if not rows:
             return rows
         return [rows[i] for i in self.vpred(rows)]
+
+    def counted(self, inputs):
+        if not self.pure:
+            return CompiledNode.counted(self, inputs)
+        rows, mult = self.child.counted(inputs)
+        if not rows:
+            return rows, mult
+        keep = self.vpred(rows)
+        return [rows[i] for i in keep], [mult[i] for i in keep]
 
 
 class _CProject(CompiledNode):
@@ -182,7 +220,7 @@ class _CHashJoin(CompiledNode):
     tuple allocation per row on both the build and probe sides.
     """
 
-    __slots__ = ("left", "right", "lpos", "rpos")
+    __slots__ = ("left", "right", "lpos", "rpos", "lkey", "rkey")
 
     def __init__(
         self,
@@ -195,6 +233,9 @@ class _CHashJoin(CompiledNode):
         self.right = right
         self.lpos = tuple(lpos)
         self.rpos = tuple(rpos)
+        # Row -> join key (a scalar for one key column, else a tuple).
+        self.lkey = itemgetter(*self.lpos)
+        self.rkey = itemgetter(*self.rpos)
         self.schema = left.schema.concat(right.schema)
 
     def batch(self, inputs):
@@ -254,64 +295,70 @@ class _CHashJoin(CompiledNode):
                     extend([lrow + rrow for rrow in matches])
         return out
 
+    def _drop_null_keys(self, table: dict) -> None:
+        """Forget build keys holding a NULL: they match nothing, and with
+        them gone no probe key holding one finds a match either."""
+        if len(self.rpos) == 1:
+            table.pop(None, None)
+        else:
+            for key in [key for key in table if None in key]:
+                del table[key]
+
+    def counted(self, inputs):
+        # The expanded output is, per probe row copy, its build matches in
+        # arrival order: distinct probe rows × distinct build rows, in that
+        # order, are its first occurrences, each repeated lm × rm times.
+        rrows, rmult = self.right.counted(inputs)
+        table: dict[Any, list] = {}
+        setdefault = table.setdefault
+        for row, m, key in zip(rrows, rmult, map(self.rkey, rrows)):
+            setdefault(key, []).append((row, m))
+        self._drop_null_keys(table)
+        out: list[tuple] = []
+        out_mult: list[int] = []
+        if not table:
+            return out, out_mult
+        lrows, lmult = self.left.counted(inputs)
+        get = table.get
+        append = out.append
+        mappend = out_mult.append
+        for lrow, lm, key in zip(lrows, lmult, map(self.lkey, lrows)):
+            matches = get(key)
+            if matches is not None:
+                for rrow, rm in matches:
+                    append(lrow + rrow)
+                    mappend(lm * rm)
+        return out, out_mult
+
     def left_match_counts(self, inputs) -> tuple[list[tuple], list[int]]:
         """Factored probe: matching left rows and their join fan-out.
 
-        Returns ``(lrows, mult)`` where ``lrows`` are the probe-order left
-        rows with at least one match and ``mult[i]`` is how many joined
-        rows ``lrows[i]`` would produce.  The COUNT(*) aggregate pushdown
-        consumes this instead of :meth:`batch`, so wide joins never
-        materialize their output (concatenating ``lrow + rrow`` per pair
-        is most of a join-heavy plan's cost).
+        Returns ``(lrows, mult)``: the distinct probe-order left rows with
+        at least one match (read :meth:`counted`) and how many joined rows
+        each would produce — its multiplicity times the matching build
+        rows'.  The COUNT(*) aggregate pushdown consumes this instead of
+        :meth:`batch`, so wide joins never materialize their output, and
+        neither side is expanded to one row per copy.
         """
-        right_rows = self.right.batch(inputs)
-        lrows: list[tuple] = []
+        rrows, rmult = self.right.counted(inputs)
+        fanout: dict[Any, int] = {}
+        fget = fanout.get
+        for key, m in zip(map(self.rkey, rrows), rmult):
+            fanout[key] = fget(key, 0) + m
+        self._drop_null_keys(fanout)
+        lrows_out: list[tuple] = []
         mult: list[int] = []
-        if len(self.rpos) == 1:
-            rp = self.rpos[0]
-            counts: dict[Any, int] = {}
-            cget = counts.get
-            for row in right_rows:
-                key = row[rp]
-                if key is not None:
-                    counts[key] = cget(key, 0) + 1
-            if not counts:
-                return lrows, mult
-            lp = self.lpos[0]
-            get = counts.get
-            la = lrows.append
-            ma = mult.append
-            for lrow in self.left.batch(inputs):
-                key = lrow[lp]
-                if key is None:
-                    continue
-                m = get(key)
-                if m is not None:
-                    la(lrow)
-                    ma(m)
-            return lrows, mult
-        rpos = self.rpos
-        mcounts: dict[tuple, int] = {}
-        mcget = mcounts.get
-        for row in right_rows:
-            key = tuple(row[p] for p in rpos)
-            if None not in key:
-                mcounts[key] = mcget(key, 0) + 1
-        if not mcounts:
-            return lrows, mult
-        lpos = self.lpos
-        get = mcounts.get
-        la = lrows.append
+        if not fanout:
+            return lrows_out, mult
+        lrows, lmult = self.left.counted(inputs)
+        la = lrows_out.append
         ma = mult.append
-        for lrow in self.left.batch(inputs):
-            key = tuple(lrow[p] for p in lpos)
-            if None in key:
-                continue
-            m = get(key)
+        for lrow, lm, key in zip(lrows, lmult, map(self.lkey, lrows)):
+            m = fget(key)
             if m is not None:
                 la(lrow)
-                ma(m)
-        return lrows, mult
+                ma(lm * m)
+        return lrows_out, mult
 
 
 class _CNestedLoop(CompiledNode):
@@ -404,10 +451,10 @@ class _CAggregate(CompiledNode):
                 and all(p < len(child.left.schema) for p in kp)
             ):
                 # Factored COUNT(*)-over-join: the group keys only read
-                # left-side columns, so count each left row's join fan-out
-                # instead of materializing the concatenated output.  Group
-                # first-occurrence order equals probe order, which is the
-                # order the reference tree first sees each key.
+                # left-side columns, so count each distinct left row's join
+                # fan-out instead of materializing the concatenated output.
+                # Group first-occurrence order equals probe order, which is
+                # the order the reference tree first sees each key.
                 lrows, mult = lmc(inputs)
                 if not lrows:
                     return []
@@ -556,7 +603,9 @@ def _compile_select(bound, functions) -> CompiledNode:
         if pred is not None:
             node = per_source[name]
             per_source[name] = _CFilter(
-                node, compile_filter_vector(pred, node.schema, functions)
+                node,
+                compile_filter_vector(pred, node.schema, functions),
+                pure=_pure_key_positions([pred], node.schema) is not None,
             )
 
     order = [src.name for src in bound.sources]

@@ -14,7 +14,7 @@ expressive limits of histogram algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.engine.expressions import BinaryOp, ColumnRef, Expression, Literal
 from repro.rewrite.plan import RewriteError, SPJPlan
@@ -128,6 +128,19 @@ class ShadowPlan:
                     ),
                 )
             )
+        if not self.nested:
+            # Flat terms join left to right and ``Synopsis.equijoin`` keeps
+            # each predicate's left key and drops its right one, so a left
+            # key an earlier join dropped is read from the dimension that
+            # survives its equivalence class (as ``MergeSpec.from_plan``
+            # reads group and aggregate columns).  Nested terms join right
+            # to left, and their keys are all still there as written.
+            survivor: dict[str, str] = {}
+            for idx, link in enumerate(links):
+                left_keys = tuple(survivor.get(k, k) for k in link.left_keys)
+                links[idx] = replace(link, left_keys=left_keys)
+                for left, right in zip(left_keys, link.right_keys):
+                    survivor[right] = left
         self.links = links
 
     # ------------------------------------------------------------------

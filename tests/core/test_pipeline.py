@@ -271,7 +271,10 @@ class TestUnrunnableQueries:
 
 # Query shapes whose lost answer raised in the first window that shed: a
 # GROUP BY or aggregate column joined away by the shadow plan (it reads the
-# survivor of its equivalence class), no GROUP BY column, and three.
+# survivor of its equivalence class), no GROUP BY column, three, and a
+# composite join key whose left column an earlier join dropped (the key
+# reads the survivor too).  The last shape, a path whose key is such a
+# column, runs nested: right to left, with every key still in place.
 LOST_ANSWER_SHAPES = [
     pytest.param(
         "SELECT b, COUNT(*) AS n FROM R, S WHERE R.a = S.b GROUP BY b;",
@@ -289,6 +292,16 @@ LOST_ANSWER_SHAPES = [
         "SELECT a, c, d, COUNT(*) AS n FROM R, S, T "
         "WHERE R.a = S.b AND S.c = T.d GROUP BY a, c, d;",
         id="three_group_columns",
+    ),
+    pytest.param(
+        "SELECT a, COUNT(*) AS n FROM R, S, T "
+        "WHERE R.a = S.b AND S.b = T.d AND S.c = T.d GROUP BY a;",
+        id="composite_key_on_a_joined_away_column",
+    ),
+    pytest.param(
+        "SELECT a, COUNT(*) AS n FROM R, S, T "
+        "WHERE R.a = S.b AND S.b = T.d GROUP BY a;",
+        id="path_key_on_a_joined_away_column",
     ),
 ]
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 
 from repro.core import (
     DataTriagePipeline,
@@ -17,6 +18,7 @@ from repro.obs import Observability
 from repro.obs.metrics import Histogram
 from repro.sources import SteadyArrival, generate_stream, paper_row_generators
 from repro.synopses import Dimension, SparseHistogramFactory
+from tests.oracle.replay import reference_replay
 
 
 def make_queue(name, capacity=10, policy=None, window=None):
@@ -202,9 +204,10 @@ class TestIntake:
             service_time=1 / 500,
             adaptive_staleness=0.2,
         )
-        # The truth: every batch re-offered one tuple at a time, with the
-        # depth after each arrival (any split is equivalent).
-        truth: dict[str, list[int]] = {}
+        # The truth: the per-arrival reference loop with every batch
+        # re-offered one tuple at a time, and the depth after each arrival
+        # (any split is equivalent).
+        truth: dict[str, Counter] = {}
         cut: set[str] = set()
         real_offer = TriageQueue.offer_bulk
 
@@ -214,26 +217,31 @@ class TestIntake:
             dropped = 0
             for tup in batch:
                 dropped += real_offer(queue, [tup])
-                truth.setdefault(queue.name, []).append(len(queue))
+                truth.setdefault(queue.name, Counter())[len(queue)] += 1
             return dropped
 
-        samples: dict[str, list[int]] = {}
-        real_observe = Histogram.observe_many
+        with monkeypatch.context() as patch:
+            patch.setattr(TriageQueue, "offer_bulk", one_at_a_time)
+            patch.setattr(TriageCore, "replay", reference_replay)
+            DataTriagePipeline(paper_catalog, QUERY, config).run(streams)
+        assert cut == {"R", "S", "T"}
 
-        def record(hist, values, **labels):
+        # The derived histogram input: one {depth: arrivals} per stream.
+        samples: dict[str, dict[int, int]] = {}
+        real_observe = Histogram.observe_counts
+
+        def record(hist, counts, **labels):
             if hist.name == "triage_queue_depth":
-                samples[labels["stream"]] = list(values)
-            return real_observe(hist, values, **labels)
+                samples[labels["stream"]] = dict(counts)
+            return real_observe(hist, counts, **labels)
 
-        monkeypatch.setattr(TriageQueue, "offer_bulk", one_at_a_time)
-        monkeypatch.setattr(Histogram, "observe_many", record)
+        monkeypatch.setattr(Histogram, "observe_counts", record)
         pipeline = DataTriagePipeline(
             paper_catalog, QUERY, config, obs=Observability(trace=True)
         )
         result = pipeline.run(streams)
-        assert cut == {"R", "S", "T"}
         assert samples == truth
-        assert all(len(samples[s]) == 300 for s in streams)
+        assert all(sum(samples[s].values()) == 300 for s in streams)
         # ...and one verdict per arrival, shed exactly as often as dropped.
         events = pipeline.obs.tracer.events()
         verdicts = [e["name"] for e in events if e["name"] in ("enqueue", "shed")]
@@ -384,9 +392,8 @@ class TestArrivalReplay:
 
     def test_arrivals_counted_per_source_and_window(self):
         streams = {"R": [t(0.1, 1), t(1.2, 2), t(1.3, 3)], "S": [t(2.5, 4)]}
-        events = merge_arrivals(streams, ["R", "S"])
         window_ids, arrived, runs = window_runs(
-            events, ["R", "S"], WindowSpec(width=1.0)
+            streams, ["R", "S"], WindowSpec(width=1.0)
         )
         assert window_ids == [0, 1, 2]
         assert arrived == {"R": {0: 1, 1: 2}, "S": {2: 1}}
@@ -399,9 +406,8 @@ class TestArrivalReplay:
 
     def test_hopping_runs_repeat_a_row_in_every_containing_window(self):
         streams = {"R": [t(0.5, 1), t(1.5, 2)], "S": [t(1.5, 3)], "T": []}
-        events = merge_arrivals(streams, ["R", "S", "T"])
         window_ids, arrived, runs = window_runs(
-            events, ["R", "S", "T"], WindowSpec(width=2.0, slide=1.0)
+            streams, ["R", "S", "T"], WindowSpec(width=2.0, slide=1.0)
         )
         assert window_ids == [0, 1]
         assert arrived == {"R": {0: 2, 1: 1}, "S": {0: 1, 1: 1}, "T": {}}

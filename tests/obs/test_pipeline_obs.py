@@ -114,13 +114,13 @@ def test_no_hand_back_list_without_tuple_events(monkeypatch, obs_kwargs):
     from repro.core.triage_core import TriageCore
 
     asked = []
-    real = TriageCore.drain
+    real = TriageCore.replay
 
-    def spy(self, until=float("inf"), budget=None, polled=None):
-        asked.append(polled)
-        return real(self, until, budget, polled)
+    def spy(self, arrivals, **kwargs):
+        asked.append(kwargs.get("polled"))
+        return real(self, arrivals, **kwargs)
 
-    monkeypatch.setattr(TriageCore, "drain", spy)
+    monkeypatch.setattr(TriageCore, "replay", spy)
     obs = Observability(**obs_kwargs)
     _, result = run_fig9(obs)
     assert asked and all(p is None for p in asked)
