@@ -338,15 +338,12 @@ class PatternEngine:
         si = self._index.get(stream)
         if si is None:
             return ()
-        keyed = si.keyed
-        if keyed:
-            found = dict(si.any)
-            for pos, by_val in keyed.items():
-                bucket = by_val.get(row[pos])
-                if bucket:
-                    found.update(bucket)
-        else:
-            found = si.any
+        found = si.any
+        for pos, by_val in si.keyed.items():
+            bucket = by_val.get(row[pos])
+            if bucket:
+                # Merge into a copy: the index's own buckets stay as they are.
+                found = {**found, **bucket} if found else bucket
         if not found:
             return ()
         if len(found) == 1:

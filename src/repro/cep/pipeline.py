@@ -17,6 +17,27 @@ the engine, and — because an overflow never changes the queue's length
 length trajectory, and therefore the *number* of drops, is identical for
 every drop policy on the same workload.  Policies differ only in *which*
 tuples survive, so recall comparisons run at exactly equal drop fractions.
+
+The run is one :meth:`~repro.core.triage_core.TriageCore.replay` on an
+untimed core paced by ``service_time``: each new timestamp banks engine
+work, whole tuples of it are drained before the arrival is admitted, and an
+engine left idle forfeits its bank.  The shedding machinery costs per shed
+decision, not per event:
+
+* arrivals that find room go straight into the queue (and the pattern
+  policy's buffer index); only overflow tails reach ``offer_bulk``;
+* polled events reach the engine as one ``advance_batch`` just before a
+  tail is shed and once at the end.  The drop policy is the only reader of
+  engine state and reads it only while choosing a victim, and
+  ``advance_batch(a + b)`` is ``advance_batch(a)`` then
+  ``advance_batch(b)``, so this is byte-identical to feeding the engine
+  after every drain;
+* at the same moment, every dropped-tuple window the clock has passed is
+  released: nothing reads them, and held they would keep every victim of
+  the run alive.
+
+``tests/cep/test_pipeline_replay_property.py`` holds the run equal to the
+per-event loop it replaced, kept in ``tests/oracle/cep.py``.
 """
 
 from __future__ import annotations
@@ -142,41 +163,44 @@ class PatternPipeline:
             policy.bind_engine(engine)
             policy.stream_tag = 0
         queue = self.build_queue()
-        # One merged queue, untimed core: the engine's pace is the tuple
-        # budget below, and polled tuples are handed back for the engine.
-        core = TriageCore([queue], fold=False)
+        window = queue.window
         matches: list[StreamTuple] = []
+        polled: list = []
 
-        def drain_batch(limit: int | None) -> int:
-            """Poll up to ``limit`` tuples and absorb them as one batch."""
-            polled: list = []
-            n = core.drain(budget=limit, polled=polled)
-            if n:
+        def settle(now: float) -> None:
+            """Hand the engine what it polled; forget windows now past."""
+            if polled:
                 matches.extend(
                     engine.advance_batch(
                         [
-                            (t.row[0], StreamTuple(t.timestamp, t.row[1:]))
+                            (t.row[0], StreamTuple._make((t.timestamp, t.row[1:])))
                             for _, t, _ in polled
                         ]
                     )
                 )
-            return n
+                polled.clear()
+            # Nothing reads the merged queue's dropped-tuple windows.
+            for wid in queue.windows_with_drops():
+                if window.bounds(wid)[1] > now:
+                    break
+                queue.release_window(wid)
 
-        budget = 0.0
-        last_ts = events[0][1].timestamp if events else 0.0
-        service_time = self.config.service_time
-        for stream, tup in events:
-            ts = tup.timestamp
-            if ts > last_ts:
-                budget += (ts - last_ts) / service_time
-                last_ts = ts
-            whole = int(budget)
-            if whole:
-                budget -= whole
-                if drain_batch(whole) < whole:
-                    budget = 0.0  # idle engine cannot bank work
-            core.offer(0, (StreamTuple(ts, (stream,) + tup.row),))
-        drain_batch(None)  # end of input: catch up fully
+        # One merged queue on an untimed core: the engine's pace is a tuple
+        # budget banked from the arrival clock.
+        TriageCore([queue], fold=False).replay(
+            [
+                (
+                    tup.timestamp,
+                    seq,
+                    "pattern",
+                    StreamTuple._make((tup.timestamp, (stream,) + tup.row)),
+                )
+                for seq, (stream, tup) in enumerate(events)
+            ],
+            service_time=self.config.service_time,
+            settle=settle,
+            polled=polled,
+        )
 
         return PatternRunResult(
             pattern=self.pattern,

@@ -21,7 +21,8 @@ A decision is a lookup per **score class**, not a pass over the buffer
 (docs/performance.md): in ``P[stream][bin] (+ bonus if protected) + 0.01 /
 (1 + occupancy[window])`` all but the protection bit is fixed at admission,
 so each queue's :class:`_BufferIndex` files its buffer under ``(stream, bin,
-primary window)`` as the queue reports entries and exits, and a decision
+primary window)`` as the queue reports entries and exits (a tuple is keyed
+once, at entry; its exit finds its class by identity), and a decision
 scores each class once and takes its oldest unprotected member.  Float
 expression and addition order are those of a rescan of the whole buffer, so
 scores and decisions are bit-equal to one.
@@ -33,6 +34,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice
+from math import floor
 
 from repro.core.policies import DROP_INCOMING, DropPolicy, PolicyContext
 from repro.engine.types import StreamTuple
@@ -42,6 +44,8 @@ from repro.engine.types import StreamTuple
 class _ScoreClass:
     """The buffered tuples of one (stream, phase bin, window), oldest first."""
 
+    #: (stream, phase bin, window id): what every member was filed under.
+    key: tuple
     members: deque[StreamTuple] = field(default_factory=deque)
     #: At engine ``version``, ``members[:n_protected]`` were protected and,
     #: if ``found``, ``members[n_protected]`` was not.
@@ -56,10 +60,14 @@ class _BufferIndex:
     def __init__(self, policy: "PatternUtilityPolicy", context: PolicyContext) -> None:
         self.policy = policy
         self.stream = context.queue_name or ""
-        self.primary_window = context.window.primary_window
+        self.hop = context.window.hop
         #: (stream, phase bin, window id) -> class, and window id -> members.
         self.classes: dict[tuple, _ScoreClass] = {}
         self.occupancy: dict[int, int] = {}
+        # id(member) -> its class: a tuple is keyed once, at admission, and
+        # its exit finds the class without re-keying it.  A member is held
+        # by the buffer while it is filed, so its id cannot be reused.
+        self._filed: dict[int, _ScoreClass] = {}
         self.refile(policy.engine, ())
 
     def refile(self, engine, buffer: Sequence[StreamTuple]) -> None:
@@ -76,41 +84,51 @@ class _BufferIndex:
         model = self.model
         idx = None
         if model is not None:
-            # UtilityModel._bin, inlined: this runs per entry and exit.
+            # UtilityModel._bin, inlined: this runs per admission.
             w = model.within
             b = model.bins
             idx = int((ts % w) / w * b)
             if idx >= b:
                 idx = b - 1
         stream = self.stream if tag is None else tup.row[tag]
-        return stream, idx, self.primary_window(ts)
+        # WindowSpec.primary_window, inlined.
+        return stream, idx, floor(ts / self.hop)
 
     def add(self, tup: StreamTuple) -> None:
         key = self.key(tup)
         cls = self.classes.get(key)
         if cls is None:
-            cls = self.classes[key] = _ScoreClass()
+            cls = self.classes[key] = _ScoreClass(key)
         cls.members.append(tup)
-        self.occupancy[key[2]] = self.occupancy.get(key[2], 0) + 1
+        self._filed[id(tup)] = cls
+        wid = key[2]
+        self.occupancy[wid] = self.occupancy.get(wid, 0) + 1
 
     def remove(self, tup: StreamTuple) -> None:
-        key = self.key(tup)
-        cls = self.classes[key]
-        at = cls.members.index(tup)
-        del cls.members[at]
+        # A tuple filed twice holds one entry: its second exit re-keys it.
+        cls = self._filed.pop(id(tup), None)
+        if cls is None:
+            cls = self.classes[self.key(tup)]
+        members = cls.members
+        at = members.index(tup)
+        del members[at]
         if at < cls.n_protected:
             cls.n_protected -= 1
         elif at == cls.n_protected:
             cls.found = False
-        if not cls.members:
-            del self.classes[key]
-        self.occupancy[key[2]] -= 1
-        if not self.occupancy[key[2]]:
-            del self.occupancy[key[2]]
+        if not members:
+            del self.classes[cls.key]
+        wid = cls.key[2]
+        n = self.occupancy[wid] - 1
+        if n:
+            self.occupancy[wid] = n
+        else:
+            del self.occupancy[wid]
 
     def clear(self) -> None:
         self.classes.clear()
         self.occupancy.clear()
+        self._filed.clear()
 
     def __len__(self) -> int:
         return sum(len(cls.members) for cls in self.classes.values())

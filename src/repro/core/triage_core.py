@@ -36,18 +36,19 @@ next, and what taking it does to window state*.
   late backlog for them is consumed but folds into nothing.
   Independently, ``drain(polled=[...])`` hands the taken tuples back with
   their finish times.
-* **Replay.**  A virtual-clock driver that holds its whole timeline hands
-  it to :meth:`TriageCore.replay`: the per-arrival ``drain(ts)`` /
-  ``offer`` sequence and the final drain as one loop, which admits an
-  arrival that finds room on the spot and sends only overflow through
-  ``offer_bulk``.
+* **Replay.**  A driver that holds its whole timeline hands it to
+  :meth:`TriageCore.replay`: the per-arrival drain / ``offer`` sequence and
+  the final drain as one loop, which admits an arrival that finds room on
+  the spot and sends only overflow through ``offer_bulk``.  A timed core
+  drains by virtual time; an untimed one by a tuple budget banked from the
+  arrival clock.
 
 The drivers keep only what is genuinely theirs — load controllers and
 tracing (:mod:`repro.core.pipeline`); the budget carry and pattern feed
 (:mod:`repro.service.dataplane`); shared dimensions and per-query cost
 (:mod:`repro.core.multi_query`); synopsis shipping charged to the link
-(:mod:`repro.core.gateway`); the idle-engine budget rule
-(:mod:`repro.cep.pipeline`).  The core draws no randomness.
+(:mod:`repro.core.gateway`); the pattern engine's feed and the release of
+shed windows (:mod:`repro.cep.pipeline`).  The core draws no randomness.
 """
 
 from __future__ import annotations
@@ -268,6 +269,8 @@ class TriageCore:
         self,
         arrivals: Sequence[Arrival],
         *,
+        service_time: float | None = None,
+        settle: Callable[[float], None] | None = None,
         control: tuple[float, Callable[[int], None]] | None = None,
         flip: Callable[[str], None] | None = None,
         offered: list | None = None,
@@ -275,20 +278,36 @@ class TriageCore:
         polled: list | None = None,
         now: Callable[[], float] | None = None,
     ) -> float | None:
-        """Replay a timeline on the virtual clock, then drain every queue.
+        """Replay a timeline, then drain every queue.
 
-        Exactly ``drain(ts)``, ``offer(i, (tup,))`` per arrival and a final
-        ``drain()``, in one loop whose state stays in locals.  ``arrivals``
-        are :func:`merge_arrivals` entries in timestamp order; the core must
-        be timed.
+        ``arrivals`` are :func:`merge_arrivals` entries.  A timed core
+        replays them on the virtual clock: exactly ``drain(ts)``, ``offer(i,
+        (tup,))`` per arrival and a final ``drain()``, in one loop whose
+        state stays in locals; the arrivals must be in timestamp order.
+        An untimed core is paced by ``service_time`` instead:
 
-        * **Intake.**  An arrival that finds its queue with room (and a
-          policy that keeps no index) is admitted on the spot, as
-          ``offer_bulk``'s free prefix would admit it: no RNG draw, the same
-          ``offered`` / ``high_watermark`` and head.  A queue that is full
-          stays full until the next drain step, so the rest of its arrivals
-          are staged and reach ``offer_bulk`` unchanged at that step — its
-          overflow tail, in first-arrival order across sources.
+        * **Pace.**  An arrival stamped past the last stamp seen banks
+          ``(ts - last) / service_time`` tuples of consumer work (the first
+          arrival's stamp starts the clock).  When the bank holds whole
+          tuples, that many are drained before the arrival is admitted, and
+          a drain that takes fewer than it asked for forfeits the bank: an
+          idle consumer banks no work.  Exactly ``drain(budget=whole)``,
+          ``offer(i, (tup,))`` per arrival and a final ``drain()``; the
+          arrivals need not be sorted, and no completion time is stamped.
+        * **Intake.**  An arrival that finds its queue with room is admitted
+          on the spot, as ``offer_bulk``'s free prefix would admit it (and
+          filed in the policy's buffer index, if it keeps one): no RNG
+          draw, the same ``offered`` / ``high_watermark`` and head.  A queue
+          that is full stays full until the next drain step, so the rest of
+          its arrivals are staged and reach ``offer_bulk`` unchanged at that
+          step — its overflow tail, in first-arrival order across sources —
+          and every one of them sheds.
+        * **Settle.**  ``settle(now)`` is called just before the first
+          overflow tail of a flush reaches ``offer_bulk`` (``now`` is the
+          stamp of the arrival being replayed) and once at the end (``now
+          = inf``).  A consumer fed from ``polled`` whose state a
+          drop policy reads catches up there, once per shed decision
+          instead of once per drain step.
         * **Fold.**  Polls come out in timestamp order, so the window set of
           the polled tuples changes only at window boundaries: its runs are
           looked up (and kept synopses created) once per (window set,
@@ -308,12 +327,14 @@ class TriageCore:
           :meth:`flush`); each drain step that took something appends to
           ``marks`` one ``(start clock, end clock, taken, until,
           len(offered))``; each taken tuple appends to ``polled`` one
-          ``(source, tuple, finish time)``.  Returns the clock reading at
-          the start of the final drain (the stamp of arrivals no later
-          step took anything after) when ``now`` is given, else ``None``.
+          ``(source, tuple, finish time)`` (an untimed core's finish time
+          is the arrival clock).  Returns the clock reading at the start
+          of the final drain (the stamp of arrivals no later step took
+          anything after) when ``now`` is given, else ``None``.
         """
-        if self.costs is None:
-            raise ValueError("replay needs a timed core (per-source costs)")
+        timed = self.costs is not None
+        if not timed and service_time is None:
+            raise ValueError("an untimed core replays at a service_time pace")
         self.flush()
         queues = self.queues
         names = self.names
@@ -322,9 +343,11 @@ class TriageCore:
         # directly, so admitting into or polling from one costs no call.
         buffers = [q._buffer for q in queues]
         stats = [q.stats for q in queues]
-        direct = [q.policy_index is None for q in queues]
+        indexes = [q.policy_index for q in queues]
         capacity = [q.capacity for q in queues]
-        costs = self.costs
+        # An untimed core's tuples take no consumer time: its clock ``t``
+        # is the arrival clock, moved only by the bank.
+        costs = self.costs if timed else [0.0] * len(queues)
         heap = self._heap
         heads = self._heads
         all_runs = self._runs
@@ -341,13 +364,17 @@ class TriageCore:
         observed = offered is not None
         lo = 0  # the first arrival since the last flush
 
-        def release(upto: int) -> None:
+        def release(upto: int, stamp: float) -> None:
             """Flush: each staged tail to its queue, then the hand-backs."""
             nonlocal lo
+            settled = settle is None
             for idx, tail in staged.items():
+                shed = 0
+                if tail is not admitted and not settled:
+                    settle(stamp)
+                    settled = True
                 buf = buffers[idx]
                 depth = len(buf)
-                shed = 0
                 if tail is not admitted:
                     shed = queues[idx].offer_bulk(tail)
                     self._sync(idx)
@@ -374,77 +401,99 @@ class TriageCore:
         fold_wids: tuple[int, ...] | None = None
         live: list[int] = []
         appends: list = [None] * len(queues)
-        t = last = self.busy_until
+        if timed:
+            t = last = self.busy_until
+        else:
+            # The arrival clock: the last stamp the bank was credited for.
+            t = last = arrivals[0][0] if arrivals else 0.0
+        bank = 0.0
         t0 = None
         sentinel = (math.inf, 0, None, None)
         for i, (ts, _, source, tup) in enumerate(chain(arrivals, (sentinel,))):
             if t < ts:
-                # A drain step: the consumer is free before ``ts``.
-                if flip is not None:
-                    flip("drain")
-                if staged:
-                    if overflow or observed:
-                        release(i)
-                        overflow = False
-                    else:
-                        staged.clear()  # all went straight in
-                if now is not None and tup is None:
-                    t0 = now()  # the final drain's start stamps the tail
-                n = 0
-                while heap:
-                    hts, idx = heap[0]
-                    buf = buffers[idx]
-                    if not buf or buf[0].timestamp != hts:
-                        # Stale: the head this entry described was evicted
-                        # by a drop policy since it was registered.
-                        heappop(heap)
-                        self._sync(idx)
-                        continue
-                    start = hts if hts > t else t
-                    if start >= ts:
-                        break
-                    if now is not None and not n and tup is not None:
-                        t0 = now()
-                    if direct[idx]:
+                if timed or tup is None:
+                    budget = None  # take what starts in time / catch up fully
+                else:
+                    bank += (ts - t) / service_time
+                    t = ts
+                    budget = int(bank)
+                    bank -= budget
+                if budget != 0:
+                    # A drain step: the consumer is free before ``ts`` (timed),
+                    # or the bank holds whole tuples (untimed).
+                    if flip is not None:
+                        flip("drain")
+                    if staged:
+                        if overflow or observed:
+                            release(i, ts)
+                            overflow = False
+                        else:
+                            staged.clear()  # all went straight in
+                    if now is not None and tup is None:
+                        t0 = now()  # the final drain's start stamps the tail
+                    n = 0
+                    while heap:
+                        hts, idx = heap[0]
+                        buf = buffers[idx]
+                        if not buf or buf[0].timestamp != hts:
+                            # Stale: the head this entry described was
+                            # evicted by a drop policy since it was registered.
+                            heappop(heap)
+                            self._sync(idx)
+                            continue
+                        if timed:
+                            start = hts if hts > t else t
+                            if start >= ts:
+                                break
+                        elif n == budget:
+                            break
+                        else:
+                            start = t  # costs are all 0.0: the clock holds
+                        if now is not None and not n and tup is not None:
+                            t0 = now()
                         got = buf.popleft()
                         stats[idx].polled += 1
-                    else:
-                        got = queues[idx].poll()
-                    # Unconditional re-registration: the successor may carry
-                    # the *same* timestamp.
-                    if buf:
-                        nts = heads[idx] = buf[0].timestamp
-                        heapreplace(heap, (nts, idx))
-                    else:
-                        heads[idx] = None
-                        heappop(heap)
-                    t = start + costs[idx]
-                    n += 1
-                    if polled is not None:
-                        polled.append((names[idx], got, t))
-                    if all_runs is None:
-                        continue
-                    gts = got.timestamp
-                    if gts != fold_ts:
-                        fold_ts = gts
-                        wids = window_ids(gts)
-                        if wids != fold_wids:
-                            for wid in live:
-                                completion[wid] = last
-                            fold_wids = wids
-                            live = [w for w in wids if floor is None or w > floor]
-                            appends = [None] * len(queues)
-                    joins = appends[idx]
-                    if joins is None:
-                        joins = appends[idx] = self._run_appends(idx, live)
-                    row = got.row
-                    for append in joins:
-                        append(row)
-                    last = t
-                if n and marks is not None:
-                    marks.append((t0, now(), n, ts, len(offered)))
-                if flip is not None:
-                    flip("ingest")
+                        filed = indexes[idx]
+                        if filed is not None:
+                            filed.remove(got)
+                        # Unconditional re-registration: the successor may
+                        # carry the *same* timestamp.
+                        if buf:
+                            nts = heads[idx] = buf[0].timestamp
+                            heapreplace(heap, (nts, idx))
+                        else:
+                            heads[idx] = None
+                            heappop(heap)
+                        t = start + costs[idx]
+                        n += 1
+                        if polled is not None:
+                            polled.append((names[idx], got, t))
+                        if all_runs is None:
+                            continue
+                        gts = got.timestamp
+                        if gts != fold_ts:
+                            fold_ts = gts
+                            wids = window_ids(gts)
+                            if wids != fold_wids:
+                                if timed:
+                                    for wid in live:
+                                        completion[wid] = last
+                                fold_wids = wids
+                                live = [w for w in wids if floor is None or w > floor]
+                                appends = [None] * len(queues)
+                        joins = appends[idx]
+                        if joins is None:
+                            joins = appends[idx] = self._run_appends(idx, live)
+                        row = got.row
+                        for append in joins:
+                            append(row)
+                        last = t
+                    if not timed and n != budget:
+                        bank = 0.0  # an idle consumer banks no work
+                    if n and marks is not None:
+                        marks.append((t0, now(), n, ts, len(offered)))
+                    if flip is not None:
+                        flip("ingest")
                 if tup is None:
                     break
             if ts >= next_control:
@@ -454,7 +503,7 @@ class TriageCore:
                 while next_control <= ts:
                     next_control += dt
                     intervals += 1
-                release(i)
+                release(i, ts)
                 overflow = False
                 step(intervals)
                 capacity = [q.capacity for q in queues]
@@ -462,12 +511,15 @@ class TriageCore:
             tail = staged.get(idx)
             if tail is None or tail is admitted:
                 buf = buffers[idx]
-                if direct[idx] and len(buf) < capacity[idx]:
+                if len(buf) < capacity[idx]:
                     # Room: admitted as offer_bulk's free prefix would be.
                     if not buf:
                         heads[idx] = tup.timestamp
                         heappush(heap, (tup.timestamp, idx))
                     buf.append(tup)
+                    filed = indexes[idx]
+                    if filed is not None:
+                        filed.add(tup)
                     st = stats[idx]
                     st.offered += 1
                     if len(buf) > st.high_watermark:
@@ -479,9 +531,12 @@ class TriageCore:
                 overflow = True
             else:
                 tail.append(tup)
-        for wid in live:
-            completion[wid] = last
-        self.busy_until = t
+        if settle is not None:
+            settle(math.inf)
+        if timed:
+            for wid in live:
+                completion[wid] = last
+            self.busy_until = t
         return t0
 
     def _run_appends(self, idx: int, wids: list[int]) -> list:

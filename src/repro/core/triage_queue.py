@@ -21,9 +21,9 @@ Section 5.2.1.
 :meth:`TriageQueue.offer_bulk` is the one way in, and
 :class:`~repro.core.triage_core.TriageCore`, which stages every driver's
 arrivals, is its one caller.  The core's replay loop also admits an arrival
-that finds room (under a policy that keeps no buffer index) straight into
-the buffer, exactly as ``offer_bulk``'s free prefix would, and polls
-directly — the queue's state and stats come out the same.
+that finds room straight into the buffer (and the policy's buffer index),
+exactly as ``offer_bulk``'s free prefix would, and polls directly — the
+queue's state and stats come out the same.
 
 Concurrency contract
 --------------------

@@ -87,15 +87,28 @@ class WindowSpec:
         of each window's run).  The answer depends only on ``timestamp``,
         and the same timestamps come back (a batch stamped with one
         ``now``, one input replayed under several strategies), so the memo
-        stays.  Delegates to ``window_ids`` for the arithmetic so the two
-        can never disagree.
+        stays.  A miss whose candidate range is one window that holds the
+        timestamp (tumbling windows, away from float edges) answers
+        ``(i,)`` from ``window_ids``' own two floors and bounds test; any
+        other miss delegates to ``window_ids``, so the two cannot disagree.
         """
         cache = self._ids_cache
         out = cache.get(timestamp)
         if out is None:
             if len(cache) >= self.IDS_CACHE_SIZE:
                 cache.clear()
-            out = cache[timestamp] = tuple(self.window_ids(timestamp))
+            # Tumbling fast path: when window_ids' candidate range is the
+            # single id ``i`` and window ``i`` holds the timestamp, its answer
+            # is ``(i,)``; anything else asks window_ids itself.
+            hop = self.hop
+            i = math.floor(timestamp / hop)
+            first = math.floor((timestamp - self.width) / hop) + 1
+            if timestamp >= 0 and first < 0:
+                first = 0
+            if first == i and i * hop <= timestamp < i * hop + self.width:
+                out = cache[timestamp] = (i,)
+            else:
+                out = cache[timestamp] = tuple(self.window_ids(timestamp))
         return out
 
     def primary_window(self, timestamp: float) -> int:

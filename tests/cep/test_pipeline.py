@@ -91,3 +91,42 @@ class TestMergeStreams:
             ("B", (2,)),
             ("A", (3,)),
         ]
+
+
+class TestShedWindowsAreReleased:
+    """Nothing reads the merged queue's dropped-tuple windows, so a run
+    forgets each one once its clock has passed the window's end."""
+
+    def test_held_victims_stay_within_the_live_windows(self, monkeypatch):
+        events = bursty_pattern_workload(n_events=20000, seed=3)
+        queues, held = [], []
+        build_queue = PatternPipeline.build_queue
+
+        def spy(self):
+            queue = build_queue(self)
+            offer_bulk = queue.offer_bulk
+
+            def checked(batch):
+                # Every tail arrived no later than the step's clock, and
+                # every window the clock has passed was released before it.
+                clock = max(t.timestamp for t in batch)
+                for wid in queue._pending:
+                    assert queue.window.bounds(wid)[1] > clock, (wid, clock)
+                held.append(sum(map(len, queue._pending.values())))
+                return offer_bulk(batch)
+
+            queue.offer_bulk = checked
+            queues.append(queue)
+            return queue
+
+        monkeypatch.setattr(PatternPipeline, "build_queue", spy)
+        for policy in ("random", "pattern-utility"):
+            held.clear()
+            result = PatternPipeline(
+                demo_catalog(), DEMO_PATTERN, PatternConfig(policy=make_policy(policy))
+            ).run(events)
+            # Kept for the whole run, they would number result.dropped.
+            assert max(held) < result.dropped / 4, (max(held), result.dropped)
+        for queue in queues:
+            assert queue._pending == {}
+            assert queue.windows_with_drops() == []

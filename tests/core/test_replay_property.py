@@ -6,7 +6,8 @@ window set.  That is sound only if none of it shows: for any timeline
 (cross-source timestamp ties, unsorted input lists), any capacities (cut by
 a controller at control points), any of the random, head, tail and
 synergistic policies or one that keeps a buffer index, tumbling or hopping
-windows, observed or not, it must leave exactly what the reference loop in
+windows, a timed core or an untimed one paced by a service time, observed
+or not, it must leave exactly what the reference loop in
 ``tests/oracle/replay.py`` leaves — queue stats, buffers, released dropped
 synopses, the shared ledger, kept runs and synopses, completion times,
 ``busy_until``, the order synopses were created in, and the flush
@@ -118,7 +119,11 @@ def build(names, policy, window, capacities, costs, control_caps):
         )
         for i, name in enumerate(names)
     ]
-    core = TriageCore(queues, [costs[i] for i in range(len(names))], synopses=True)
+    core = TriageCore(
+        queues,
+        None if costs is None else [costs[i] for i in range(len(names))],
+        synopses=True,
+    )
     steps: list = []
     control = None
     if control_caps:
@@ -174,7 +179,9 @@ def outcome(core, factory, ledger, steps, hand_backs):
     }
 
 
-def run(replay, names, streams, policy, window, capacities, costs, caps, observed):
+def run(replay, names, streams, policy, window, capacities, costs, caps, observed,
+        service_time=None):
+    """``costs=None`` builds an untimed core, replayed at ``service_time``."""
     core, control, factory, ledger, steps = build(
         names, policy, window, capacities, costs, caps
     )
@@ -185,12 +192,17 @@ def run(replay, names, streams, policy, window, capacities, costs, caps, observe
         tail_clock = replay(
             core,
             arrivals,
+            service_time=service_time,
             control=control,
             offered=offered,
             marks=marks,
             polled=polled,
             now=lambda: 0.0,
         )
+        if costs is None:
+            # An untimed core has no finish times: the replay hands back
+            # its arrival clock, ``drain`` the untouched ``busy_until``.
+            polled = [(s, tup) for s, tup, _ in polled]
         hand_backs = (
             [(s, depth, list(batch), shed) for s, depth, batch, shed in offered],
             [(n, until, upto) for _, _, n, until, upto in marks],
@@ -198,7 +210,9 @@ def run(replay, names, streams, policy, window, capacities, costs, caps, observe
             tail_clock is not None,
         )
     else:
-        assert replay(core, arrivals, control=control) is None
+        assert replay(
+            core, arrivals, service_time=service_time, control=control
+        ) is None
     return outcome(core, factory, ledger, steps, hand_backs)
 
 
@@ -223,13 +237,15 @@ def test_replay_equals_the_per_arrival_loop(policy, window, names, data):
             rows = sorted(rows, key=lambda r: r[0])  # most inputs are sorted
         streams[name] = [StreamTuple(ts, (v,)) for ts, v in rows]
     capacities = data.draw(st.lists(st.integers(1, 5), min_size=3, max_size=3))
-    costs = data.draw(
-        st.lists(st.sampled_from([0.05, 0.2, 0.3]), min_size=3, max_size=3)
-    )
+    cost = st.sampled_from([0.05, 0.2, 0.3])
+    costs = data.draw(st.lists(cost, min_size=3, max_size=3) | st.none())
+    # An untimed core is paced by a service time instead.
+    service_time = None if costs is not None else data.draw(cost)
     caps = data.draw(st.lists(st.integers(1, 4), max_size=3))
     observed = data.draw(st.booleans())
     spec = WINDOWS[window]
-    args = (names, streams, policy, spec, capacities, costs, caps, observed)
+    args = (names, streams, policy, spec, capacities, costs, caps, observed,
+            service_time)
     assert run(TriageCore.replay, *args) == run(reference_replay, *args)
 
 

@@ -1,6 +1,10 @@
 """Tests for time-window specs and assignment."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import StreamTuple, WindowSpec, assign_windows, parse_window_clause
 
@@ -24,6 +28,31 @@ class TestWindowSpec:
         w = WindowSpec(width=2.0, slide=1.0)
         # t=2.5 is inside windows starting at 1.0 and 2.0.
         assert list(w.window_ids(2.5)) == [1, 2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        width=st.sampled_from([0.1, 0.3, 1.0, 2.0, 1 / 3, 3.7])
+        | st.floats(0.001, 100.0),
+        slide=st.sampled_from([None, 1.0, 0.5, 0.25]),
+        k=st.integers(-10**6, 10**6),
+        other=st.floats(-1e6, 1e6),
+    )
+    def test_ids_is_window_ids_at_every_boundary(self, width, slide, k, other):
+        # ``slide=1.0`` is the width itself (tumbling by slide), the others
+        # make hopping windows; a fresh spec per call misses the memo.
+        spec = WindowSpec(width=width, slide=None if slide is None else slide * width)
+        edge = k * spec.hop
+        for ts in (
+            edge,
+            math.nextafter(edge, math.inf),
+            math.nextafter(edge, -math.inf),
+            edge + width,
+            math.nextafter(edge + width, -math.inf),
+            other,
+        ):
+            fresh = WindowSpec(width=spec.width, slide=spec.slide)
+            assert fresh.ids(ts) == tuple(fresh.window_ids(ts)), ts
+            assert spec.ids(ts) == tuple(spec.window_ids(ts)), ts
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):

@@ -1,13 +1,14 @@
 """The per-arrival replay loop, the reference :meth:`TriageCore.replay` is
 tested against.
 
-``src/`` replays a virtual-clock timeline in one fused loop
+``src/`` replays a timeline in one fused loop
 (:meth:`repro.core.triage_core.TriageCore.replay`): arrivals with room go
 straight into their queue, only overflow tails reach ``offer_bulk``, and
 the kept-row fold looks windows up once per window set.  This module keeps
 the loop it replaced, built from the core's public steps — per arrival a
-``drain(ts)`` (with its flush) and an ``offer(i, (tup,))``, then a final
-``drain()`` — and the per-arrival timeline walk that
+``drain(ts)`` or ``drain(budget=whole)`` (with its flush) and an
+``offer(i, (tup,))``, then a final ``drain()`` — and the per-arrival
+timeline walk that
 :func:`~repro.core.triage_core.window_runs` replaced, so property tests can
 hold the fused versions equal to them.
 """
@@ -23,6 +24,7 @@ def reference_replay(
     core,
     arrivals,
     *,
+    service_time=None,
     control=None,
     flip=None,
     offered=None,
@@ -33,19 +35,39 @@ def reference_replay(
     """``core.replay(arrivals, ...)``, one arrival at a time.
 
     Same arguments, same hand-backs and the same return value: the clock
-    reading at the start of the final drain when ``now`` is given.
+    reading at the start of the final drain when ``now`` is given.  An
+    untimed core banks ``(ts - last) / service_time`` tuples per new stamp
+    and drains the whole ones before the arrival is offered; a drain that
+    takes fewer forfeits the bank.
     """
     source_index = {name: i for i, name in enumerate(core.names)}
     next_control = control[0] if control is not None else math.inf
+    timed = core.costs is not None
+    bank = 0.0
+    last = arrivals[0][0] if arrivals else 0.0
     t0 = None
     for ts, _, source, tup in chain(arrivals, ((math.inf, 0, None, None),)):
-        if core.busy_until < ts:  # the core's own flush rule
+        if timed:
+            budget = None
+            due = core.busy_until < ts  # the core's own flush rule
+        elif tup is None:
+            budget, due = None, True  # end of input: catch up fully
+        else:
+            if ts > last:
+                bank += (ts - last) / service_time
+                last = ts
+            budget = int(bank)
+            bank -= budget
+            due = budget > 0
+        if due:
             if flip is not None:
                 flip("drain")
             core.flush(offered)
             if now is not None:
                 t0 = now()
-            n = core.drain(ts, polled=polled)
+            n = core.drain(ts, budget, polled=polled)
+            if budget is not None and n < budget:
+                bank = 0.0
             if n and marks is not None:
                 marks.append((t0, now(), n, ts, len(offered)))
             if flip is not None:
