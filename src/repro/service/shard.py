@@ -22,7 +22,9 @@ with the same pickled pipeline payload as the window-evaluation pool
 each source's global chain position, so a worker owning only ``S`` sheds
 exactly what the serial server would.
 
-Wire discipline: one pipe per worker, strictly one reply per command, FIFO.
+Wire discipline: one pipe per worker, a ready reply once the worker's
+plane is built (the constructor waits for it), then strictly one reply per
+command, FIFO.
 That gives RPC semantics with no request ids and guarantees a worker's
 ``close`` reply reflects every ingest sent before it.  The coordinator
 speaks it from the event loop and nowhere else: the plane's RPC methods
@@ -80,14 +82,22 @@ def _worker_main(conn, payload: bytes, owned: list[str], obs_spec) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
-    obs = None
-    if obs_spec is not None:
-        from repro.obs import Observability
+    try:
+        obs = None
+        if obs_spec is not None:
+            from repro.obs import Observability
 
-        obs = Observability.from_worker_spec(obs_spec)
-    plane = StreamDataPlane(
-        build_pipeline_from_payload(payload, obs), sources=owned
-    )
+            obs = Observability.from_worker_spec(obs_spec)
+        plane = StreamDataPlane(
+            build_pipeline_from_payload(payload, obs), sources=owned
+        )
+    except Exception as exc:  # noqa: BLE001 - refused at construction
+        conn.send(("err", type(exc).__name__, str(exc)))
+        conn.close()
+        return
+    # The ready reply: the coordinator's constructor waits for it, so a
+    # worker's start-up never runs inside its first command.
+    conn.send(("ok", None))
     while True:
         try:
             msg = conn.recv()
@@ -292,6 +302,22 @@ class _ShardWorker:
             self.process.join(timeout=1)
 
 
+#: Seconds a worker may take to build its plane before the coordinator
+#: gives up on it.
+START_TIMEOUT = 30.0
+
+
+def _await_ready(index: int, conn, timeout: float = START_TIMEOUT) -> None:
+    """Block until worker ``index`` reports its plane built (its first
+    reply), or raise :class:`ShardError` if it failed, died or hung."""
+    try:
+        if not conn.poll(timeout):
+            raise ShardError(f"shard {index} did not start within {timeout:g} s")
+        _unwrap(conn.recv())
+    except (EOFError, OSError) as exc:
+        raise ShardError(f"shard {index} died while starting") from exc
+
+
 def _unwrap(reply):
     """Turn a worker reply into a value or the typed exception it carries."""
     status = reply[0]
@@ -319,7 +345,9 @@ class ShardedDataPlane:
     """
 
     def __init__(self, pipeline, shards: int) -> None:
-        """Fork ``shards`` workers, each primed with ``pipeline``'s recipe.
+        """Fork ``shards`` workers, each primed with ``pipeline``'s recipe,
+        and wait until each has built its plane (:class:`ShardError` if one
+        fails to), so no command pays a worker's start-up.
 
         When ``pipeline.obs`` carries a ledger or a sampler, each worker
         keeps a local one (its ledger seeded by shard index — that RNG only
@@ -353,7 +381,7 @@ class ShardedDataPlane:
         self._obs = pipeline.obs
         payload = pipeline_payload(pipeline)
         ctx = fork_context()
-        self.workers: list[_ShardWorker] = []
+        started = []
         for i in range(shards):
             owned = [s for s in self.sources if self.assignment[s] == i]
             parent_conn, child_conn = ctx.Pipe()
@@ -366,7 +394,17 @@ class ShardedDataPlane:
             )
             proc.start()
             child_conn.close()
-            self.workers.append(_ShardWorker(i, owned, proc, parent_conn))
+            started.append((i, owned, proc, parent_conn))
+        try:
+            for i, _, _, conn in started:
+                _await_ready(i, conn)
+        except BaseException:
+            for _, _, proc, conn in started:
+                conn.close()
+                proc.terminate()
+                proc.join(timeout=1)
+            raise
+        self.workers: list[_ShardWorker] = [_ShardWorker(*w) for w in started]
         self._closed = False
 
     # ------------------------------------------------------------------

@@ -212,6 +212,46 @@ def test_sharded_plane_facade_and_fresh_start():
         plane.close()
 
 
+def test_sharded_plane_is_ready_when_constructed():
+    # Every worker has answered its ready reply before the constructor
+    # returns: none is owed a reply, and nothing is left on any pipe.
+    plane = ShardedDataPlane(make_pipeline(), 2)
+    try:
+        for worker in plane.workers:
+            assert worker.process.is_alive()
+            assert not worker.waiting
+            assert not worker.conn.poll(0)
+    finally:
+        plane.close()
+
+
+def test_worker_that_fails_to_start_refuses_the_plane(monkeypatch):
+    # Workers are forked, so the patched builder is the one they run.
+    import repro.service.shard as shard
+
+    def broken(payload, obs=None):
+        raise RuntimeError("no plane today")
+
+    children = set(multiprocessing.active_children())
+    monkeypatch.setattr(shard, "build_pipeline_from_payload", broken)
+    with pytest.raises(shard.ShardError, match="no plane today"):
+        ShardedDataPlane(make_pipeline(), 2)
+    assert set(multiprocessing.active_children()) <= children
+
+
+def test_worker_that_dies_while_starting_refuses_the_plane(monkeypatch):
+    import repro.service.shard as shard
+
+    def dead(payload, obs=None):
+        os._exit(3)
+
+    children = set(multiprocessing.active_children())
+    monkeypatch.setattr(shard, "build_pipeline_from_payload", dead)
+    with pytest.raises(shard.ShardError, match="died while starting"):
+        ShardedDataPlane(make_pipeline(), 2)
+    assert set(multiprocessing.active_children()) <= children
+
+
 def test_sharded_close_reaches_metrics_registry():
     # A real ingest -> tick -> close cycle on a sharded server must land
     # the shard gauges and the audit counters in the server's registry.
